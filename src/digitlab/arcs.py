@@ -5,6 +5,17 @@ grid sum of the set's Fourier transform against the weight's exponential
 sum; every a/q**k is Dirichlet-approximated, classified major/minor and
 accumulated per class.  Class totals sum to the pipeline total by
 construction (one shared accumulation tree).
+
+Classification runs as a batch Euclid: the continued-fraction state of a
+block of numerators is stepped at once in numpy, keeping the last
+convergent with denominator <= D0, and each point gets an int8 class code
+(``ARC_CLASSES[code]`` is its ``ArcClass``).  The offset beta is the exact
+integer a*d - ell*Q divided by float(Q*d), which is correctly rounded and
+so equals the scalar ``float(Fraction)`` bit for bit while Q*D0 < 2**53;
+larger Q*D0 is rejected.  ``dirichlet_approx`` and ``classify`` are the
+scalar oracles for the batch path.  The singular-series pair count is
+blocked the same way: Horner's rule mod q**J on an int64 range, then a
+digit lookup table.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -23,6 +34,11 @@ from .expsums import IntPolynomial, MangoldtTable, build_mangoldt, poly_range
 from .fourier import FourierContext, grid_values, GRID_CAP
 
 PAIR_COUNT_CAP = 10 ** 7
+# Numerators (or pair-count arguments) handled per numpy step; bounds the
+# working arrays at a few MB whatever Q is.
+BLOCK = 1 << 14
+# Q*D0 below this keeps a*d - ell*Q and Q*d exact in float64.
+EXACT_FLOAT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -68,6 +84,11 @@ class ArcClass(enum.Enum):
     MAJOR = "major"
     MINOR_DENOMINATOR = "minor_denominator"
     MINOR_OFFSET = "minor_offset"
+
+
+# int8 class code -> ArcClass, for the code arrays of _classification.
+ARC_CLASSES = (ArcClass.MAJOR, ArcClass.MINOR_DENOMINATOR,
+               ArcClass.MINOR_OFFSET)
 
 
 def arc_threshold(Q: int, A_major: float) -> float:
@@ -140,18 +161,52 @@ class PipelineResult:
     ledger: ArcLedger
 
 
-def _classification(Q: int, D0: int, A_major: float) -> List[ArcClass]:
+def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
+    """``dirichlet_approx`` for every numerator in ``a`` at once.
+
+    Returns int64 arrays ell, d and the float64 offsets beta, equal bit for
+    bit to the scalar fields.  The scalar recursion is stepped on arrays; a
+    numerator leaves the live set when its remainder hits 0 or its next
+    denominator exceeds D0.
+    """
+    if D0 < 1:
+        raise DomainError("D0 must be positive")
+    if Q * D0 >= EXACT_FLOAT_LIMIT:
+        raise DomainError(
+            f"Q*D0 = {Q * D0} not below 2^53: beta would not be exact")
+    n = a.size
+    ell = np.zeros(n, dtype=np.int64)
+    d = np.ones(n, dtype=np.int64)
+    live = np.arange(n)
+    h1, h2 = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    k1, k2 = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    x, y = a.astype(np.int64), np.full(n, Q, dtype=np.int64)
+    while live.size:
+        t = x // y
+        h1, h2 = t * h1 + h2, h1
+        k1, k2 = t * k1 + k2, k1
+        x, y = y, x - t * y
+        ok = k1 <= D0
+        ell[live[ok]] = h1[ok]
+        d[live[ok]] = k1[ok]
+        keep = ok & (y != 0)
+        live, h1, h2, k1, k2, x, y = (
+            v[keep] for v in (live, h1, h2, k1, k2, x, y))
+    # exact integers below 2**53, so one correctly rounded division
+    beta = (a * d - ell * Q).astype(np.float64) / (Q * d).astype(np.float64)
+    return ell, d, beta
+
+
+def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
+    """int8 class code of every a/Q, a < Q (see ``ARC_CLASSES``)."""
     thr = arc_threshold(Q, A_major)
-    out = []
-    for a in range(Q):
-        ap = dirichlet_approx(a, Q, D0)
-        if ap.d >= thr:
-            out.append(ArcClass.MINOR_DENOMINATOR)
-        elif Q * abs(ap.beta) >= thr:
-            out.append(ArcClass.MINOR_OFFSET)
-        else:
-            out.append(ArcClass.MAJOR)
-    return out
+    codes = np.empty(Q, dtype=np.int8)
+    for start in range(0, Q, BLOCK):
+        a = np.arange(start, min(start + BLOCK, Q), dtype=np.int64)
+        _, d, beta = _batch_dirichlet(a, Q, D0)
+        codes[start:start + a.size] = np.where(
+            d >= thr, 1, np.where(Q * np.abs(beta) >= thr, 2, 0))
+    return codes
 
 
 def circle_pipeline(
@@ -174,16 +229,14 @@ def circle_pipeline(
     # forward DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q)
     s_vals = np.fft.fft(w)
     terms = fhat * s_vals / Q
-    classes = _classification(Q, D0, A_major)
+    codes = _classification(Q, D0, A_major)
     ledger = ArcLedger(D0=D0, A_major=A_major,
                        threshold=arc_threshold(Q, A_major))
-    idx = {c: [] for c in ArcClass}
-    for a, cls in enumerate(classes):
-        idx[cls].append(a)
-    for cls, ids in idx.items():
-        ledger.counts[cls] = len(ids)
-        if ids:
-            ledger.sums[cls] = complex(np.add.reduce(terms[ids]))
+    for code, cls in enumerate(ARC_CLASSES):
+        picked = terms[codes == code]
+        ledger.counts[cls] = picked.size
+        if picked.size:
+            ledger.sums[cls] = complex(np.add.reduce(picked))
     total = ledger.total
     return PipelineResult(total=total.real, imag=total.imag, ledger=ledger)
 
@@ -250,11 +303,23 @@ def singular_series_pair_count(P: IntPolynomial, ds: DigitSet, J: int,
     QJ = q ** J
     if QJ > cap:
         raise CapExceededError(f"pair counting over {QJ} exceeds cap {cap}")
+    # Horner values stay below QJ**2, which must fit in int64.
+    if QJ * QJ >= 1 << 63:
+        raise CapExceededError(f"pair counting modulo {QJ} overflows int64")
+    coeffs = [c % QJ for c in reversed(P.coeffs)]
+    allowed = np.ones(q, dtype=bool)
+    allowed[list(ds.excluded)] = False
     count = 0
-    for n in range(QJ):
-        m = P(n) % QJ
-        if contains(ds, m, J):
-            count += 1
+    for start in range(0, QJ, BLOCK):
+        n = np.arange(start, min(start + BLOCK, QJ), dtype=np.int64)
+        m = np.full(n.size, coeffs[0], dtype=np.int64)
+        for c in coeffs[1:]:
+            m = (m * n + c) % QJ
+        hit = np.ones(n.size, dtype=bool)
+        for _ in range(J):
+            hit &= allowed[m % q]
+            m //= q
+        count += int(np.count_nonzero(hit))
     return count
 
 
@@ -267,9 +332,11 @@ def singular_series(P: IntPolynomial, ds: DigitSet, J: int,
 
 @dataclass
 class MainTermReport:
+    """``deviation`` is |direct - main| / main, or None when main is 0."""
+
     main_term: float
     direct: float
-    deviation: float
+    deviation: Optional[float]
     kappa: Optional[Fraction] = None
     singular_series_J: Optional[int] = None
     singular_series_value: Optional[Fraction] = None
@@ -289,7 +356,7 @@ def theorem_comparison(
     if isinstance(weight, MangoldtTable):
         kap = kappa(ds)
         main = float(kap) * members
-        dev = abs(direct - main) / main if main else math.inf
+        dev = abs(direct - main) / main if main else None
         return MainTermReport(main_term=main, direct=direct, deviation=dev,
                               kappa=kap)
     if isinstance(weight, IntPolynomial):
@@ -301,7 +368,7 @@ def theorem_comparison(
         sj = singular_series(weight, ds, J)
         main = (weight.lead ** (1.0 / r) * float(sj)
                 * q ** (k / r) * members / q ** k)
-        dev = abs(direct - main) / main if main else math.inf
+        dev = abs(direct - main) / main if main else None
         return MainTermReport(main_term=main, direct=direct, deviation=dev,
                               singular_series_J=J, singular_series_value=sj)
     raise DomainError(f"unsupported weight: {weight!r}")

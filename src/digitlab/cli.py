@@ -95,8 +95,17 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2,
+    _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
                      default=_jsonify) + "\n", out)
+
+
+def _deviation_fields(report: arcs_mod.MainTermReport) -> dict:
+    """The relative deviation, or null and why when it is undefined."""
+    if report.deviation is None:
+        return {"deviation": None,
+                "deviation_reason": "main term is 0, so the relative "
+                                    "deviation is undefined"}
+    return {"deviation": report.deviation}
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +131,7 @@ def cmd_count(cfg: ExperimentConfig) -> int:
         "members": count_below(ds, Q, cfg.k),
         "direct": report.direct,
         "main_term": report.main_term,
-        "deviation": report.deviation,
+        **_deviation_fields(report),
         "kappa": report.kappa,
         "singular_series_J": report.singular_series_J,
         "singular_series": report.singular_series_value,
@@ -158,7 +167,8 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     w = arcs_mod._weight_vector(weight, Q)
     s_vals = np.fft.fft(w)
     D0 = cfg.D0 or max(1, math.isqrt(Q))
-    classes = arcs_mod._classification(Q, D0, cfg.A_major)
+    codes = arcs_mod._classification(Q, D0, cfg.A_major)
+    names = [cls.value for cls in arcs_mod.ARC_CLASSES]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["a", "fhat_re", "fhat_im", "fhat_abs",
@@ -169,7 +179,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
             repr(float(fhat[a].real)),
             repr(float(fhat[a].imag)),
             repr(float(abs(fhat[a]))),
-            classes[a].value,
+            names[codes[a]],
             repr(float(abs(s_vals[a]))),
         ])
     _emit(buf.getvalue(), cfg.out)
@@ -208,7 +218,7 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
         },
         "main_term": comparison.main_term,
         "direct": comparison.direct,
-        "deviation": comparison.deviation,
+        **_deviation_fields(comparison),
         "kappa": comparison.kappa,
         "seed": cfg.seed,
     }
@@ -364,6 +374,17 @@ def _suite_arcs(seed: int) -> List[dict]:
         checks.append(_check(
             f"ledger conservation (q={q}, k={k})",
             res.ledger.total.real == res.total, ""))
+        led = res.ledger
+        oracle = {cls: 0 for cls in arcs_mod.ArcClass}
+        for a in range(Q):
+            ap = arcs_mod.dirichlet_approx(a, Q, led.D0)
+            oracle[arcs_mod.classify(ap, k, led.A_major)] += 1
+        counts = led.counts
+        checks.append(_check(
+            f"ledger class counts vs scalar classify (q={q}, k={k})",
+            counts == oracle and sum(counts.values()) == Q,
+            "major/minor_denominator/minor_offset "
+            + "/".join(str(counts[c]) for c in arcs_mod.ArcClass)))
     P = IntPolynomial((0, 0, 1))
     ds = DigitSet(10, (7,))
     res = arcs_mod.circle_pipeline(ds, 3, P)

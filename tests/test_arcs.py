@@ -2,10 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import digitlab.arcs as arcs_mod
 from digitlab.arcs import (
+    ARC_CLASSES,
     ArcClass,
     circle_pipeline,
     classify,
@@ -17,7 +21,7 @@ from digitlab.arcs import (
     singular_series_pair_count,
     theorem_comparison,
 )
-from digitlab.digits import DigitSet, count_in_ap
+from digitlab.digits import DigitSet, contains, count_in_ap
 from digitlab.errors import CapExceededError, DomainError
 from digitlab.expsums import IntPolynomial, build_mangoldt
 
@@ -84,6 +88,81 @@ class TestClassify:
         r = dirichlet_approx(1, 5, 5)  # d = 5 lands exactly on the threshold
         assert r.d == 5
         assert arcs_mod.classify(r, 5, 1.0) is ArcClass.MINOR_DENOMINATOR
+
+
+def scalar_classes(Q, D0, A_values):
+    """Oracle: one dirichlet_approx and one classify per a < Q."""
+    approx = [dirichlet_approx(a, Q, D0) for a in range(Q)]
+    return {A: [classify(ap, Q, A) for ap in approx] for A in A_values}
+
+
+def assert_codes_match(Q, D0, A_values):
+    oracle = scalar_classes(Q, D0, A_values)
+    for A in A_values:
+        codes = arcs_mod._classification(Q, D0, A)
+        assert codes.dtype == np.int8 and codes.shape == (Q,)
+        assert [ARC_CLASSES[c] for c in codes] == oracle[A], (Q, D0, A)
+        counts = np.bincount(codes, minlength=len(ARC_CLASSES))
+        assert [int(n) for n in counts] == [
+            oracle[A].count(cls) for cls in ARC_CLASSES]
+
+
+class TestBatchClassification:
+    @pytest.mark.parametrize("Q", [2 ** 5 * 3 ** 4, 997, 6 ** 5, 10 ** 4])
+    def test_codes_match_scalar_oracle(self, Q):
+        for D0 in (1, 7, math.isqrt(Q), Q - 1):
+            assert_codes_match(Q, D0, (0.5, 1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("Q", [2 ** 5 * 3 ** 4, 997, 2 ** 10])
+    def test_approximations_match_scalar_oracle(self, Q):
+        a = np.arange(Q, dtype=np.int64)
+        for D0 in (1, 7, math.isqrt(Q), Q - 1, Q + 5):
+            ell, d, beta = arcs_mod._batch_dirichlet(a, Q, D0)
+            want = [dirichlet_approx(x, Q, D0) for x in range(Q)]
+            assert ell.tolist() == [r.ell for r in want]
+            assert d.tolist() == [r.d for r in want]
+            # bit identity, not closeness
+            assert beta.tolist() == [r.beta for r in want]
+
+    @pytest.mark.parametrize("Q", [999983, 10 ** 7])
+    def test_large_Q_offsets_are_bit_identical(self, Q):
+        # Q*d reaches ~1e14, far beyond float32's exact integers
+        a = np.array(random.Random(Q).sample(range(Q), 2000),
+                     dtype=np.int64)
+        for D0 in (math.isqrt(Q), Q - 1, (2 ** 53 - 1) // Q):
+            ell, d, beta = arcs_mod._batch_dirichlet(a, Q, D0)
+            want = [dirichlet_approx(x, Q, D0) for x in a.tolist()]
+            assert list(zip(ell.tolist(), d.tolist(), beta.tolist())) == [
+                (r.ell, r.d, r.beta) for r in want]
+
+    def test_boundaries_are_minor(self, monkeypatch):
+        # Q = 2**10 makes Q*|beta| exact: with d = 1 and a = 5 it lands
+        # on the threshold, and with D0 >= 5 some d does too
+        monkeypatch.setattr(arcs_mod, "arc_threshold", lambda Q, A: 5.0)
+        for D0 in (1, 5, 7, 32):
+            assert_codes_match(2 ** 10, D0, (1.0,))
+        codes = arcs_mod._classification(2 ** 10, 1, 1.0)
+        assert ARC_CLASSES[codes[5]] is ArcClass.MINOR_OFFSET
+        assert ARC_CLASSES[codes[4]] is ArcClass.MAJOR
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        monkeypatch.setattr(arcs_mod, "BLOCK", 37)
+        assert_codes_match(6 ** 4, 36, (1.0, 2.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(Q=st.integers(1, 3000), D0=st.integers(1, 6000),
+           A=st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)))
+    def test_random_Q_and_D0(self, Q, D0, A):
+        assert_codes_match(Q, D0, (A,))
+
+    def test_largest_exact_D0_accepted(self):
+        Q = 10 ** 3
+        assert_codes_match(Q, (2 ** 53 - 1) // Q, (1.0,))
+
+    @pytest.mark.parametrize("D0", [2 ** 53 // 10 ** 3 + 1, 2 ** 53, 0, -1])
+    def test_inexact_or_empty_D0_rejected(self, D0):
+        with pytest.raises(DomainError):
+            arcs_mod._classification(10 ** 3, D0, 1.0)
 
 
 class TestPipeline:
@@ -209,6 +288,60 @@ class TestSingularSeries:
                                        cap=10 ** 6)
 
 
+def looped_pair_count(P, ds, J):
+    """Oracle: the literal per-n loop over contains."""
+    QJ = ds.q ** J
+    return sum(1 for n in range(QJ) if contains(ds, P(n) % QJ, J))
+
+
+class TestBlockedPairCount:
+    POLYS = [
+        IntPolynomial((0, 0, 1)),
+        IntPolynomial((0, 1)),
+        IntPolynomial((-7, 3)),
+        IntPolynomial((5, -4, 0, 1)),  # cubic, negative coefficient
+        IntPolynomial((-1, -2, -3, 2)),
+        IntPolynomial((10 ** 9 + 7, 0, 13)),  # coefficient above q**J
+        IntPolynomial((-2 ** 62, 7, 2 ** 61 + 1)),  # int64 only once reduced
+    ]
+
+    @pytest.mark.parametrize("q,excluded,levels", [
+        (3, (0,), (1, 2, 4, 6)),
+        (5, (2,), (1, 3, 5)),
+        (7, (1, 2), (1, 2, 3)),
+        (10, (7,), (1, 2, 3)),
+        (10, (0, 5), (1, 2, 3)),
+        (12, (3, 9, 11), (1, 2)),
+    ])
+    def test_matches_looped_oracle(self, q, excluded, levels):
+        ds = DigitSet(q, excluded)
+        for P in self.POLYS:
+            for J in levels:
+                want = looped_pair_count(P, ds, J)
+                assert singular_series_pair_count(P, ds, J) == want
+                assert singular_series(P, ds, J) == Fraction(
+                    want, (q - len(excluded)) ** J)
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        ds = DigitSet(5, (2,))
+        P = IntPolynomial((5, -4, 0, 1))
+        want = looped_pair_count(P, ds, 4)
+        monkeypatch.setattr(arcs_mod, "BLOCK", 37)
+        assert singular_series_pair_count(P, ds, 4) == want
+
+    def test_across_real_blocks(self):
+        ds = DigitSet(5, (2,))
+        P = IntPolynomial((-1, -2, -3, 2))
+        assert 5 ** 7 > arcs_mod.BLOCK
+        assert singular_series_pair_count(P, ds, 7) == \
+            looped_pair_count(P, ds, 7)
+
+    def test_int64_guard(self):
+        with pytest.raises(CapExceededError):
+            singular_series_pair_count(SQUARE, DigitSet(10, (7,)), 10,
+                                       cap=10 ** 10)
+
+
 class TestTheoremComparison:
     def test_mangoldt_main_term(self):
         ds = DigitSet(10, (7,))
@@ -222,3 +355,10 @@ class TestTheoremComparison:
         rep = theorem_comparison(DigitSet(10, (7,)), 4, SQUARE)
         assert rep.singular_series_value is not None
         assert rep.deviation < 0.25
+
+    def test_zero_main_term_has_no_deviation(self):
+        # both units mod 6 excluded: kappa = 0
+        rep = theorem_comparison(DigitSet(6, (1, 5)), 3, build_mangoldt(216))
+        assert rep.kappa == 0
+        assert rep.main_term == 0.0
+        assert rep.deviation is None

@@ -4,11 +4,21 @@ import math
 
 import pytest
 
+from digitlab import arcs as arcs_mod
 from digitlab import cli
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestCount:
@@ -39,6 +49,23 @@ class TestCount:
         payload = json.loads(out.read_text())
         assert payload["direct"] == 0.0
         assert payload["members"] == 1
+
+    @pytest.mark.parametrize("command", ["count", "arcs"])
+    def test_zero_main_term_is_strict_json(self, command, capsys):
+        # both units mod 6 excluded: kappa = 0, so the main term is 0
+        code = run([command, "--q", "6", "--exclude", "1,5", "--k", "3"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["main_term"] == 0.0
+        assert payload["deviation"] is None
+        assert "main term is 0" in payload["deviation_reason"]
+
+    def test_nonzero_main_term_has_no_reason(self, capsys):
+        code = run(["count", "--q", "10", "--exclude", "7", "--k", "3"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert 0 < payload["deviation"] < 0.25
+        assert "deviation_reason" not in payload
 
     def test_missing_excluded_is_config_error(self, capsys):
         code = run(["count", "--q", "10", "--k", "3",
@@ -91,6 +118,24 @@ class TestArcs:
         assert sum(per[c]["count"] for c in per) == 1000
         assert payload["deviation"] < 0.25
 
+    def test_inexact_beta_bound_is_config_error(self, capsys):
+        # Q * D0 = 1000 * 2^53 leaves float64's exact range
+        code = run(["arcs", "--q", "10", "--exclude", "7", "--k", "3",
+                    "--d0", "9007199254740992"])
+        assert code == 2
+        assert "2^53" in capsys.readouterr().err
+
+    def test_scan_classes_match_ledger(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        flags = ["--q", "10", "--exclude", "7", "--k", "3",
+                 "--weight", "mangoldt", "--a-major", "1.0"]
+        assert run(["scan", *flags, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert run(["arcs", *flags]) == 0
+        per = strict_json(capsys.readouterr().out)["per_class"]
+        for cls, entry in per.items():
+            assert sum(r["arc_class"] == cls for r in rows) == entry["count"]
+
 
 class TestConstants:
     def test_report(self, tmp_path):
@@ -113,6 +158,21 @@ class TestVerify:
         assert payload["failures"] == []
         assert len(payload["checks"]) >= 20
         assert all(c["passed"] for c in payload["checks"])
+
+    def test_class_count_check_can_fail(self, monkeypatch):
+        real = arcs_mod._classification
+
+        def off_by_one(Q, D0, A_major):
+            codes = real(Q, D0, A_major)
+            codes[1] = 2 - codes[1]
+            return codes
+
+        monkeypatch.setattr(arcs_mod, "_classification", off_by_one)
+        checks = {c["check"]: c["passed"] for c in cli._suite_arcs(1)}
+        for q in (6, 10):
+            assert not checks[
+                f"ledger class counts vs scalar classify (q={q}, k=3)"]
+            assert checks[f"ledger conservation (q={q}, k=3)"]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
