@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ConfigError("poly-coeffs: need degree >= 1")
         if self.A_major <= 0:
             raise ConfigError("a-major: must be positive")
+        if self.cap > fou_mod.GRID_CAP:
+            raise ConfigError(f"cap: must be at most {fou_mod.GRID_CAP}")
         if self.fmt not in ("json", "csv", "table"):
             raise ConfigError("format: must be json, csv or table")
 
@@ -159,7 +161,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     cfg.validate()
     ds = cfg.digit_set()
     Q = cfg.q ** cfg.k
-    if Q > min(cfg.cap, fou_mod.GRID_CAP):
+    if Q > cfg.cap:
         raise CapExceededError(f"grid of {Q} points exceeds cap {cfg.cap}")
     ctx = FourierContext(ds, cfg.k)
     fhat = fou_mod.grid_values(ctx, cap=cfg.cap)
@@ -303,6 +305,19 @@ def _suite_fourier(seed: int) -> List[dict]:
     sym = max(abs(vals[a] - vals[-a].conjugate()) for a in range(1, 10 ** 4))
     checks.append(_check("conjugate symmetry", sym < 1e-6,
                          f"max |F(Q-a) - conj F(a)| = {sym:.2e}"))
+    theta0 = 0.1234
+    shifted = fou_mod.grid_values(ctx, theta0)
+    grid_err = 0.0
+    for _ in range(40):
+        a = rng.randrange(10 ** 4)
+        v1 = fou_mod.eval_product(ctx, RationalFrequency(a, 10 ** 4))
+        v2 = fou_mod.eval_product_real(
+            ctx, Fraction(theta0) + Fraction(a, 10 ** 4))
+        grid_err = max(grid_err, abs(vals[a] - v1), abs(shifted[a] - v2))
+    grid_err /= 9 ** 4
+    checks.append(_check(
+        "grid vs product formula (q=10, k=4, 40 random a, theta0 0 and "
+        f"{theta0})", grid_err < 1e-9, f"max rel err {grid_err:.2e}"))
     grid_ok = True
     for ds_b in (DigitSet(10, (7,)), DigitSet(10, (3, 4)),
                  DigitSet(10, (2, 3, 4, 5, 6))):

@@ -4,11 +4,20 @@ The transform of the set truncated to [0, q**k) factorizes as a product of
 k single-digit factors.  Rational frequencies a/q**k are evaluated with all
 phases reduced mod q**k in exact integers; real frequencies are reduced
 mod 1 in extended precision (mpmath) before any floating evaluation.
+
+Full grids F(theta0 + a/q**k), a < q**k, come from one transform engine, a
+blocked four-step FFT of the digit indicator (modulated by e(n*theta0)):
+an inverse FFT over the high k-1 digits, then batched length-q transforms
+over the low digit, BLOCK points at a time.  grid_values stores the blocks;
+l1_grid_sum sums their moduli and never holds more than the q**(k-1)-point
+high grid plus one block.  The product formula (eval_product,
+eval_product_real) stays the scalar oracle of the engine.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +32,8 @@ from .errors import CapExceededError, DomainError
 from .summation import pairwise_sum
 
 GRID_CAP = 10 ** 8
+# Points per block of the transform engine (_transform_blocks).
+BLOCK = 2 ** 14
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,19 +179,50 @@ def digit_factor_bound(ds: DigitSet, theta: float) -> float:
     return min(float(q), ds.s + 1.0 / (2.0 * dist))
 
 
-def _level_offsets(ds: DigitSet, k: int, theta0):
-    """Per-level unit phases e(d * q**i * theta0) for allowed digits d."""
-    if theta0 == 0:
-        one = np.ones(len(ds.allowed), dtype=np.complex128)
-        return [one] * k
-    fracs = _reduced_power_fracs(theta0, ds.q, k)
-    return [
-        np.array(
-            [cmath.exp(2j * math.pi * ((d * fr) % 1.0)) for d in ds.allowed],
-            dtype=np.complex128,
-        )
-        for fr in fracs
-    ]
+def _digit_vectors(ctx: FourierContext, theta0) -> list:
+    """v_i[d] = e(d * {q**i theta0}) at allowed digits d, 0 elsewhere, i < k."""
+    q = ctx.ds.q
+    allowed = list(ctx.ds.allowed)
+    vecs = []
+    for fr in _reduced_power_fracs(theta0, q, ctx.k):
+        v = np.zeros(q, dtype=np.complex128)
+        v[allowed] = [cmath.exp(2j * math.pi * ((d * fr) % 1.0))
+                      for d in allowed]
+        vecs.append(v)
+    return vecs
+
+
+def _transform_blocks(ctx: FourierContext, theta0):
+    """Yield (cols, block) with block[t, j] = F(theta0 + (t*Q/q + m)/Q),
+    m = cols.start + j: the whole grid, column block by column block.
+
+    Four-step FFT (Cooley-Tukey, in Bailey's blocked layout).  Positions
+    1..k-1 contribute G[m] = sum_n kron(v_{k-1}, ..., v_1)[n] e(n*m/(Q/q)),
+    one length-Q/q inverse FFT; position 0 contributes, for each m, the
+    length-q inverse DFT over digits of v_0[d] e(d*m/Q).  A block holds at
+    most BLOCK points (one column if q > BLOCK), so a caller that consumes
+    blocks one at a time holds the Q/q-point high grid plus O(BLOCK).
+    """
+    Q = ctx.Q
+    # k = 0: the set is {0}; one length-1 vector gives F = 1 at one point.
+    vecs = _digit_vectors(ctx, theta0) or [np.ones(1, dtype=np.complex128)]
+    low = vecs[0][:, None]
+    width = Q // len(low)
+    high = np.fft.ifft(
+        functools.reduce(np.kron, vecs[:0:-1],
+                         np.ones(1, dtype=np.complex128)),
+        norm="forward",
+    )
+    d = np.arange(len(low), dtype=np.int64)[:, None]
+    step = max(1, BLOCK // len(low))
+    for start in range(0, width, step):
+        cols = slice(start, min(start + step, width))
+        m = np.arange(cols.start, cols.stop, dtype=np.int64)
+        # d*m < Q, so the twiddle phase is an exact integer over Q
+        twiddle = np.exp((2j * np.pi / Q) * (d * m))
+        block = np.fft.ifft(low * twiddle, axis=0, norm="forward")
+        block *= high[cols]
+        yield cols, block
 
 
 def grid_values(
@@ -188,72 +230,46 @@ def grid_values(
 ) -> np.ndarray:
     """All q**k transform values F(theta0 + a/q**k), a = 0..q**k-1.
 
-    Radix-q recursion sharing prefix products: level i holds the partial
-    product over positions i..k-1, indexed by a mod q**(k-i).  Total work
-    O(k * q * q**k) instead of O(q**2k).
+    Blocked FFT of the digit indicator (see _transform_blocks): each block
+    is written into its columns of the (q, q**(k-1)) view of the result.
+    Work: q**k complex exponentials plus FFTs of lengths q**(k-1) and q.
+    Memory: the q**k-point result, the q**(k-1)-point high grid and one
+    BLOCK-point block.
     """
-    q, k = ctx.ds.q, ctx.k
     if ctx.Q > cap:
         raise CapExceededError(f"grid of {ctx.Q} points exceeds cap {cap}")
-    offsets = _level_offsets(ctx.ds, k, theta0)
-    allowed = ctx.ds.allowed
-    values = np.ones(1, dtype=np.complex128)
-    for i in range(k - 1, -1, -1):
-        size = q ** (k - i)
-        r = np.arange(size, dtype=np.int64)
-        fac = np.zeros(size, dtype=np.complex128)
-        for j, d in enumerate(allowed):
-            fac += offsets[i][j] * np.exp(
-                (2j * np.pi / size) * ((d * r) % size)
-            )
-        values = fac * np.tile(values, q)
-    return values
+    out = np.empty(ctx.Q, dtype=np.complex128)
+    for cols, block in _transform_blocks(ctx, theta0):
+        out.reshape(len(block), -1)[:, cols] = block
+    return out
 
 
 def l1_grid_sum(ctx: FourierContext, theta0=0.0, cap: int = GRID_CAP) -> float:
     """Sum of |F(theta0 + a/q**k)| over the full grid a < q**k.
 
-    The final level is accumulated per top digit to avoid materializing the
-    q**k-point value array.
+    Sums the blocks of _transform_blocks as they come, so it never holds
+    q**k points: its arrays are the q**(k-1)-point high grid and one
+    BLOCK-point block.
     """
-    q, k = ctx.ds.q, ctx.k
-    Q = ctx.Q
-    if Q > cap:
-        raise CapExceededError(f"grid of {Q} points exceeds cap {cap}")
-    offsets = _level_offsets(ctx.ds, k, theta0)
-    allowed = ctx.ds.allowed
-    values = np.ones(1, dtype=np.complex128)
-    for i in range(k - 1, 0, -1):
-        size = q ** (k - i)
-        r = np.arange(size, dtype=np.int64)
-        fac = np.zeros(size, dtype=np.complex128)
-        for j, d in enumerate(allowed):
-            fac += offsets[i][j] * np.exp(
-                (2j * np.pi / size) * ((d * r) % size)
-            )
-        values = fac * np.tile(values, q)
-    tail = np.abs(values)  # |partial product|, indexed by a mod q**(k-1)
-    block = q ** (k - 1)
-    m = np.arange(block, dtype=np.int64)
-    total = 0.0
-    for t in range(q):
-        a = t * block + m
-        fac = np.zeros(block, dtype=np.complex128)
-        for j, d in enumerate(allowed):
-            fac += offsets[0][j] * np.exp((2j * np.pi / Q) * ((d * a) % Q))
-        total += float(np.add.reduce(np.abs(fac) * tail))
-    return total
+    if ctx.Q > cap:
+        raise CapExceededError(f"grid of {ctx.Q} points exceeds cap {cap}")
+    return sum(float(np.abs(block).sum())
+               for _, block in _transform_blocks(ctx, theta0))
 
 
 def empirical_Cq(
     ctx: FourierContext, theta_samples: Sequence[float], cap: int = GRID_CAP
 ) -> float:
-    """max over samples of l1_grid_sum(theta)**(1/k) / (q * log q)."""
+    """max over samples of l1_grid_sum(theta)**(1/k) / (q * log q).
+
+    At k = 0 the sum is the single value F = 1, whose root is taken as 1.
+    """
     if not theta_samples:
         raise DomainError("theta_samples must be nonempty")
     q, k = ctx.ds.q, ctx.k
+    exponent = 1.0 / k if k else 0.0
     return max(
-        l1_grid_sum(ctx, t, cap=cap) ** (1.0 / k) / (q * math.log(q))
+        l1_grid_sum(ctx, t, cap=cap) ** exponent / (q * math.log(q))
         for t in theta_samples
     )
 

@@ -6,6 +6,7 @@ import pytest
 
 from digitlab import arcs as arcs_mod
 from digitlab import cli
+from digitlab import fourier as fourier_mod
 
 
 def run(argv):
@@ -147,6 +148,21 @@ class TestConstants:
         assert payload["Cq_analytic"] == pytest.approx(1 + 3 / math.log(10))
         assert 0 < payload["alpha"] < 1
 
+    def test_k_zero(self, capsys):
+        code = run(["constants", "--q", "10", "--exclude", "7", "--k", "0"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["Cq_empirical"] == 1 / (10 * math.log(10))
+
+
+class TestCapAboveGridCap:
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
+    def test_rejected_as_config_error(self, command, capsys):
+        code = run([command, "--q", "10", "--exclude", "7", "--k", "2",
+                    "--cap", str(fourier_mod.GRID_CAP + 1)])
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_suites_pass(self, tmp_path):
@@ -173,6 +189,19 @@ class TestVerify:
             assert not checks[
                 f"ledger class counts vs scalar classify (q={q}, k=3)"]
             assert checks[f"ledger conservation (q={q}, k=3)"]
+
+    def test_grid_oracle_check_can_fail(self, monkeypatch):
+        real = fourier_mod.grid_values
+
+        def conjugated(*args, **kwargs):
+            return real(*args, **kwargs).conj()
+
+        monkeypatch.setattr(fourier_mod, "grid_values", conjugated)
+        checks = {c["check"]: c["passed"] for c in cli._suite_fourier(1)}
+        assert not checks["grid vs product formula (q=10, k=4, 40 random a, "
+                          "theta0 0 and 0.1234)"]
+        assert checks["Parseval q=10 k=4"]
+        assert checks["conjugate symmetry"]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from digitlab import fourier as fou_mod
 from digitlab.digits import DigitSet, enumerate_members
 from digitlab.errors import CapExceededError, DomainError
 from digitlab.fourier import (
@@ -198,6 +199,89 @@ class TestL1GridSum:
             for k in (1, 2, 3, 4):
                 root = l1_grid_sum(FourierContext(ds, k)) ** (1 / k)
                 assert root <= bound
+
+
+# (q, excluded, k): k = 1, Q/q below one default block, consecutive runs,
+# and Q/q not a multiple of the patched block width.
+ENGINE_CASES = [
+    (10, (7,), 1),
+    (3, (2,), 1),
+    (10, (7,), 3),
+    (7, (0, 3), 3),
+    (5, (1, 2), 4),
+    (3, (0,), 5),
+    (6, (1,), 3),
+]
+
+
+@pytest.fixture(params=[37, None], ids=["block37", "default"])
+def engine_block(request, monkeypatch):
+    """Run with BLOCK patched to 37 (not a multiple of any q above) and
+    with the module default."""
+    if request.param is not None:
+        monkeypatch.setattr(fou_mod, "BLOCK", request.param)
+
+
+class TestTransformEngine:
+    @pytest.mark.parametrize("q, excl, k", ENGINE_CASES)
+    def test_grid_matches_product_everywhere(self, engine_block, q, excl, k):
+        ctx = FourierContext(DigitSet(q, excl), k)
+        Q = q ** k
+        vals = grid_values(ctx)
+        assert vals.shape == (Q,) and vals.dtype == np.complex128
+        scale = (q - len(excl)) ** k
+        for a in range(Q):
+            expect = eval_product(ctx, RationalFrequency(a, Q))
+            assert abs(vals[a] - expect) <= 1e-12 * scale, a
+
+    @pytest.mark.parametrize("q, excl, k", ENGINE_CASES)
+    @pytest.mark.parametrize("theta0", [0.1234, Fraction(3, 7)],
+                             ids=["float", "fraction"])
+    def test_shifted_grid_matches_product_everywhere(
+            self, engine_block, q, excl, k, theta0):
+        ctx = FourierContext(DigitSet(q, excl), k)
+        Q = q ** k
+        vals = grid_values(ctx, theta0)
+        scale = (q - len(excl)) ** k
+        for a in range(Q):
+            expect = eval_product_real(ctx,
+                                       Fraction(theta0) + Fraction(a, Q))
+            assert abs(vals[a] - expect) <= 1e-12 * scale, a
+
+    @pytest.mark.parametrize("q, excl, k", ENGINE_CASES)
+    def test_shifted_l1_matches_grid(self, engine_block, q, excl, k):
+        ctx = FourierContext(DigitSet(q, excl), k)
+        theta0 = 0.3217
+        expect = float(np.add.reduce(np.abs(grid_values(ctx, theta0))))
+        assert l1_grid_sum(ctx, theta0) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("theta0", [0.0, 0.1234, Fraction(2, 3)])
+    def test_k_zero_is_the_one_point_grid(self, theta0):
+        ctx = FourierContext(DigitSet(10, (7,)), 0)
+        vals = grid_values(ctx, theta0)
+        assert vals.tolist() == [1 + 0j]
+        assert l1_grid_sum(ctx, theta0) == 1.0
+        assert empirical_Cq(ctx, [theta0]) == 1 / (10 * math.log(10))
+
+    @pytest.mark.parametrize("q, excl, k", ENGINE_CASES)
+    def test_blocks_tile_the_grid_within_budget(self, engine_block,
+                                                q, excl, k):
+        ctx = FourierContext(DigitSet(q, excl), k)
+        seen = []
+        for cols, block in fou_mod._transform_blocks(ctx, 0.0):
+            assert block.shape == (q, cols.stop - cols.start)
+            assert block.size <= max(fou_mod.BLOCK, q)
+            seen.extend(range(cols.start, cols.stop))
+        assert seen == list(range(q ** (k - 1)))
+
+    def test_l1_does_not_build_the_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("l1_grid_sum called grid_values")
+
+        ctx = FourierContext(DigitSet(10, (7,)), 3)
+        expect = l1_grid_sum(ctx)
+        monkeypatch.setattr(fou_mod, "grid_values", refuse)
+        assert l1_grid_sum(ctx) == expect
 
 
 class TestEmpiricalCq:
