@@ -4,7 +4,9 @@ The counting sum over a digit-restricted set equals (1/q**k) times the
 grid sum of the set's Fourier transform against the weight's exponential
 sum; every a/q**k is Dirichlet-approximated, classified major/minor and
 accumulated per class.  Class totals sum to the pipeline total by
-construction (one shared accumulation tree).
+construction (one shared accumulation tree).  The per-point stages (grid,
+weight spectrum, class codes) come from ``pipeline_stages``, which the
+``arcs`` ledger and the ``scan`` CSV both read.
 
 Classification runs as a batch Euclid: the continued-fraction state of a
 block of numerators is stepped at once in numpy, keeping the last
@@ -209,6 +211,43 @@ def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
     return codes
 
 
+@dataclass
+class PipelineStages:
+    """The per-point stages of the circle pipeline on the grid a/Q, a < Q.
+
+    ``fhat[a]`` is F(a/Q), ``s_vals[a]`` is S_w(-a/Q) and ``codes[a]`` the
+    int8 class code of a/Q (see ``ARC_CLASSES``); ``arcs`` reduces them to
+    a ledger and ``scan`` writes them per point.
+    """
+
+    Q: int
+    D0: int
+    fhat: np.ndarray
+    s_vals: np.ndarray
+    codes: np.ndarray
+
+
+def pipeline_stages(
+    ds: DigitSet,
+    k: int,
+    weight: Weight,
+    D0: Optional[int] = None,
+    A_major: float = 3.0,
+    cap: int = GRID_CAP,
+) -> PipelineStages:
+    """Grid, weight spectrum and class codes; D0 defaults to isqrt(Q)."""
+    Q = ds.q ** k
+    if Q > cap:
+        raise CapExceededError(f"grid of {Q} points exceeds cap {cap}")
+    if D0 is None:
+        D0 = max(1, math.isqrt(Q))
+    fhat = grid_values(FourierContext(ds, k), cap=cap)
+    # forward DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q)
+    s_vals = np.fft.fft(_weight_vector(weight, Q))
+    codes = _classification(Q, D0, A_major)
+    return PipelineStages(Q=Q, D0=D0, fhat=fhat, s_vals=s_vals, codes=codes)
+
+
 def circle_pipeline(
     ds: DigitSet,
     k: int,
@@ -218,22 +257,12 @@ def circle_pipeline(
     cap: int = GRID_CAP,
 ) -> PipelineResult:
     """Full Fourier-inversion sum with per-arc-class accounting."""
-    Q = ds.q ** k
-    if Q > cap:
-        raise CapExceededError(f"grid of {Q} points exceeds cap {cap}")
-    if D0 is None:
-        D0 = max(1, math.isqrt(Q))
-    ctx = FourierContext(ds, k)
-    fhat = grid_values(ctx, cap=cap)
-    w = _weight_vector(weight, Q)
-    # forward DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q)
-    s_vals = np.fft.fft(w)
-    terms = fhat * s_vals / Q
-    codes = _classification(Q, D0, A_major)
-    ledger = ArcLedger(D0=D0, A_major=A_major,
-                       threshold=arc_threshold(Q, A_major))
+    st = pipeline_stages(ds, k, weight, D0=D0, A_major=A_major, cap=cap)
+    terms = st.fhat * st.s_vals / st.Q
+    ledger = ArcLedger(D0=st.D0, A_major=A_major,
+                       threshold=arc_threshold(st.Q, A_major))
     for code, cls in enumerate(ARC_CLASSES):
-        picked = terms[codes == code]
+        picked = terms[st.codes == code]
         ledger.counts[cls] = picked.size
         if picked.size:
             ledger.sums[cls] = complex(np.add.reduce(picked))

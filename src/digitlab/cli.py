@@ -3,20 +3,24 @@
 Exit codes: 0 success, 1 assertion failure, 2 config error, 3 resource cap.
 Reports are JSON (schema 1) with the generating config inline; grids are
 CSV with a fixed header, so every number is reproducible from its file.
+
+``arcs`` and ``scan`` share one set of pipeline stages
+(``arcs.pipeline_stages``).  ``scan`` streams its CSV to the output in
+blocks of ``arcs.BLOCK`` rows, each converted column-wise, and opens the
+output only once every stage has succeeded, so a failed run leaves an
+existing file untouched.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import random
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -58,6 +62,8 @@ class ExperimentConfig:
             raise ConfigError("weight: must be 'mangoldt' or 'poly'")
         if self.weight == "poly" and len(self.poly_coeffs) < 2:
             raise ConfigError("poly-coeffs: need degree >= 1")
+        if self.D0 is not None and self.D0 < 1:
+            raise ConfigError("d0: must be positive")
         if self.A_major <= 0:
             raise ConfigError("a-major: must be positive")
         if self.cap > fou_mod.GRID_CAP:
@@ -88,17 +94,18 @@ def _jsonify(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(blocks: Iterable[str], out: Optional[str]) -> None:
+    """Write the strings in order to the file ``out``, or to stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
-                     default=_jsonify) + "\n", out)
+    _emit([json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                      default=_jsonify) + "\n"], out)
 
 
 def _deviation_fields(report: arcs_mod.MainTermReport) -> dict:
@@ -118,14 +125,12 @@ def cmd_count(cfg: ExperimentConfig) -> int:
     cfg.validate()
     ds = cfg.digit_set()
     Q = cfg.q ** cfg.k
-    if Q > cfg.cap:
-        raise CapExceededError(f"q^k = {Q} exceeds cap {cfg.cap}")
+    weight = _make_weight(cfg, Q)
     if cfg.k == 0:
         payload = {"schema": SCHEMA, "config": cfg.public(),
                    "direct": 0.0, "main_term": 0.0, "members": 1}
         _emit_json(payload, cfg.out)
         return 0
-    weight = _make_weight(cfg, Q)
     report = arcs_mod.theorem_comparison(ds, cfg.k, weight, cap=cfg.cap)
     payload = {
         "schema": SCHEMA,
@@ -141,13 +146,16 @@ def cmd_count(cfg: ExperimentConfig) -> int:
     if cfg.fmt == "table":
         lines = [f"{key:>18}: {payload[key]}" for key in
                  ("members", "direct", "main_term", "deviation", "kappa")]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit(["\n".join(lines) + "\n"], cfg.out)
     else:
         _emit_json(payload, cfg.out)
     return 0
 
 
 def _make_weight(cfg: ExperimentConfig, Q: int):
+    """The weight on [0, Q), built only once Q = q^k is within the cap."""
+    if Q > cfg.cap:
+        raise CapExceededError(f"q^k = {Q} exceeds cap {cfg.cap}")
     if cfg.weight == "mangoldt":
         return build_mangoldt(max(Q - 1, 1))
     return IntPolynomial(cfg.poly_coeffs)
@@ -159,33 +167,30 @@ def _make_weight(cfg: ExperimentConfig, Q: int):
 
 def cmd_scan(cfg: ExperimentConfig) -> int:
     cfg.validate()
-    ds = cfg.digit_set()
-    Q = cfg.q ** cfg.k
-    if Q > cfg.cap:
-        raise CapExceededError(f"grid of {Q} points exceeds cap {cfg.cap}")
-    ctx = FourierContext(ds, cfg.k)
-    fhat = fou_mod.grid_values(ctx, cap=cfg.cap)
-    weight = _make_weight(cfg, Q)
-    w = arcs_mod._weight_vector(weight, Q)
-    s_vals = np.fft.fft(w)
-    D0 = cfg.D0 or max(1, math.isqrt(Q))
-    codes = arcs_mod._classification(Q, D0, cfg.A_major)
-    names = [cls.value for cls in arcs_mod.ARC_CLASSES]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "fhat_re", "fhat_im", "fhat_abs",
-                     "arc_class", "s_abs"])
-    for a in range(Q):
-        writer.writerow([
-            a,
-            repr(float(fhat[a].real)),
-            repr(float(fhat[a].imag)),
-            repr(float(abs(fhat[a]))),
-            names[codes[a]],
-            repr(float(abs(s_vals[a]))),
-        ])
-    _emit(buf.getvalue(), cfg.out)
+    st = arcs_mod.pipeline_stages(
+        cfg.digit_set(), cfg.k, _make_weight(cfg, cfg.q ** cfg.k),
+        D0=cfg.D0, A_major=cfg.A_major, cap=cfg.cap
+    )
+    _emit(_scan_csv_blocks(st), cfg.out)
     return 0
+
+
+def _scan_csv_blocks(st: arcs_mod.PipelineStages) -> Iterator[str]:
+    """The scan CSV: its header, then ``arcs.BLOCK`` rows per string."""
+    yield "a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"
+    names = [cls.value for cls in arcs_mod.ARC_CLASSES]
+    for start in range(0, st.Q, arcs_mod.BLOCK):
+        stop = min(start + arcs_mod.BLOCK, st.Q)
+        f, s = st.fhat[start:stop], st.s_vals[start:stop]
+        # np.hypot equals abs() of a Python complex bit for bit; the
+        # complex np.abs differs from it in the last bit on many points.
+        yield "".join(
+            f"{a},{re!r},{im!r},{fa!r},{names[c]},{sa!r}\n"
+            for a, re, im, fa, c, sa in zip(
+                range(start, stop), f.real.tolist(), f.imag.tolist(),
+                np.hypot(f.real, f.imag).tolist(),
+                st.codes[start:stop].tolist(),
+                np.hypot(s.real, s.imag).tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -235,11 +240,15 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
 def cmd_constants(cfg: ExperimentConfig) -> int:
     cfg.validate()
     ds = cfg.digit_set()
-    ctx = FourierContext(ds, cfg.k) if cfg.q ** cfg.k <= 10 ** 6 else None
+    Q = cfg.q ** cfg.k
+    ctx = FourierContext(ds, cfg.k) if Q <= cfg.cap else None
     rep = fou_mod.constants_report(
         cfg.q, ds.s, ds.consecutive_flag, ctx=ctx
     )
     payload = {"schema": SCHEMA, "config": cfg.public(), **asdict(rep)}
+    if ctx is None:
+        payload["Cq_empirical_reason"] = (
+            f"q^k = {Q} exceeds cap {cfg.cap}, so the L1 grid sum is skipped")
     _emit_json(payload, cfg.out)
     return 0
 

@@ -1,12 +1,16 @@
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from digitlab import arcs as arcs_mod
 from digitlab import cli
 from digitlab import fourier as fourier_mod
+from digitlab.digits import DigitSet
+from digitlab.expsums import IntPolynomial, build_mangoldt
 
 
 def run(argv):
@@ -105,6 +109,72 @@ class TestScan:
         assert code == 3
 
 
+def scan_oracle(q, excluded, k, weight, A_major=3.0):
+    """The scan CSV from the stages built by hand and one csv.writer row
+    (scalar abs, repr of each float) per point."""
+    ds = DigitSet(q, excluded)
+    Q = q ** k
+    fhat = fourier_mod.grid_values(fourier_mod.FourierContext(ds, k))
+    if weight == "mangoldt":
+        w = build_mangoldt(max(Q - 1, 1))
+    else:
+        w = IntPolynomial((0, 0, 1))
+    s_vals = np.fft.fft(arcs_mod._weight_vector(w, Q))
+    codes = arcs_mod._classification(Q, max(1, math.isqrt(Q)), A_major)
+    names = [cls.value for cls in arcs_mod.ARC_CLASSES]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["a", "fhat_re", "fhat_im", "fhat_abs",
+                     "arc_class", "s_abs"])
+    for a in range(Q):
+        writer.writerow([
+            a,
+            repr(float(fhat[a].real)),
+            repr(float(fhat[a].imag)),
+            repr(float(abs(fhat[a]))),
+            names[codes[a]],
+            repr(float(abs(s_vals[a]))),
+        ])
+    return buf.getvalue()
+
+
+class TestScanWriter:
+    """The block-wise writer against the per-row csv.writer loop."""
+
+    @pytest.mark.parametrize("block", [37, arcs_mod.BLOCK])
+    @pytest.mark.parametrize("weight", ["mangoldt", "poly"])
+    @pytest.mark.parametrize("q, excluded, k", [
+        (7, (3,), 4), (10, (3, 7), 4), (10, (7,), 0)])
+    def test_byte_identical(self, q, excluded, k, weight, block, tmp_path,
+                            capsys, monkeypatch):
+        monkeypatch.setattr(arcs_mod, "BLOCK", block)
+        expected = scan_oracle(q, excluded, k, weight)
+        flags = ["scan", "--q", str(q), "--k", str(k), "--weight", weight,
+                 "--exclude", ",".join(map(str, excluded))]
+        out = tmp_path / "scan.csv"
+        assert run([*flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        assert run(flags) == 0
+        assert capsys.readouterr().out == expected
+        assert expected.count("\n") == q ** k + 1
+
+
+class TestScanFailureLeavesOut:
+    @pytest.mark.parametrize("flags, code", [
+        (["--k", "9"], 3),
+        (["--k", "3", "--d0", "0"], 2),
+        # fails in classification, the last stage before writing
+        (["--k", "3", "--d0", str(2 ** 53)], 2),
+    ])
+    def test_sentinel_unchanged(self, flags, code, tmp_path):
+        out = tmp_path / "scan.csv"
+        out.write_text("sentinel\n")
+        assert run(["scan", "--q", "10", "--exclude", "7", *flags,
+                    "--out", str(out)]) == code
+        assert out.read_text() == "sentinel\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+
 class TestArcs:
     def test_report_conserves_total(self, tmp_path):
         out = tmp_path / "arcs.json"
@@ -118,6 +188,15 @@ class TestArcs:
         assert total_re == pytest.approx(payload["total"], rel=1e-12)
         assert sum(per[c]["count"] for c in per) == 1000
         assert payload["deviation"] < 0.25
+
+    def test_cap_checked_before_the_sieve(self, monkeypatch):
+        def no_sieve(X, *args, **kwargs):
+            raise AssertionError(f"sieve up to {X} built before the cap check")
+
+        monkeypatch.setattr(cli, "build_mangoldt", no_sieve)
+        code = run(["arcs", "--q", "10", "--exclude", "7", "--k", "7",
+                    "--weight", "mangoldt", "--cap", "1000000"])
+        assert code == 3
 
     def test_inexact_beta_bound_is_config_error(self, capsys):
         # Q * D0 = 1000 * 2^53 leaves float64's exact range
@@ -154,6 +233,23 @@ class TestConstants:
         payload = strict_json(capsys.readouterr().out)
         assert payload["Cq_empirical"] == 1 / (10 * math.log(10))
 
+    def test_empirical_constant_up_to_the_cap(self, capsys):
+        # Q = 10^7 is within the default cap
+        code = run(["constants", "--q", "10", "--exclude", "7", "--k", "7"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert 0 < payload["Cq_empirical"] <= payload["Cq_analytic"]
+        assert payload["k"] == 7
+        assert "Cq_empirical_reason" not in payload
+
+    def test_empirical_constant_above_the_cap(self, capsys):
+        code = run(["constants", "--q", "10", "--exclude", "7", "--k", "4",
+                    "--cap", "1000"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["Cq_empirical"] is None
+        assert "exceeds cap 1000" in payload["Cq_empirical_reason"]
+
 
 class TestCapAboveGridCap:
     @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
@@ -162,6 +258,16 @@ class TestCapAboveGridCap:
                     "--cap", str(fourier_mod.GRID_CAP + 1)])
         assert code == 2
         assert "cap" in capsys.readouterr().err
+
+
+class TestD0BelowOne:
+    @pytest.mark.parametrize("d0", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
+    def test_rejected_as_config_error(self, command, d0, capsys):
+        code = run([command, "--q", "10", "--exclude", "7", "--k", "2",
+                    "--d0", d0])
+        assert code == 2
+        assert "d0: must be positive" in capsys.readouterr().err
 
 
 class TestVerify:
