@@ -32,7 +32,7 @@ import numpy as np
 
 from .digits import DigitSet, contains
 from .errors import CapExceededError, DomainError
-from .expsums import IntPolynomial, MangoldtTable, build_mangoldt, poly_range
+from .expsums import IntPolynomial, MangoldtTable, poly_range
 from .fourier import FourierContext, grid_values, GRID_CAP
 
 PAIR_COUNT_CAP = 10 ** 7

@@ -71,35 +71,6 @@ class DigitSet:
     def _excluded_set(self):
         return frozenset(self.excluded)
 
-    def is_allowed(self, digit: int) -> bool:
-        return digit not in self._excluded_set
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Length-k digit expansion, least-significant first."""
-
-    q: int
-    digits: tuple
-
-    @classmethod
-    def from_int(cls, n: int, q: int, k: int) -> "DigitVector":
-        if n < 0 or n >= q ** k:
-            raise DomainError(f"n={n} not in [0, {q}^{k})")
-        ds = []
-        m = n
-        for _ in range(k):
-            ds.append(m % q)
-            m //= q
-        return cls(q, tuple(ds))
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.q + d
-        return v
-
 
 def contains(ds: DigitSet, n: int, k: int) -> bool:
     """True iff all k base-q digits of n (with leading zeros) are allowed."""

@@ -10,7 +10,6 @@ recorded seed.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .fourier import RationalFrequency
+from .fourier import RationalFrequency, distance_to_integer
 from .summation import pairwise_sum
 
 MANGOLDT_CAP = 10 ** 9
@@ -196,32 +195,15 @@ def poly_expsum(P: IntPolynomial, x: int, alpha: Alpha) -> complex:
     values = np.array([P(n) for n in ns], dtype=object)
     if len(ns) == 0:
         return complex(0.0)
-    if isinstance(alpha, RationalFrequency):
-        Q = alpha.denominator
-        phases = ((values * alpha.residue) % Q).astype(np.float64) / Q
-    elif isinstance(alpha, Fraction):
-        phases = ((values * alpha.numerator) % alpha.denominator).astype(
-            np.float64
-        ) / alpha.denominator
-    else:
-        phases = np.mod(values.astype(np.float64) * float(alpha), 1.0)
-    terms = np.exp(2j * np.pi * phases)
+    terms = np.exp(2j * np.pi * _phases_mod1(values, alpha))
     return complex(np.add.reduce(terms))
-
-
-def _dist_to_int(x) -> float:
-    if isinstance(x, Fraction):
-        fr = x % 1
-        return float(min(fr, 1 - fr))
-    fr = float(x) % 1.0
-    return min(fr, 1.0 - fr)
 
 
 def minsum(N: int, M: float, alpha) -> float:
     """sum over 1 <= n <= N of min(M, 1/||alpha n||); M when ||..|| = 0."""
     total = []
     for n in range(1, N + 1):
-        dist = _dist_to_int(alpha * n)
+        dist = distance_to_integer(alpha * n)
         total.append(M if dist == 0.0 else min(M, 1.0 / dist))
     return float(pairwise_sum(total)) if total else 0.0
 

@@ -156,8 +156,12 @@ def eval_direct(
     return pairwise_sum(terms)
 
 
-def distance_to_integer(x: float) -> float:
-    fr = x % 1.0
+def distance_to_integer(x) -> float:
+    """||x||, the distance to the nearest integer; exact for a Fraction."""
+    if isinstance(x, Fraction):
+        fr = x % 1
+        return float(min(fr, 1 - fr))
+    fr = float(x) % 1.0
     return min(fr, 1.0 - fr)
 
 
@@ -297,10 +301,6 @@ def alpha(q: int, s: int = 1, consecutive: bool = False) -> float:
     c = analytic_Cq(q, s, consecutive)
     lq = math.log(q)
     return math.log(c * (q / (q - s)) * lq) / lq
-
-
-def alpha_q(ds: DigitSet) -> float:
-    return alpha(ds.q, ds.s, ds.consecutive_flag)
 
 
 def consecutive_alpha_limit(q: int, s: int) -> float:

@@ -1,0 +1,265 @@
+"""The verification catalogue behind ``digitlab verify``.
+
+Each check family is written once, as a function of its cases, and returns
+a list of ``{"check", "passed", "detail"}`` dicts.  ``SUITES`` calls the
+families with the cases ``digitlab verify`` reports, and the acceptance
+tests with their own.  Pipeline stages are called through their modules,
+so a replaced module attribute reaches every check.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+from typing import Iterable, List
+
+import numpy as np
+
+from . import arcs as arcs_mod
+from . import expsums as exp_mod
+from . import fourier as fou_mod
+from .digits import DigitSet, count_in_ap
+from .expsums import IntPolynomial
+
+
+def _check(name: str, passed: bool, detail: str = "") -> dict:
+    return {"check": name, "passed": bool(passed), "detail": detail}
+
+
+def exponent_targets() -> List[dict]:
+    """The exponents the paper's theorems need, under their targets."""
+    a1 = fou_mod.alpha(2000001, 1)
+    a2 = fou_mod.alpha(10 ** 8, 10)
+    q3 = 10 ** 5
+    a3 = fou_mod.consecutive_alpha_limit(q3, q3 - math.ceil(q3 ** 0.81))
+    return [
+        _check("alpha(q=2000001, s=1) < 0.198", a1 < 0.198,
+               f"alpha={a1:.6f}"),
+        _check("alpha(q=1e8, s=10) < 0.2", a2 < 0.2, f"alpha={a2:.6f}"),
+        _check("consecutive-run limit alpha(q=1e5, q-s=ceil(q^0.81)) < 0.2",
+               a3 < 0.2, f"alpha_limit={a3:.6f}"),
+    ]
+
+
+def pipeline_vs_direct(cases: Iterable[tuple]) -> List[dict]:
+    """Circle-pipeline total against the literal weighted count.
+
+    Each case is ``(digit_set, k, weight, weight_label)``.
+    """
+    checks = []
+    for ds, k, weight, label in cases:
+        total = arcs_mod.circle_pipeline(ds, k, weight).total
+        direct = arcs_mod.direct_count(ds, k, weight)
+        rel = abs(total - direct) / max(1.0, abs(direct))
+        checks.append(_check(
+            f"pipeline vs direct (q={ds.q}, k={k}, {label})", rel < 1e-6,
+            f"rel {rel:.2e}"))
+    return checks
+
+
+def ledger_class_counts(cases: Iterable[tuple]) -> List[dict]:
+    """Ledger class counts against the scalar ``classify`` of every a < Q.
+
+    Cases are those of ``pipeline_vs_direct``.
+    """
+    checks = []
+    for ds, k, weight, _ in cases:
+        led = arcs_mod.circle_pipeline(ds, k, weight).ledger
+        Q = ds.q ** k
+        oracle = {cls: 0 for cls in arcs_mod.ArcClass}
+        for a in range(Q):
+            ap = arcs_mod.dirichlet_approx(a, Q, led.D0)
+            oracle[arcs_mod.classify(ap, k, led.A_major)] += 1
+        counts = led.counts
+        checks.append(_check(
+            f"ledger class counts vs scalar classify (q={ds.q}, k={k})",
+            counts == oracle and sum(counts.values()) == Q,
+            "major/minor_denominator/minor_offset "
+            + "/".join(str(counts[c]) for c in arcs_mod.ArcClass)))
+    return checks
+
+
+def parseval(cases: Iterable[tuple]) -> List[dict]:
+    """sum |F(a/Q)|^2 over the grid = Q * #members, per ``(digit_set, k)``."""
+    checks = []
+    for ds, k in cases:
+        vals = fou_mod.grid_values(fou_mod.FourierContext(ds, k))
+        lhs = float(np.add.reduce(np.abs(vals) ** 2))
+        expected = ds.q ** k * (ds.q - ds.s) ** k
+        checks.append(_check(
+            f"Parseval q={ds.q} k={k}",
+            abs(lhs - expected) / expected < 1e-9,
+            f"sum |F|^2 = {lhs!r}, expected {expected}"))
+    return checks
+
+
+def lemma_inequality(thetas: Iterable[float]) -> List[dict]:
+    """2 + 2 cos(2 pi t) <= 4 exp(-2 ||t||^2) at every t."""
+    ok = all(
+        2 + 2 * math.cos(2 * math.pi * t)
+        <= 4 * math.exp(-2 * fou_mod.distance_to_integer(t) ** 2) + 1e-12
+        for t in thetas)
+    return [_check("2+2cos(2 pi t) <= 4 exp(-2 ||t||^2)", ok, "")]
+
+
+def digit_factor_bound_holds(sets: Iterable[DigitSet],
+                             thetas: Iterable[float]) -> List[dict]:
+    """|digit_factor| <= digit_factor_bound for every set at every t."""
+    thetas = list(thetas)
+    ok = all(
+        abs(fou_mod.digit_factor(ds, t))
+        <= fou_mod.digit_factor_bound(ds, t) + 1e-9
+        for ds in sets for t in thetas)
+    return [_check("digit factor bound dominates on grid", ok, "")]
+
+
+def sweep_ratios(seed: int) -> List[dict]:
+    """Each bound-ratio sweep's maximum is positive, finite and under its
+    frozen calibration ceiling."""
+    checks = []
+    for kind, params in (
+        ("equidistribution", {"N": 1000, "M": 1000.0, "count": 50,
+                              "seed": seed}),
+        ("prime", {"x": 10 ** 5, "d_values": list(range(3, 98)),
+                   "beta": 0.0}),
+        ("polynomial", {"coeffs": (0, 0, 1), "x": 10 ** 4, "count": 20,
+                        "seed": seed}),
+    ):
+        rows = exp_mod.bound_ratio_report(kind, params)
+        ratio = exp_mod.max_sweep_ratio(rows)
+        ceiling = exp_mod.CALIBRATED_MAX_RATIO[kind]
+        checks.append(_check(
+            f"{kind} sweep max ratio below calibration {ceiling}",
+            math.isfinite(ratio) and 0 < ratio <= ceiling,
+            f"max ratio {ratio:.4f}"))
+    return checks
+
+
+def _suite_constants(seed: int) -> List[dict]:
+    cq = fou_mod.analytic_Cq(10, 1)
+    return exponent_targets() + [
+        _check("alpha decreasing in q (1e6 vs 1e9, s=1)",
+               fou_mod.alpha(10 ** 6, 1) > fou_mod.alpha(10 ** 9, 1), ""),
+        _check("Cq_analytic(q=10, s=1) = 1 + 3/log 10",
+               abs(cq - (1 + 3 / math.log(10))) < 1e-12, f"Cq={cq:.6f}"),
+    ]
+
+
+def _suite_fourier(seed: int) -> List[dict]:
+    checks = []
+    rng = random.Random(seed)
+    worst = 0.0
+    for q, excl, k in [(5, (2,), 3), (8, (7,), 3), (10, (7,), 3)]:
+        ds = DigitSet(q, excl)
+        ctx = fou_mod.FourierContext(ds, k)
+        Q = q ** k
+        for _ in range(40):
+            freq = fou_mod.RationalFrequency(rng.randrange(Q), Q)
+            v1 = fou_mod.eval_product(ctx, freq)
+            v2 = fou_mod.eval_direct(ds, k, freq)
+            worst = max(worst, abs(v1 - v2) / (q - ds.s) ** k)
+    checks.append(_check("product vs direct (120 random frequencies)",
+                         worst < 1e-9, f"max rel err {worst:.2e}"))
+    ds = DigitSet(10, (7,))
+    checks += parseval([(ds, 4)])
+    ctx = fou_mod.FourierContext(ds, 4)
+    vals = fou_mod.grid_values(ctx)
+    sym = max(abs(vals[a] - vals[-a].conjugate()) for a in range(1, 10 ** 4))
+    checks.append(_check("conjugate symmetry", sym < 1e-6,
+                         f"max |F(Q-a) - conj F(a)| = {sym:.2e}"))
+    theta0 = 0.1234
+    shifted = fou_mod.grid_values(ctx, theta0)
+    grid_err = 0.0
+    for _ in range(40):
+        a = rng.randrange(10 ** 4)
+        v1 = fou_mod.eval_product(ctx, fou_mod.RationalFrequency(a, 10 ** 4))
+        v2 = fou_mod.eval_product_real(
+            ctx, Fraction(theta0) + Fraction(a, 10 ** 4))
+        grid_err = max(grid_err, abs(vals[a] - v1), abs(shifted[a] - v2))
+    grid_err /= 9 ** 4
+    checks.append(_check(
+        "grid vs product formula (q=10, k=4, 40 random a, theta0 0 and "
+        f"{theta0})", grid_err < 1e-9, f"max rel err {grid_err:.2e}"))
+    checks += digit_factor_bound_holds(
+        [DigitSet(10, (7,)), DigitSet(10, (3, 4)),
+         DigitSet(10, (2, 3, 4, 5, 6))],
+        [(i + 0.5) / 2000.0 for i in range(2000)])
+    checks += lemma_inequality(i / 10 ** 4 for i in range(10 ** 4))
+    rec = fou_mod.linf_decay_report(
+        fou_mod.FourierContext(DigitSet(10, (7,)), 9), 1, 3, 0.0)
+    checks.append(_check("Linf proof chain at (l=1, d=3, k=9)",
+                         rec.lhs <= rec.rhs_shape + 1e-12,
+                         f"lhs={rec.lhs:.3e} rhs={rec.rhs_shape:.3e}"))
+    return checks
+
+
+def _suite_expsums(seed: int) -> List[dict]:
+    table = exp_mod.build_mangoldt(100)
+    expected = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
+    got = exp_mod.prime_expsum(table, 11, 0.0).real
+    nonzero = int(np.sum(table.entries_n <= 100))
+    ms = exp_mod.minsum(4, 10.0, 0.5)
+    return [
+        _check("sum Lambda(n), n <= 10", abs(got - expected) < 1e-12,
+               f"got {got!r}"),
+        _check("35 prime powers up to 100", nonzero == 35, f"got {nonzero}"),
+        _check("minsum(N=4, M=10, alpha=1/2) = 24", abs(ms - 24.0) < 1e-12,
+               f"got {ms!r}"),
+    ] + sweep_ratios(seed)
+
+
+def _suite_arcs(seed: int) -> List[dict]:
+    checks = []
+    for q, excl, k in [(6, (3,), 3), (10, (7,), 3)]:
+        case = (DigitSet(q, excl), k, exp_mod.build_mangoldt(q ** k),
+                "mangoldt")
+        checks += pipeline_vs_direct([case]) + ledger_class_counts([case])
+    P = IntPolynomial((0, 0, 1))
+    ds = DigitSet(10, (7,))
+    checks += pipeline_vs_direct([(ds, 3, P, "n^2")])
+    rng = random.Random(seed)
+    ok = True
+    for _ in range(2000):
+        Q = rng.randrange(2, 10 ** 6)
+        a = rng.randrange(Q)
+        D0 = rng.randrange(1, 1000)
+        ap = arcs_mod.dirichlet_approx(a, Q, D0)
+        if ap.d > D0 or abs(ap.beta) > 1.0 / (ap.d * D0) + 1e-15:
+            ok = False
+    checks.append(_check("dirichlet approx postcondition (2000 random)",
+                         ok, ""))
+    sj = arcs_mod.singular_series(P, ds, 1)
+    checks.append(_check("singular series S_1(n^2, q=10, ex 7) = 10/9",
+                         sj == Fraction(10, 9), f"got {sj}"))
+    kap = arcs_mod.kappa(ds)
+    checks.append(_check("kappa(q=10, ex 7) = 5/6", kap == Fraction(5, 6),
+                         f"got {kap}"))
+    total = sum(
+        count_in_ap(ds, 10 ** 4, 4, 10, a)
+        for a in range(10) if math.gcd(a, 10) == 1 and a != 7
+    )
+    checks.append(_check("residue count (phi - s')(q-1)^(k-1)",
+                         total == 3 * 9 ** 3, f"got {total}"))
+    return checks
+
+
+SUITES = {
+    "constants": _suite_constants,
+    "fourier": _suite_fourier,
+    "expsums": _suite_expsums,
+    "arcs": _suite_arcs,
+}
+
+
+def report(suite: str, seed: int) -> dict:
+    """Run one suite, or every suite for ``"all"``, into a verify payload."""
+    names = list(SUITES) if suite == "all" else [suite]
+    checks = []
+    for name in names:
+        for chk in SUITES[name](seed):
+            chk["suite"] = name
+            checks.append(chk)
+    failures = [c["check"] for c in checks if not c["passed"]]
+    return {"suite": suite, "seed": seed, "checks": checks,
+            "failures": failures, "passed": not failures}

@@ -2,6 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v` for the pass/fail roster, or
 `-s` to also see the per-criterion summary lines.
+
+Criteria that measure what a ``digitlab verify`` check measures call that
+check family in ``digitlab.verify`` with their own cases and require every
+returned check to pass.
 """
 
 import math
@@ -9,36 +13,22 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from digitlab import cli
+from digitlab import cli, verify
 from digitlab.arcs import (
-    circle_pipeline,
-    direct_count,
     singular_series,
     singular_series_pair_count,
     theorem_comparison,
 )
 from digitlab.digits import DigitSet, count_in_ap
-from digitlab.expsums import (
-    CALIBRATED_MAX_RATIO,
-    CALIBRATION_SEED,
-    IntPolynomial,
-    bound_ratio_report,
-    build_mangoldt,
-    max_sweep_ratio,
-)
+from digitlab.expsums import CALIBRATION_SEED, IntPolynomial, build_mangoldt
 from digitlab.fourier import (
     FourierContext,
     RationalFrequency,
-    alpha,
-    consecutive_alpha_limit,
     digit_factor,
-    digit_factor_bound,
     distance_to_integer,
     eval_direct,
     eval_product,
-    grid_values,
     l1_grid_sum,
 )
 
@@ -49,35 +39,31 @@ def report(n, detail):
     print(f"ACCEPTANCE {n}: PASS — {detail}")
 
 
+def assert_passed(checks, cases=None):
+    """Every check passed; a failure names its case when one is given."""
+    failed = [(case, c) for case, c in zip(cases or checks, checks)
+              if not c["passed"]]
+    assert not failed, failed
+
+
 def test_criterion_01_exponent_constants():
-    a1 = alpha(2_000_001, 1)
-    assert a1 < 0.198
-    a2 = alpha(10 ** 8, 10)
-    assert a2 < 0.2
-    q = 10 ** 5
-    s = q - math.ceil(q ** 0.81)
-    a3 = consecutive_alpha_limit(q, s)
-    assert a3 < 0.2
-    report(1, f"alpha values {a1:.5f}, {a2:.5f}, {a3:.5f} all under target")
+    checks = verify.exponent_targets()
+    assert_passed(checks)
+    report(1, ", ".join(c["detail"] for c in checks) + " all under target")
 
 
 def test_criterion_02_exact_inversion_sweep():
-    worst = 0.0
-    cases = 0
+    cases = []
     for q in range(6, 13):
         for excl in {(0,), (q - 1,), (1,)}:
             ds = DigitSet(q, excl)
             for k in (2, 3, 4):
-                table = build_mangoldt(q ** k)
-                for weight in (table, SQUARE):
-                    res = circle_pipeline(ds, k, weight)
-                    direct = direct_count(ds, k, weight)
-                    scale = max(abs(direct), 1.0)
-                    rel = abs(res.total - direct) / scale
-                    worst = max(worst, rel)
-                    assert rel <= 1e-6, (q, excl, k, weight)
-                    cases += 1
-    report(2, f"{cases} pipeline/direct pairs agree; worst rel err {worst:.2e}")
+                cases.append((ds, k, build_mangoldt(q ** k), "mangoldt"))
+                cases.append((ds, k, SQUARE, "n^2"))
+    checks = verify.pipeline_vs_direct(cases)
+    assert_passed(checks, [(ds.q, ds.excluded, k, label)
+                           for ds, k, _, label in cases])
+    report(2, f"{len(checks)} pipeline/direct pairs agree")
 
 
 def test_criterion_03_fourier_oracle_battery():
@@ -95,19 +81,11 @@ def test_criterion_03_fourier_oracle_battery():
                 err = abs(prod - oracle) / max(abs(oracle), 1.0)
                 worst = max(worst, err)
                 assert err <= 1e-9
-    parseval_worst = 0.0
-    for q in (6, 10, 12):
-        ds = DigitSet(q, (q - 1,))
-        for k in (3, 5):
-            ctx = FourierContext(ds, k)
-            vals = grid_values(ctx)
-            lhs = float(np.add.reduce(np.abs(vals) ** 2))
-            rhs = q ** k * (q - 1) ** k
-            err = abs(lhs - rhs) / rhs
-            parseval_worst = max(parseval_worst, err)
-            assert err <= 1e-9
+    parseval = verify.parseval([(DigitSet(q, (q - 1,)), k)
+                                for q in (6, 10, 12) for k in (3, 5)])
+    assert_passed(parseval)
     report(3, f"2400 product/oracle pairs worst {worst:.2e}; "
-              f"Parseval worst {parseval_worst:.2e}")
+              f"{len(parseval)} Parseval identities hold")
 
 
 def test_criterion_04_residue_structure():
@@ -145,12 +123,7 @@ def test_criterion_04_residue_structure():
 def test_criterion_05_pointwise_lemma_inequalities():
     thetas = np.linspace(0.0, 1.0, 10 ** 4, endpoint=False)
 
-    fails = 0
-    for th in thetas:
-        t = distance_to_integer(float(th))
-        if 2 + 2 * math.cos(2 * math.pi * th) > 4 * math.exp(-2 * t * t) + 1e-12:
-            fails += 1
-    assert fails == 0
+    assert_passed(verify.lemma_inequality(thetas.tolist()))
 
     for q in (8, 10):
         ds = DigitSet(q, (q - 1,))
@@ -163,10 +136,7 @@ def test_criterion_05_pointwise_lemma_inequalities():
             DigitSet(10, (3, 7)),            # s = 2, scattered
             DigitSet(10, (2, 3, 4, 5, 6)),   # s = 5, consecutive run
             DigitSet(10, (1, 3, 4, 6, 9))]   # s = 5, generic
-    for ds in sets:
-        for th in thetas:
-            assert abs(digit_factor(ds, float(th))) \
-                <= digit_factor_bound(ds, float(th)) + 1e-9
+    assert_passed(verify.digit_factor_bound_holds(sets, thetas.tolist()))
     report(5, "three inequality families hold on 10^4-point grids, "
               "zero failures")
 
@@ -211,25 +181,9 @@ def test_criterion_08_desk_scale_main_term():
 
 
 def test_criterion_09_bound_ratio_sweeps():
-    ratios = {}
-    rows = bound_ratio_report(
-        "equidistribution",
-        {"N": 1000, "M": 1000.0, "count": 50, "seed": CALIBRATION_SEED})
-    ratios["equidistribution"] = max_sweep_ratio(rows)
-    rows = bound_ratio_report(
-        "prime", {"x": 10 ** 5, "d_values": list(range(3, 98)), "beta": 0.0})
-    ratios["prime"] = max_sweep_ratio(rows)
-    rows = bound_ratio_report(
-        "polynomial",
-        {"coeffs": (0, 0, 1), "x": 10 ** 4, "count": 20,
-         "seed": CALIBRATION_SEED})
-    ratios["polynomial"] = max_sweep_ratio(rows)
-    for kind, val in ratios.items():
-        assert math.isfinite(val) and val > 0
-        assert val <= CALIBRATED_MAX_RATIO[kind], kind
-    report(9, "max sweep ratios "
-              + ", ".join(f"{k}={v:.3g}" for k, v in ratios.items())
-              + " all under frozen calibration ceilings")
+    checks = verify.sweep_ratios(CALIBRATION_SEED)
+    assert_passed(checks)
+    report(9, "; ".join(f"{c['check']}: {c['detail']}" for c in checks))
 
 
 def test_criterion_10_deterministic_reports(tmp_path):

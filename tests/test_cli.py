@@ -9,6 +9,7 @@ import pytest
 from digitlab import arcs as arcs_mod
 from digitlab import cli
 from digitlab import fourier as fourier_mod
+from digitlab import verify
 from digitlab.digits import DigitSet
 from digitlab.expsums import IntPolynomial, build_mangoldt
 
@@ -54,6 +55,18 @@ class TestCount:
         payload = json.loads(out.read_text())
         assert payload["direct"] == 0.0
         assert payload["members"] == 1
+
+    @pytest.mark.parametrize("weight", ["mangoldt", "poly"])
+    def test_k_zero_count_matches_arcs(self, weight, capsys):
+        flags = ["--q", "10", "--exclude", "7", "--k", "0",
+                 "--weight", weight]
+        reports = []
+        for command in ("count", "arcs"):
+            assert run([command, *flags]) == 0
+            reports.append(strict_json(capsys.readouterr().out))
+        count, arcs = reports
+        assert count["direct"] == arcs["direct"] == arcs["total"]
+        assert count["main_term"] == arcs["main_term"] > 0
 
     @pytest.mark.parametrize("command", ["count", "arcs"])
     def test_zero_main_term_is_strict_json(self, command, capsys):
@@ -290,11 +303,10 @@ class TestVerify:
             return codes
 
         monkeypatch.setattr(arcs_mod, "_classification", off_by_one)
-        checks = {c["check"]: c["passed"] for c in cli._suite_arcs(1)}
+        checks = {c["check"]: c["passed"] for c in verify.SUITES["arcs"](1)}
         for q in (6, 10):
             assert not checks[
                 f"ledger class counts vs scalar classify (q={q}, k=3)"]
-            assert checks[f"ledger conservation (q={q}, k=3)"]
 
     def test_grid_oracle_check_can_fail(self, monkeypatch):
         real = fourier_mod.grid_values
@@ -303,7 +315,8 @@ class TestVerify:
             return real(*args, **kwargs).conj()
 
         monkeypatch.setattr(fourier_mod, "grid_values", conjugated)
-        checks = {c["check"]: c["passed"] for c in cli._suite_fourier(1)}
+        checks = {c["check"]: c["passed"]
+                  for c in verify.SUITES["fourier"](1)}
         assert not checks["grid vs product formula (q=10, k=4, 40 random a, "
                           "theta0 0 and 0.1234)"]
         assert checks["Parseval q=10 k=4"]
@@ -338,3 +351,20 @@ class TestConfigFile:
         cfgfile.write_text("q=ten\nexclude=7\nk=3\nweight=mangoldt\n")
         code = run(["count", "--config", str(cfgfile)])
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["format=json", "seed=1", "d-0=5"])
+    def test_unknown_key_is_config_error(self, line, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"q=10\nexclude=7\nk=3\n{line}\n")
+        code = run(["count", "--config", str(cfgfile)])
+        assert code == 2
+        key = line.split("=")[0]
+        assert f"config: unknown key {key!r}" in capsys.readouterr().err
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--seed", "1"]])
+    @pytest.mark.parametrize("command", ["count", "scan", "arcs", "constants"])
+    def test_rejected(self, command, flag):
+        assert run([command, "--q", "10", "--exclude", "7", "--k", "2",
+                    *flag]) == 2

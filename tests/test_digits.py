@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from digitlab.digits import (
     DigitSet,
-    DigitVector,
     contains,
     count_below,
     count_in_ap,
@@ -64,17 +63,6 @@ class TestDigitSet:
 
     def test_allowed(self):
         assert DigitSet(5, (2,)).allowed == (0, 1, 3, 4)
-
-
-class TestDigitVector:
-    @pytest.mark.parametrize("n", [0, 1, 17, 99])
-    def test_round_trip(self, n):
-        dv = DigitVector.from_int(n, 10, 2)
-        assert dv.value == n
-
-    def test_rejects_overflow(self):
-        with pytest.raises(DomainError):
-            DigitVector.from_int(100, 10, 2)
 
 
 class TestContains:

@@ -13,7 +13,6 @@ from digitlab.fourier import (
     FourierContext,
     RationalFrequency,
     alpha,
-    alpha_q,
     analytic_Cq,
     consecutive_alpha_limit,
     digit_factor,
@@ -316,10 +315,6 @@ class TestConstants:
 
     def test_alpha_decreasing_in_q(self):
         assert alpha(10 ** 6, 1) > alpha(10 ** 9, 1)
-
-    def test_alpha_q_wrapper(self):
-        ds = DigitSet(10, (3, 4))
-        assert alpha_q(ds) == alpha(10, 2, consecutive=True)
 
     def test_consecutive_limit(self):
         q = 10 ** 5
