@@ -11,13 +11,17 @@ weight spectrum, class codes) come from ``pipeline_stages``, which the
 Classification runs as a batch Euclid: the continued-fraction state of a
 block of numerators is stepped at once in numpy, keeping the last
 convergent with denominator <= D0, and each point gets an int8 class code
-(``ARC_CLASSES[code]`` is its ``ArcClass``).  The offset beta is the exact
-integer a*d - ell*Q divided by float(Q*d), which is correctly rounded and
-so equals the scalar ``float(Fraction)`` bit for bit while Q*D0 < 2**53;
-larger Q*D0 is rejected.  ``dirichlet_approx`` and ``classify`` are the
-scalar oracles for the batch path.  The singular-series pair count is
-blocked the same way: Horner's rule mod q**J on an int64 range, then a
-digit lookup table.
+(``ARC_CLASSES[code]`` is its ``ArcClass``).  Only a <= Q/2 are stepped:
+1 - x = [0; 1, a1 - 1, a2, ...] when x = [0; a1, a2, ...], so a/Q and
+(Q - a)/Q share d and have opposite beta, and the other half of the codes
+is a reversed copy (the proof is in ``_classification``).  The offset
+beta is the exact integer a*d - ell*Q divided by float(Q*d), which is
+correctly rounded and so equals the scalar ``float(Fraction)`` bit for bit
+while Q*D0 < 2**53; larger Q*D0 is rejected.  ``dirichlet_approx`` and
+``classify`` are the scalar oracles for the batch path.  The
+singular-series pair count is blocked the same way: Horner's rule mod
+q**J on an int64 range, then ``contains_mask``, which also gives the
+direct count its digit test.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .digits import DigitSet, contains
+from .digits import DigitSet, contains_mask
 from .errors import CapExceededError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, poly_range
 from .fourier import FourierContext, grid_values, GRID_CAP
@@ -169,7 +173,7 @@ def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
     Returns int64 arrays ell, d and the float64 offsets beta, equal bit for
     bit to the scalar fields.  The scalar recursion is stepped on arrays; a
     numerator leaves the live set when its remainder hits 0 or its next
-    denominator exceeds D0.
+    denominator exceeds D0, and only then are its ell and d written.
     """
     if D0 < 1:
         raise DomainError("D0 must be positive")
@@ -189,25 +193,52 @@ def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
         k1, k2 = t * k1 + k2, k1
         x, y = y, x - t * y
         ok = k1 <= D0
-        ell[live[ok]] = h1[ok]
-        d[live[ok]] = k1[ok]
         keep = ok & (y != 0)
-        live, h1, h2, k1, k2, x, y = (
-            v[keep] for v in (live, h1, h2, k1, k2, x, y))
+        out = np.flatnonzero(~keep)
+        if out.size:
+            # the last convergent with denominator <= D0 is this one or,
+            # if this one is too large, the one before (the first has d = 1)
+            at, ok_out = live[out], ok[out]
+            ell[at] = np.where(ok_out, h1[out], h2[out])
+            d[at] = np.where(ok_out, k1[out], k2[out])
+            idx = np.flatnonzero(keep)
+            live, h1, h2, k1, k2, x, y = (
+                v.take(idx) for v in (live, h1, h2, k1, k2, x, y))
     # exact integers below 2**53, so one correctly rounded division
     beta = (a * d - ell * Q).astype(np.float64) / (Q * d).astype(np.float64)
     return ell, d, beta
 
 
 def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
-    """int8 class code of every a/Q, a < Q (see ``ARC_CLASSES``)."""
+    """int8 class code of every a/Q, a < Q (see ``ARC_CLASSES``).
+
+    Only a <= Q//2 go through ``_batch_dirichlet``; a > Q//2 copies the
+    code of Q - a.  Proof that codes[a] == codes[Q - a] for 0 < a < Q:
+    take x = a/Q < 1/2 (else swap a and Q - a; a = Q/2 is its own
+    mirror and is computed directly) and its Euclid expansion
+    x = [0; a1, ..., an], where a1 >= 2 and an >= 2 if n >= 2.  Then
+    1 - x = [0; 1, a1 - 1, a2, ..., an], and that is again the expansion
+    Euclid yields, since its last quotient is an >= 2, or a1 - 1 >= 2 when
+    n = 1 (a1 = 2, n = 1 is x = 1/2, excluded).  So the convergents of
+    1 - x are 0/1, 1/1, then (d - ell)/d for each convergent ell/d of x
+    past 0/1: the same denominators in the same order, with d = 1 twice.
+    The last one with d <= D0 therefore has the same d; its numerator is
+    d - ell, so beta(Q - a) = (1 - x) - (d - ell)/d = -beta(a), where
+    D0 < a1 gives the pair 0/1, 1/1 and beta = x, -x.  Both coordinates
+    of ``classify`` (d and |beta|) agree, hence so do the codes.  The one
+    point where beta is not negated is the tie a = Q/2 with D0 = 1: it is
+    its own mirror, Euclid stops at 0/1 and beta = +1/2 (not the -1/2 of
+    1/1).  It lies in the computed half, and only |beta| is classified.
+    """
     thr = arc_threshold(Q, A_major)
     codes = np.empty(Q, dtype=np.int8)
-    for start in range(0, Q, BLOCK):
-        a = np.arange(start, min(start + BLOCK, Q), dtype=np.int64)
+    half = Q // 2
+    for start in range(0, half + 1, BLOCK):
+        a = np.arange(start, min(start + BLOCK, half + 1), dtype=np.int64)
         _, d, beta = _batch_dirichlet(a, Q, D0)
         codes[start:start + a.size] = np.where(
             d >= thr, 1, np.where(Q * np.abs(beta) >= thr, 2, 0))
+    codes[half + 1:] = codes[1:Q - half][::-1]
     return codes
 
 
@@ -282,18 +313,13 @@ def direct_count(ds: DigitSet, k: int, weight: Weight,
                 f"mangoldt table limit {weight.limit} below q^k = {Q}"
             )
         sel = weight.entries_n < Q
-        ns = weight.entries_n[sel].tolist()
         logs = np.log(weight.entries_p[sel].astype(np.float64))
-        mask = np.array([contains(ds, n, k) for n in ns], dtype=bool)
-        picked = logs[mask]
+        picked = logs[contains_mask(ds, weight.entries_n[sel], k)]
         return float(np.add.reduce(picked)) if picked.size else 0.0
     if isinstance(weight, IntPolynomial):
-        total = 0
-        for n in poly_range(weight, Q):
-            v = weight(n)
-            if v >= 0 and contains(ds, v, k):
-                total += 1
-        return float(total)
+        values = [v for v in map(weight, poly_range(weight, Q)) if v >= 0]
+        hits = contains_mask(ds, np.array(values, dtype=np.int64), k)
+        return float(np.count_nonzero(hits))
     raise DomainError(f"unsupported weight: {weight!r}")
 
 
@@ -336,19 +362,13 @@ def singular_series_pair_count(P: IntPolynomial, ds: DigitSet, J: int,
     if QJ * QJ >= 1 << 63:
         raise CapExceededError(f"pair counting modulo {QJ} overflows int64")
     coeffs = [c % QJ for c in reversed(P.coeffs)]
-    allowed = np.ones(q, dtype=bool)
-    allowed[list(ds.excluded)] = False
     count = 0
     for start in range(0, QJ, BLOCK):
         n = np.arange(start, min(start + BLOCK, QJ), dtype=np.int64)
         m = np.full(n.size, coeffs[0], dtype=np.int64)
         for c in coeffs[1:]:
             m = (m * n + c) % QJ
-        hit = np.ones(n.size, dtype=bool)
-        for _ in range(J):
-            hit &= allowed[m % q]
-            m //= q
-        count += int(np.count_nonzero(hit))
+        count += int(np.count_nonzero(contains_mask(ds, m, J)))
     return count
 
 

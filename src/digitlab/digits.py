@@ -13,9 +13,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import CapExceededError, DomainError
 
 ENUMERATION_CAP = 10 ** 8
+# Largest lookup table of contains_mask, in entries (one byte each).
+MASK_TABLE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,35 @@ def contains(ds: DigitSet, n: int, k: int) -> bool:
             return False
         m //= ds.q
     return True
+
+
+def contains_mask(ds: DigitSet, n: np.ndarray, k: int) -> np.ndarray:
+    """``contains`` for every entry of an int64 array, as a bool array.
+
+    Each step tests c digits with one lookup in a table that marks the
+    values below q**c whose c digits are all allowed (q**c <= MASK_TABLE).
+    """
+    q = ds.q
+    allowed = np.ones(q, dtype=bool)
+    allowed[list(ds.excluded)] = False
+    c = 1
+    while c < k and q ** (c + 1) <= MASK_TABLE:
+        c += 1
+    tables = [np.ones(1, dtype=bool)]  # tables[j]: the table for j digits
+    for _ in range(c):
+        tables.append((tables[-1][:, None] & allowed).ravel())
+    m = np.array(n, dtype=np.int64)  # a copy, divided in place
+    hit = np.ones(m.shape, dtype=bool)
+    left = k
+    while left:
+        step = min(c, left)
+        hit &= tables[step][m % q ** step]
+        m //= q ** step
+        left -= step
+    # m is now floor(n / q**k), which is 0 exactly when 0 <= n < q**k
+    if m.any():
+        raise DomainError(f"entries of n not all in [0, {q}^{k})")
+    return hit
 
 
 def _msb_digits(x: int, q: int, k: int):

@@ -37,71 +37,47 @@ CALIBRATED_MAX_RATIO = {
 
 @dataclass(frozen=True)
 class MangoldtTable:
-    """Smallest-prime-factor sieve with the nonzero Lambda support listed.
+    """The support of von Mangoldt's Lambda up to ``limit``.
 
     ``entries_n`` holds the prime powers n <= limit in increasing order and
     ``entries_p`` the corresponding primes p (so Lambda(n) = log p).
     """
 
     limit: int
-    spf: np.ndarray
     entries_n: np.ndarray
     entries_p: np.ndarray
 
-    def lam(self, n: int) -> float:
-        """Lambda(n) = log p if n = p**m, else 0."""
-        if n < 2 or n > self.limit:
-            return 0.0
-        p = int(self.spf[n])
-        m = n
-        while m % p == 0:
-            m //= p
-        return math.log(p) if m == 1 else 0.0
-
-    def lam_exact(self, n: int):
-        """(p, multiplicity) if n = p**m, else None; exact integers."""
-        if n < 2 or n > self.limit:
-            return None
-        p = int(self.spf[n])
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        return (p, e) if m == 1 else None
-
 
 def build_mangoldt(X: int, cap: int = MANGOLDT_CAP) -> MangoldtTable:
-    """Sieve smallest prime factors up to X and list the prime powers."""
+    """List the prime powers up to X from a boolean Eratosthenes sieve.
+
+    The sieve crosses out multiples of the primes up to isqrt(X), one byte
+    per integer; the higher powers come from multiplying the primes up to
+    isqrt(X) by themselves, and one sort interleaves them.
+    """
     if X < 1:
         raise DomainError("X must be positive")
     if X > cap:
         raise CapExceededError(f"sieve limit {X} exceeds cap {cap}")
-    spf = np.zeros(X + 1, dtype=np.int64)
-    for p in range(2, X + 1):
-        if spf[p] == 0:
-            sl = spf[p::p]
-            sl[sl == 0] = p
-        if p * p > X:
-            # remaining zeros are primes; fill them in one pass
-            rest = np.arange(X + 1, dtype=np.int64)
-            mask = (spf == 0) & (rest >= 2)
-            spf[mask] = rest[mask]
-            break
-    ns: List[int] = []
-    ps: List[int] = []
-    idx = np.arange(X + 1, dtype=np.int64)
-    primes = idx[(idx >= 2) & (spf == idx)]
-    for p in primes.tolist():
-        m = p
-        while m <= X:
-            ns.append(m)
-            ps.append(p)
-            m *= p
-    order = np.argsort(np.array(ns, dtype=np.int64), kind="stable")
-    entries_n = np.array(ns, dtype=np.int64)[order]
-    entries_p = np.array(ps, dtype=np.int64)[order]
-    return MangoldtTable(limit=X, spf=spf, entries_n=entries_n,
-                         entries_p=entries_p)
+    is_prime = np.ones(X + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(X) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
+    del is_prime
+    ns, ps = [primes], [primes]
+    base = primes[:np.searchsorted(primes, math.isqrt(X), side="right")]
+    power = base
+    while base.size:
+        power = power * base  # p <= isqrt(X): p**(m+1) <= X**1.5 fits
+        keep = power <= X
+        base, power = base[keep], power[keep]
+        ns.append(power)
+        ps.append(base)
+    ns, ps = np.concatenate(ns), np.concatenate(ps)
+    order = np.argsort(ns, kind="stable")
+    return MangoldtTable(limit=X, entries_n=ns[order], entries_p=ps[order])
 
 
 Alpha = Union[float, Fraction, RationalFrequency]

@@ -3,7 +3,8 @@
 The transform of the set truncated to [0, q**k) factorizes as a product of
 k single-digit factors.  Rational frequencies a/q**k are evaluated with all
 phases reduced mod q**k in exact integers; real frequencies are reduced
-mod 1 in extended precision (mpmath) before any floating evaluation.
+mod 1 exactly, as Fractions (a float is a dyadic rational), before any
+floating evaluation.
 
 Full grids F(theta0 + a/q**k), a < q**k, come from one transform engine, a
 blocked four-step FFT of the digit indicator (modulated by e(n*theta0)):
@@ -24,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .digits import DigitSet, enumerate_members
@@ -100,27 +100,22 @@ def eval_product(ctx: FourierContext, freq: RationalFrequency) -> complex:
 
 
 def _reduced_power_fracs(theta, q: int, k: int):
-    """(q**i * theta) mod 1 for i < k, as floats, reduced exactly enough.
+    """(q**i * theta) mod 1 for i < k, reduced exactly, then as floats.
 
-    Fractions reduce exactly; floats go through mpmath at a precision that
-    absorbs the q**k blow-up of the reduction.
+    A finite float is an exact dyadic rational, so it is converted to a
+    Fraction without loss; every reduction is then exact and each output
+    is the correctly rounded float of the exact residue.
     """
-    if isinstance(theta, Fraction):
-        out = []
-        t = theta % 1
-        for _ in range(k):
-            out.append(float(t))
-            t = (t * q) % 1
-        return out
-    prec = 80 + int(k * math.log2(q)) + 16
-    with mpmath.workprec(prec):
-        t = mpmath.mpf(theta)
-        t -= mpmath.floor(t)
-        out = []
-        for _ in range(k):
-            out.append(float(t))
-            t = (t * q) % 1
-        return out
+    if not isinstance(theta, Fraction):
+        if not math.isfinite(theta):
+            raise DomainError(f"theta={theta} is not finite")
+        theta = Fraction(theta)
+    out = []
+    t = theta % 1
+    for _ in range(k):
+        out.append(float(t))
+        t = (t * q) % 1
+    return out
 
 
 def digit_factor(ds: DigitSet, theta: float) -> complex:

@@ -155,6 +155,33 @@ class TestBatchClassification:
     def test_random_Q_and_D0(self, Q, D0, A):
         assert_codes_match(Q, D0, (A,))
 
+    @settings(max_examples=40, deadline=None)
+    @given(Q=st.integers(2, 3000), D0=st.integers(1, 6000))
+    def test_mirror_shares_d_and_negates_beta(self, Q, D0):
+        # the identity _classification relies on, checked on the batch path
+        # over every 0 < a < Q
+        a = np.arange(1, Q, dtype=np.int64)
+        ell, d, beta = arcs_mod._batch_dirichlet(a, Q, D0)
+        assert d.tolist() == d[::-1].tolist()
+        tie = (a == Q - a) & (D0 == 1)
+        assert beta[~tie].tolist() == (-beta[::-1])[~tie].tolist()
+        assert beta[tie].tolist() == [0.5] * int(tie.sum())
+
+    @pytest.mark.parametrize("Q", [2 ** 5 * 3 ** 4, 6 ** 5, 10 ** 4])
+    def test_half_with_d0_one_is_the_tie(self, Q):
+        half = Q // 2
+        r = dirichlet_approx(half, Q, 1)
+        assert (r.ell, r.d, r.beta) == (0, 1, 0.5)
+        ell, d, beta = arcs_mod._batch_dirichlet(
+            np.array([half], dtype=np.int64), Q, 1)
+        assert (int(ell[0]), int(d[0]), float(beta[0])) == (0, 1, 0.5)
+        # Q/2 >= thr at A = 1 and Q/2 < thr at A = 4
+        for A, want in ((1.0, ArcClass.MINOR_OFFSET), (4.0, ArcClass.MAJOR)):
+            codes = arcs_mod._classification(Q, 1, A)
+            assert classify(r, Q, A) is want
+            assert ARC_CLASSES[codes[half]] is want
+            assert codes[1:].tolist() == codes[:0:-1].tolist()
+
     def test_largest_exact_D0_accepted(self):
         Q = 10 ** 3
         assert_codes_match(Q, (2 ** 53 - 1) // Q, (1.0,))

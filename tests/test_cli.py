@@ -331,6 +331,7 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code = run(["verify", "bogus"])
         assert code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestConfigFile:

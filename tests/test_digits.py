@@ -1,12 +1,13 @@
-import math
-
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import digitlab.digits as digits_mod
 from digitlab.digits import (
     DigitSet,
     contains,
+    contains_mask,
     count_below,
     count_in_ap,
     enumerate_members,
@@ -65,6 +66,20 @@ class TestDigitSet:
         assert DigitSet(5, (2,)).allowed == (0, 1, 3, 4)
 
 
+@st.composite
+def digit_sets(draw, max_q=16):
+    """A valid DigitSet; the excluded digits include 0 half the time."""
+    q = draw(st.integers(3, max_q))
+    excluded = draw(st.sets(st.integers(0, q - 1), min_size=1,
+                            max_size=q - 2))
+    if draw(st.booleans()):
+        excluded = (excluded - {max(excluded)}) | {0}
+    try:
+        return DigitSet(q, tuple(excluded))
+    except DomainError:
+        assume(False)
+
+
 class TestContains:
     def test_examples(self):
         ds = DigitSet(10, (7,))
@@ -87,6 +102,47 @@ class TestContains:
         k = 3
         for n in range(10 ** (k - 1)):
             assert not contains(ds, n, k)
+
+
+class TestContainsMask:
+    @given(data=st.data(), ds=digit_sets(), k=st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_contains(self, data, ds, k):
+        Q = ds.q ** k
+        ns = [0, Q - 1] + data.draw(
+            st.lists(st.integers(0, Q - 1), max_size=40))
+        mask = contains_mask(ds, np.array(ns, dtype=np.int64), k)
+        assert mask.dtype == np.bool_ and mask.shape == (len(ns),)
+        assert mask.tolist() == [contains(ds, n, k) for n in ns]
+        for bad in (-1, Q):
+            with pytest.raises(DomainError):
+                contains_mask(ds, np.array(ns + [bad], dtype=np.int64), k)
+
+    @pytest.mark.parametrize("table", [1, 7 ** 2, 7 ** 3, None])
+    def test_every_n_below_q_to_the_k(self, monkeypatch, table):
+        # tables of 1, 2, 3 and (default) 5 digits; odd k leaves a shorter
+        # last step, where an excluded 0 must not pad the leading digits
+        if table is not None:
+            monkeypatch.setattr(digits_mod, "MASK_TABLE", table)
+        ds = DigitSet(7, (0, 4))
+        for k in range(1, 6):
+            mask = contains_mask(ds, np.arange(7 ** k), k)
+            assert np.flatnonzero(mask).tolist() == brute_members(
+                7, (0, 4), k), k
+            with pytest.raises(DomainError):
+                contains_mask(ds, np.array([7 ** k]), k)
+
+    @pytest.mark.parametrize("n", [-1, 100, 2 ** 40])
+    def test_same_domain_as_contains(self, n):
+        ds = DigitSet(10, (7,))
+        with pytest.raises(DomainError):
+            contains(ds, n, 2)
+        with pytest.raises(DomainError):
+            contains_mask(ds, np.array([5, n], dtype=np.int64), 2)
+
+    def test_empty(self):
+        mask = contains_mask(DigitSet(10, (7,)), np.array([], np.int64), 3)
+        assert mask.shape == (0,)
 
 
 class TestCountBelow:
@@ -159,6 +215,17 @@ class TestCountInAp:
             x = 12 ** 3 - 37
             total = sum(count_in_ap(ds, x, 3, m, r) for r in range(m))
             assert total == count_below(ds, x, 3)
+
+    @given(data=st.data(), ds=digit_sets(max_q=9), k=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_enumerated_members(self, data, ds, k):
+        Q = ds.q ** k
+        x = data.draw(st.integers(0, Q))
+        m = data.draw(st.integers(1, min(Q, 60)))
+        r = data.draw(st.integers(0, m - 1))
+        expect = sum(1 for n in enumerate_members(ds, k)
+                     if n < x and n % m == r)
+        assert count_in_ap(ds, x, k, m, r) == expect
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(DomainError):

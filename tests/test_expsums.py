@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from digitlab.errors import CapExceededError, DomainError
@@ -18,24 +19,37 @@ from digitlab.expsums import (
     poly_range,
     prime_expsum,
 )
-from digitlab.fourier import RationalFrequency
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(p) for p in (2, 3, 5, 7))
 
 
-class TestMangoldt:
-    def test_prime_power_values(self):
-        t = build_mangoldt(10)
-        assert t.lam(8) == pytest.approx(LOG2)
-        assert t.lam(9) == pytest.approx(LOG3)
-        assert t.lam(6) == 0.0
-        assert t.lam(1) == 0.0
+def trial_division_listing(X):
+    """Oracle: (n, p) for each prime power n = p**m <= X, by trial division."""
+    out = []
+    for n in range(2, X + 1):
+        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        m = n
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            out.append((n, p))
+    return out
 
-    def test_exact_pairs(self):
-        t = build_mangoldt(100)
-        assert t.lam_exact(64) == (2, 6)
-        assert t.lam_exact(97) == (97, 1)
-        assert t.lam_exact(60) is None
+
+class TestMangoldt:
+    def test_matches_trial_division_up_to_600(self):
+        listing = trial_division_listing(600)
+        for X in range(1, 601):
+            t = build_mangoldt(X)
+            want = [pair for pair in listing if pair[0] <= X]
+            assert t.entries_n.dtype == t.entries_p.dtype == np.int64
+            assert list(zip(t.entries_n.tolist(),
+                            t.entries_p.tolist())) == want, X
+
+    def test_matches_trial_division_at_10_4(self):
+        t = build_mangoldt(10 ** 4)
+        assert list(zip(t.entries_n.tolist(), t.entries_p.tolist())) == (
+            trial_division_listing(10 ** 4))
 
     def test_chebyshev_sum_to_ten(self):
         t = build_mangoldt(10)

@@ -141,6 +141,24 @@ class TestDigitFactorBound:
                 digit_factor_bound(ds, theta) + 1e-9
 
 
+class TestReducedPowerFracs:
+    def test_float_is_reduced_exactly(self):
+        # 1e15 + 0.3 is the float 10**15 + 1/4; float products would lose
+        # the 1/2 of 10 * theta (its ulp is 2) and report 0.0
+        assert fou_mod._reduced_power_fracs(1e15 + 0.3, 10, 4) == [
+            0.25, 0.5, 0.0, 0.0]
+        assert fou_mod._reduced_power_fracs(1 - 2 ** -53, 3, 3) == [
+            1 - 2 ** -53, 1 - 3 * 2 ** -53, 1 - 9 * 2 ** -53]
+        assert fou_mod._reduced_power_fracs(-0.75, 7, 2) == [0.25, 0.75]
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, theta):
+        with pytest.raises(DomainError):
+            fou_mod._reduced_power_fracs(theta, 10, 3)
+        with pytest.raises(DomainError):
+            eval_product_real(FourierContext(DigitSet(10, (7,)), 3), theta)
+
+
 class TestGridValues:
     def test_matches_pointwise_product(self):
         ds = DigitSet(6, (1,))
