@@ -101,10 +101,12 @@ def arc_threshold(Q: int, A_major: float) -> float:
     return math.log(Q) ** A_major
 
 
-def classify(approx: RationalApprox, k: int, A_major: float) -> ArcClass:
-    """Major iff max(d, q**k |beta|) is strictly below (log q**k)**A.
+def classify(approx: RationalApprox, A_major: float) -> ArcClass:
+    """Major iff max(d, Q |beta|) is strictly below (log Q)**A.
 
-    Boundary points are minor; the denominator coordinate is checked first.
+    Q = q**k is the grid size ``approx.Q``, so the approximation carries
+    all the class depends on besides A.  Boundary points are minor; the
+    denominator coordinate is checked first.
     """
     thr = arc_threshold(approx.Q, A_major)
     if approx.d >= thr:
@@ -119,15 +121,9 @@ Weight = Union[MangoldtTable, IntPolynomial]
 
 def _weight_vector(weight: Weight, Q: int) -> np.ndarray:
     if isinstance(weight, MangoldtTable):
-        if weight.limit + 1 < Q:
-            raise DomainError(
-                f"mangoldt table limit {weight.limit} below q^k = {Q}"
-            )
+        ns, logs = weight.support_below(Q)
         w = np.zeros(Q, dtype=np.float64)
-        sel = weight.entries_n < Q
-        w[weight.entries_n[sel]] = np.log(
-            weight.entries_p[sel].astype(np.float64)
-        )
+        w[ns] = logs
         return w
     if isinstance(weight, IntPolynomial):
         w = np.zeros(Q, dtype=np.float64)
@@ -158,13 +154,6 @@ class ArcLedger:
         return (self.sums[ArcClass.MAJOR]
                 + self.sums[ArcClass.MINOR_DENOMINATOR]
                 + self.sums[ArcClass.MINOR_OFFSET])
-
-
-@dataclass
-class PipelineResult:
-    total: float
-    imag: float
-    ledger: ArcLedger
 
 
 def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
@@ -286,8 +275,11 @@ def circle_pipeline(
     D0: Optional[int] = None,
     A_major: float = 3.0,
     cap: int = GRID_CAP,
-) -> PipelineResult:
-    """Full Fourier-inversion sum with per-arc-class accounting."""
+) -> ArcLedger:
+    """Full Fourier-inversion sum with per-arc-class accounting.
+
+    The ledger's ``total`` is the complex sum; its real part is the count.
+    """
     st = pipeline_stages(ds, k, weight, D0=D0, A_major=A_major, cap=cap)
     terms = st.fhat * st.s_vals / st.Q
     ledger = ArcLedger(D0=st.D0, A_major=A_major,
@@ -297,8 +289,7 @@ def circle_pipeline(
         ledger.counts[cls] = picked.size
         if picked.size:
             ledger.sums[cls] = complex(np.add.reduce(picked))
-    total = ledger.total
-    return PipelineResult(total=total.real, imag=total.imag, ledger=ledger)
+    return ledger
 
 
 def direct_count(ds: DigitSet, k: int, weight: Weight,
@@ -308,13 +299,8 @@ def direct_count(ds: DigitSet, k: int, weight: Weight,
     if Q > cap:
         raise CapExceededError(f"direct count over {Q} exceeds cap {cap}")
     if isinstance(weight, MangoldtTable):
-        if weight.limit + 1 < Q:
-            raise DomainError(
-                f"mangoldt table limit {weight.limit} below q^k = {Q}"
-            )
-        sel = weight.entries_n < Q
-        logs = np.log(weight.entries_p[sel].astype(np.float64))
-        picked = logs[contains_mask(ds, weight.entries_n[sel], k)]
+        ns, logs = weight.support_below(Q)
+        picked = logs[contains_mask(ds, ns, k)]
         return float(np.add.reduce(picked)) if picked.size else 0.0
     if isinstance(weight, IntPolynomial):
         values = [v for v in map(weight, poly_range(weight, Q)) if v >= 0]
@@ -395,10 +381,13 @@ def theorem_comparison(
     ds: DigitSet,
     k: int,
     weight: Weight,
-    J: Optional[int] = None,
     cap: int = GRID_CAP,
 ) -> MainTermReport:
-    """Main term vs direct count, prime or polynomial flavour."""
+    """Main term vs direct count, prime or polynomial flavour.
+
+    The polynomial main term takes the singular series at the largest
+    J <= 4 with q**J within ``PAIR_COUNT_CAP``.
+    """
     q = ds.q
     members = (q - ds.s) ** k
     direct = direct_count(ds, k, weight, cap=cap)
@@ -410,10 +399,9 @@ def theorem_comparison(
                               kappa=kap)
     if isinstance(weight, IntPolynomial):
         r = weight.degree
-        if J is None:
-            J = 1
-            while q ** (J + 1) <= PAIR_COUNT_CAP and J < 4:
-                J += 1
+        J = 1
+        while q ** (J + 1) <= PAIR_COUNT_CAP and J < 4:
+            J += 1
         sj = singular_series(weight, ds, J)
         main = (weight.lead ** (1.0 / r) * float(sj)
                 * q ** (k / r) * members / q ** k)

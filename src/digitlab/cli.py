@@ -193,26 +193,26 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
     ds = cfg.digit_set()
     Q = cfg.q ** cfg.k
     weight = _make_weight(cfg, Q)
-    result = arcs_mod.circle_pipeline(
+    ledger = arcs_mod.circle_pipeline(
         ds, cfg.k, weight, D0=cfg.D0, A_major=cfg.A_major, cap=cfg.cap
     )
     comparison = arcs_mod.theorem_comparison(ds, cfg.k, weight, cap=cfg.cap)
     payload = {
         "schema": SCHEMA,
         "config": cfg.public(),
-        "total": result.total,
-        "imag": result.imag,
+        "total": ledger.total.real,
+        "imag": ledger.total.imag,
         "per_class": {
             cls.value: {
-                "sum": result.ledger.sums[cls],
-                "count": result.ledger.counts[cls],
+                "sum": ledger.sums[cls],
+                "count": ledger.counts[cls],
             }
             for cls in arcs_mod.ArcClass
         },
         "thresholds": {
-            "D0": result.ledger.D0,
-            "A_major": result.ledger.A_major,
-            "threshold": result.ledger.threshold,
+            "D0": ledger.D0,
+            "A_major": ledger.A_major,
+            "threshold": ledger.threshold,
         },
         "main_term": comparison.main_term,
         "direct": comparison.direct,

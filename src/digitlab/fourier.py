@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .digits import DigitSet, enumerate_members
+from .digits import ENUMERATION_CAP, DigitSet, enumerate_members
 from .errors import CapExceededError, DomainError
 from .summation import pairwise_sum
 
@@ -127,19 +127,14 @@ def digit_factor(ds: DigitSet, theta: float) -> complex:
 
 def eval_product_real(ctx: FourierContext, theta) -> complex:
     """Product-formula evaluation at a real (or Fraction) frequency."""
-    fracs = _reduced_power_fracs(theta, ctx.ds.q, ctx.k)
-    allowed = ctx.ds.allowed
     result = complex(1.0)
-    for fr in fracs:
-        fac = pairwise_sum(
-            [cmath.exp(2j * math.pi * ((d * fr) % 1.0)) for d in allowed]
-        )
-        result *= fac
+    for fr in _reduced_power_fracs(theta, ctx.ds.q, ctx.k):
+        result *= digit_factor(ctx.ds, fr)
     return result
 
 
 def eval_direct(
-    ds: DigitSet, k: int, freq: RationalFrequency, cap: int = 10 ** 8
+    ds: DigitSet, k: int, freq: RationalFrequency, cap: int = ENUMERATION_CAP
 ) -> complex:
     """Oracle: literal sum of e(n * a/Q) over the enumerated members."""
     Q = freq.denominator
@@ -256,9 +251,7 @@ def l1_grid_sum(ctx: FourierContext, theta0=0.0, cap: int = GRID_CAP) -> float:
                for _, block in _transform_blocks(ctx, theta0))
 
 
-def empirical_Cq(
-    ctx: FourierContext, theta_samples: Sequence[float], cap: int = GRID_CAP
-) -> float:
+def empirical_Cq(ctx: FourierContext, theta_samples: Sequence[float]) -> float:
     """max over samples of l1_grid_sum(theta)**(1/k) / (q * log q).
 
     At k = 0 the sum is the single value F = 1, whose root is taken as 1.
@@ -268,7 +261,7 @@ def empirical_Cq(
     q, k = ctx.ds.q, ctx.k
     exponent = 1.0 / k if k else 0.0
     return max(
-        l1_grid_sum(ctx, t, cap=cap) ** exponent / (q * math.log(q))
+        l1_grid_sum(ctx, t) ** exponent / (q * math.log(q))
         for t in theta_samples
     )
 
@@ -326,8 +319,8 @@ def constants_report(
     s: int = 1,
     consecutive: bool = False,
     ctx: Optional[FourierContext] = None,
-    theta_samples: Sequence[float] = (0.0,),
 ) -> ConstantsReport:
+    """The analytic constants, and C_q measured at theta = 0 given a ctx."""
     rep = ConstantsReport(
         q=q,
         s=s,
@@ -336,7 +329,7 @@ def constants_report(
         alpha=alpha(q, s, consecutive),
     )
     if ctx is not None:
-        rep.Cq_empirical = empirical_Cq(ctx, theta_samples)
+        rep.Cq_empirical = empirical_Cq(ctx, (0.0,))
         rep.k = ctx.k
     return rep
 
@@ -391,11 +384,8 @@ def linf_decay_report(
     val = eval_product_real(ctx, theta)
     lhs = abs(val) / (q - ctx.ds.s) ** k
     sq_sum = 0.0
-    t = theta % 1
-    for _ in range(k):
-        fr = float(t)
+    for fr in _reduced_power_fracs(theta, q, k):
         sq_sum += min(fr, 1.0 - fr) ** 2
-        t = (t * q) % 1
     rhs_shape = math.exp(-sq_sum / q)
     return LinfDecayRecord(lhs=lhs, rhs_shape=rhs_shape, ell=ell, d=d,
                            eps=eps, k=k)

@@ -49,7 +49,7 @@ def pipeline_vs_direct(cases: Iterable[tuple]) -> List[dict]:
     """
     checks = []
     for ds, k, weight, label in cases:
-        total = arcs_mod.circle_pipeline(ds, k, weight).total
+        total = arcs_mod.circle_pipeline(ds, k, weight).total.real
         direct = arcs_mod.direct_count(ds, k, weight)
         rel = abs(total - direct) / max(1.0, abs(direct))
         checks.append(_check(
@@ -65,12 +65,12 @@ def ledger_class_counts(cases: Iterable[tuple]) -> List[dict]:
     """
     checks = []
     for ds, k, weight, _ in cases:
-        led = arcs_mod.circle_pipeline(ds, k, weight).ledger
+        led = arcs_mod.circle_pipeline(ds, k, weight)
         Q = ds.q ** k
         oracle = {cls: 0 for cls in arcs_mod.ArcClass}
         for a in range(Q):
             ap = arcs_mod.dirichlet_approx(a, Q, led.D0)
-            oracle[arcs_mod.classify(ap, k, led.A_major)] += 1
+            oracle[arcs_mod.classify(ap, led.A_major)] += 1
         counts = led.counts
         checks.append(_check(
             f"ledger class counts vs scalar classify (q={ds.q}, k={k})",
@@ -118,17 +118,9 @@ def sweep_ratios(seed: int) -> List[dict]:
     """Each bound-ratio sweep's maximum is positive, finite and under its
     frozen calibration ceiling."""
     checks = []
-    for kind, params in (
-        ("equidistribution", {"N": 1000, "M": 1000.0, "count": 50,
-                              "seed": seed}),
-        ("prime", {"x": 10 ** 5, "d_values": list(range(3, 98)),
-                   "beta": 0.0}),
-        ("polynomial", {"coeffs": (0, 0, 1), "x": 10 ** 4, "count": 20,
-                        "seed": seed}),
-    ):
-        rows = exp_mod.bound_ratio_report(kind, params)
+    for kind, ceiling in exp_mod.CALIBRATED_MAX_RATIO.items():
+        rows = exp_mod.bound_ratio_report(kind, seed)
         ratio = exp_mod.max_sweep_ratio(rows)
-        ceiling = exp_mod.CALIBRATED_MAX_RATIO[kind]
         checks.append(_check(
             f"{kind} sweep max ratio below calibration {ceiling}",
             math.isfinite(ratio) and 0 < ratio <= ceiling,

@@ -68,12 +68,12 @@ class TestDirichletApprox:
 class TestClassify:
     def test_major_small_everything(self):
         r = dirichlet_approx(27, 81, 10)  # exactly 1/3, zero offset
-        assert classify(r, 81, 3.0) is ArcClass.MAJOR
+        assert classify(r, 3.0) is ArcClass.MAJOR
 
     def test_minor_by_denominator(self):
         r = dirichlet_approx(377, 610, 609)
         assert r.d > 20
-        assert classify(r, 610, 1.0) is ArcClass.MINOR_DENOMINATOR
+        assert classify(r, 1.0) is ArcClass.MINOR_DENOMINATOR
 
     def test_minor_by_offset(self):
         Q = 10 ** 6
@@ -81,19 +81,19 @@ class TestClassify:
         # best approximation with d <= 3 is 0/1, so Q|beta| = 500
         assert r.d == 1
         assert Q * abs(r.beta) == pytest.approx(500.0)
-        assert classify(r, Q, 1.0) is ArcClass.MINOR_OFFSET
+        assert classify(r, 1.0) is ArcClass.MINOR_OFFSET
 
     def test_boundary_is_minor(self, monkeypatch):
         monkeypatch.setattr(arcs_mod, "arc_threshold", lambda Q, A: 5.0)
         r = dirichlet_approx(1, 5, 5)  # d = 5 lands exactly on the threshold
         assert r.d == 5
-        assert arcs_mod.classify(r, 5, 1.0) is ArcClass.MINOR_DENOMINATOR
+        assert arcs_mod.classify(r, 1.0) is ArcClass.MINOR_DENOMINATOR
 
 
 def scalar_classes(Q, D0, A_values):
     """Oracle: one dirichlet_approx and one classify per a < Q."""
     approx = [dirichlet_approx(a, Q, D0) for a in range(Q)]
-    return {A: [classify(ap, Q, A) for ap in approx] for A in A_values}
+    return {A: [classify(ap, A) for ap in approx] for A in A_values}
 
 
 def assert_codes_match(Q, D0, A_values):
@@ -167,6 +167,24 @@ class TestBatchClassification:
         assert beta[~tie].tolist() == (-beta[::-1])[~tie].tolist()
         assert beta[tie].tolist() == [0.5] * int(tie.sum())
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), Q=st.integers(1, 10 ** 6))
+    def test_batch_equals_scalar_at_random_numerators(self, data, Q):
+        D0 = data.draw(st.integers(1, (arcs_mod.EXACT_FLOAT_LIMIT - 1) // Q),
+                       label="D0")
+        nums = data.draw(st.lists(st.integers(0, Q - 1), min_size=1,
+                                  max_size=16), label="a")
+        ell, d, beta = arcs_mod._batch_dirichlet(
+            np.array(nums, dtype=np.int64), Q, D0)
+        for a, e, dd, b in zip(nums, ell.tolist(), d.tolist(),
+                               beta.tolist()):
+            r = dirichlet_approx(a, Q, D0)
+            assert (e, dd, b.hex()) == (r.ell, r.d, r.beta.hex())
+            # the postcondition, in exact arithmetic
+            assert math.gcd(e, dd) == 1 and 1 <= dd <= D0
+            assert abs(Fraction(a, Q) - Fraction(e, dd)) <= \
+                Fraction(1, dd * D0)
+
     @pytest.mark.parametrize("Q", [2 ** 5 * 3 ** 4, 6 ** 5, 10 ** 4])
     def test_half_with_d0_one_is_the_tie(self, Q):
         half = Q // 2
@@ -178,7 +196,7 @@ class TestBatchClassification:
         # Q/2 >= thr at A = 1 and Q/2 < thr at A = 4
         for A, want in ((1.0, ArcClass.MINOR_OFFSET), (4.0, ArcClass.MAJOR)):
             codes = arcs_mod._classification(Q, 1, A)
-            assert classify(r, Q, A) is want
+            assert classify(r, A) is want
             assert ARC_CLASSES[codes[half]] is want
             assert codes[1:].tolist() == codes[:0:-1].tolist()
 
@@ -198,23 +216,21 @@ class TestPipeline:
     def test_mangoldt_pipeline_matches_direct(self, q, excluded, k):
         ds = DigitSet(q, excluded)
         table = build_mangoldt(q ** k)
-        res = circle_pipeline(ds, k, table)
+        total = circle_pipeline(ds, k, table).total
         direct = direct_count(ds, k, table)
-        assert res.total == pytest.approx(direct, rel=1e-9)
-        assert abs(res.imag) < 1e-6 * max(1.0, direct)
+        assert total.real == pytest.approx(direct, rel=1e-9)
+        assert abs(total.imag) < 1e-6 * max(1.0, direct)
 
     def test_poly_pipeline_matches_direct(self):
         ds = DigitSet(10, (7,))
-        res = circle_pipeline(ds, 3, SQUARE)
+        total = circle_pipeline(ds, 3, SQUARE).total
         direct = direct_count(ds, 3, SQUARE)
-        assert res.total == pytest.approx(direct, rel=1e-9)
+        assert total.real == pytest.approx(direct, rel=1e-9)
 
     def test_ledger_conservation_bit_for_bit(self):
         ds = DigitSet(10, (7,))
         table = build_mangoldt(10 ** 3)
-        res = circle_pipeline(ds, 3, table, A_major=1.0)
-        led = res.ledger
-        assert complex(res.total, res.imag) == led.total
+        led = circle_pipeline(ds, 3, table, A_major=1.0)
         assert led.total == (led.sums[ArcClass.MAJOR]
                              + led.sums[ArcClass.MINOR_DENOMINATOR]
                              + led.sums[ArcClass.MINOR_OFFSET])
@@ -223,8 +239,8 @@ class TestPipeline:
     def test_small_threshold_pushes_mass_minor(self):
         ds = DigitSet(10, (7,))
         table = build_mangoldt(10 ** 3)
-        big = circle_pipeline(ds, 3, table, A_major=3.0).ledger
-        tiny = circle_pipeline(ds, 3, table, A_major=0.5).ledger
+        big = circle_pipeline(ds, 3, table, A_major=3.0)
+        tiny = circle_pipeline(ds, 3, table, A_major=0.5)
         assert tiny.counts[ArcClass.MAJOR] < big.counts[ArcClass.MAJOR]
         # regrouping terms never changes the count of frequencies
         assert sum(tiny.counts.values()) == sum(big.counts.values())
@@ -235,6 +251,15 @@ class TestPipeline:
         ds = DigitSet(10, (7,))
         with pytest.raises(CapExceededError):
             circle_pipeline(ds, 9, SQUARE, cap=10 ** 6)
+
+    def test_short_table_rejected(self):
+        ds = DigitSet(10, (7,))
+        with pytest.raises(DomainError, match="sieve limit 100"):
+            circle_pipeline(ds, 3, build_mangoldt(100))
+        # q^k = 101 points need n <= 100 only
+        ledger = circle_pipeline(DigitSet(101, (7,)), 1, build_mangoldt(100))
+        assert ledger.total.real == pytest.approx(
+            direct_count(DigitSet(101, (7,)), 1, build_mangoldt(100)))
 
 
 class TestDirectCount:

@@ -66,6 +66,20 @@ class TestMangoldt:
             total = prime_expsum(t, X + 1, 0.0).real
             assert abs(total - X) <= 3 * math.sqrt(X) * math.log(X) ** 2
 
+    @pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 5, 50, 97, 100, 101])
+    def test_support_below(self, x):
+        ns, logs = build_mangoldt(100).support_below(x)
+        want = [(n, p) for n, p in trial_division_listing(100) if n < x]
+        assert ns.tolist() == [n for n, _ in want]
+        assert logs.dtype == np.float64
+        assert logs.tolist() == pytest.approx(
+            [math.log(p) for _, p in want], rel=1e-15)
+
+    @pytest.mark.parametrize("x", [102, 10 ** 3])
+    def test_support_below_beyond_limit(self, x):
+        with pytest.raises(DomainError, match="sieve limit 100"):
+            build_mangoldt(100).support_below(x)
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
             build_mangoldt(10 ** 7, cap=10 ** 6)
@@ -183,31 +197,55 @@ class TestWeylDifferencing:
 
 class TestBoundRatios:
     def test_equidistribution_sweep(self):
-        rows = bound_ratio_report(
-            "equidistribution",
-            {"N": 1000, "M": 1000.0, "count": 50, "seed": CALIBRATION_SEED},
-        )
-        assert len(rows) == 50
+        rows = bound_ratio_report("equidistribution", CALIBRATION_SEED)
         assert all(r["admissible"] for r in rows)
+        assert {(r["N"], r["M"]) for r in rows} == {(1000, 1000.0)}
         assert max_sweep_ratio(rows) <= \
             CALIBRATED_MAX_RATIO["equidistribution"]
 
     def test_prime_sweep(self):
-        rows = bound_ratio_report(
-            "prime", {"x": 10 ** 5, "d_values": list(range(3, 98)),
-                      "beta": 0.0})
+        rows = bound_ratio_report("prime", CALIBRATION_SEED)
+        assert [r["d"] for r in rows] == list(range(3, 98))
+        assert {(r["x"], r["beta"]) for r in rows} == {(10 ** 5, 0.0)}
         ratio = max_sweep_ratio(rows)
         assert 0.0 < ratio <= CALIBRATED_MAX_RATIO["prime"]
+        # beta = 0 draws nothing, so the seed does not matter
+        assert bound_ratio_report("prime", 1) == rows
 
     def test_polynomial_sweep(self):
-        rows = bound_ratio_report(
-            "polynomial",
-            {"coeffs": (0, 0, 1), "x": 10 ** 4, "count": 20,
-             "seed": CALIBRATION_SEED})
+        rows = bound_ratio_report("polynomial", CALIBRATION_SEED)
+        assert {(r["coeffs"], r["x"]) for r in rows} == {((0, 0, 1), 10 ** 4)}
         ratio = max_sweep_ratio(rows)
         assert math.isfinite(ratio)
         assert ratio <= CALIBRATED_MAX_RATIO["polynomial"]
 
+    # The rows and the maxima that the CALIBRATED_MAX_RATIO comment
+    # records, to its three significant figures: a sweep configuration
+    # cannot drift away from the run its ceiling was calibrated on.
+    @pytest.mark.parametrize("kind, n_rows, observed", [
+        ("equidistribution", 50, 0.674),
+        ("prime", 95, 5.52e-5),
+        ("polynomial", 20, 6.98e-4),
+    ])
+    def test_calibration_record(self, kind, n_rows, observed):
+        rows = bound_ratio_report(kind, CALIBRATION_SEED)
+        assert len(rows) == n_rows
+        assert float(f"{max_sweep_ratio(rows):.3g}") == observed
+
+    # d is drawn from 2..dmax; over ten seeds every value comes up, so a
+    # changed dmax fails here even where one seed's draws do not show it
+    @pytest.mark.parametrize("kind, dmax", [("equidistribution", 50),
+                                            ("polynomial", 40)])
+    def test_draws_cover_two_to_dmax(self, kind, dmax):
+        drawn = {r["d"] for seed in range(10)
+                 for r in bound_ratio_report(kind, seed)}
+        assert drawn == set(range(2, dmax + 1))
+
+    def test_seed_draws_the_random_sweeps(self):
+        for kind in ("equidistribution", "polynomial"):
+            assert bound_ratio_report(kind, 1) == bound_ratio_report(kind, 1)
+            assert bound_ratio_report(kind, 1) != bound_ratio_report(kind, 2)
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
-            bound_ratio_report("nonsense", {})
+            bound_ratio_report("nonsense", CALIBRATION_SEED)

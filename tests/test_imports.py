@@ -1,4 +1,5 @@
-"""Every name a package or test module imports is read in that module."""
+"""Every name a package or test module imports is read in that module, and
+every parameter of a package function is read in its function."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ import digitlab
 PACKAGE = Path(digitlab.__file__).parent
 MODULES = (sorted(PACKAGE.glob("*.py"))
            + sorted(Path(__file__).parent.glob("*.py")))
+# (module, function, parameter) left unread on purpose: every suite in
+# verify.SUITES takes the seed, and the constants suite draws nothing.
+UNREAD_PARAMETERS = {("verify.py", "_suite_constants", "seed")}
 
 
 def dead_imports(tree: ast.Module, exported=()) -> list:
@@ -49,3 +53,42 @@ def test_scan_sees_a_dead_import():
                      "import math\nfrom os import path, sep\n"
                      "print(path.join(sep))\n")
     assert dead_imports(tree) == [(2, "math")]
+
+
+def dead_parameters(tree: ast.Module) -> list:
+    """(line, function, parameter) for each parameter of a function or
+    lambda that its body (nested functions included) never loads."""
+    dead = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        dead += [(node.lineno, name, p.arg) for p in params
+                 if p.arg not in read]
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [(line, fn, arg) for line, fn, arg in dead_parameters(tree)
+            if (path.name, fn, arg) not in UNREAD_PARAMETERS] == []
+
+
+def test_scan_sees_a_dead_parameter():
+    tree = ast.parse("def f(a, b, *rest, c=1, **kw):\n"
+                     "    b = a + c\n"
+                     "    def g(x):\n"
+                     "        return kw\n"
+                     "    return g\n"
+                     "h = lambda y, z: y\n")
+    assert dead_parameters(tree) == [
+        (1, "f", "b"), (1, "f", "rest"), (3, "g", "x"), (6, "<lambda>", "z")]

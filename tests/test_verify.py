@@ -65,6 +65,6 @@ def test_digit_factor_bound_holds(monkeypatch):
 
 @pytest.mark.parametrize("ratio", [0.0, float("inf"), float("nan"), 1e9])
 def test_sweep_ratios(ratio, monkeypatch):
-    monkeypatch.setattr(exp_mod, "bound_ratio_report", lambda kind, p: [])
+    monkeypatch.setattr(exp_mod, "bound_ratio_report", lambda kind, seed: [])
     monkeypatch.setattr(exp_mod, "max_sweep_ratio", lambda rows: ratio)
     assert verdicts(verify.sweep_ratios(1)) == [False] * 3
