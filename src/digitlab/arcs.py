@@ -8,20 +8,26 @@ construction (one shared accumulation tree).  The per-point stages (grid,
 weight spectrum, class codes) come from ``pipeline_stages``, which the
 ``arcs`` ledger and the ``scan`` CSV both read.
 
-Classification runs as a batch Euclid: the continued-fraction state of a
-block of numerators is stepped at once in numpy, keeping the last
-convergent with denominator <= D0, and each point gets an int8 class code
-(``ARC_CLASSES[code]`` is its ``ArcClass``).  Only a <= Q/2 are stepped:
-1 - x = [0; 1, a1 - 1, a2, ...] when x = [0; a1, a2, ...], so a/Q and
-(Q - a)/Q share d and have opposite beta, and the other half of the codes
-is a reversed copy (the proof is in ``_classification``).  The offset
-beta is the exact integer a*d - ell*Q divided by float(Q*d), which is
-correctly rounded and so equals the scalar ``float(Fraction)`` bit for bit
-while Q*D0 < 2**53; larger Q*D0 is rejected.  ``dirichlet_approx`` and
-``classify`` are the scalar oracles for the batch path.  The
-singular-series pair count is blocked the same way: Horner's rule mod
-q**J on an int64 range, then ``contains_mask``, which also gives the
-direct count its digit test.
+Each point gets an int8 class code (``ARC_CLASSES[code]`` is its
+``ArcClass``), computed for a <= Q/2 only: 1 - x = [0; 1, a1 - 1, a2, ...]
+when x = [0; a1, a2, ...], so a/Q and (Q - a)/Q share d and have opposite
+beta, and the other half of the codes is a reversed copy.  A point that is
+not minor_denominator lies near a reduced ell/d <= 1/2 with d below the
+threshold, |a*d - ell*Q| <= Q//(D0 + 1), so codes start as
+minor_denominator and only those neighbourhoods are visited.  Where
+|a*d - ell*Q|*(D0 + d) < Q, Legendre's criterion makes ell/d the Dirichlet
+approximation and the code is set directly; the thin shell left over goes
+through a batch Euclid, which steps the continued-fraction state of a
+block of numerators at once in numpy, keeping the last convergent with
+denominator <= D0.  When the threshold exceeds D0, or the fractions would
+outnumber the points, every a <= Q/2 goes through the batch Euclid.  The
+proofs are in ``_classification``.  The offset beta is the exact integer
+a*d - ell*Q divided by float(Q*d), which is correctly rounded and so
+equals the scalar ``float(Fraction)`` bit for bit while Q*D0 < 2**53;
+larger Q*D0 is rejected.  ``dirichlet_approx`` and ``classify`` are the
+scalar oracles for both paths.  The singular-series pair count is blocked
+the same way: Horner's rule mod q**J on an int64 range, then
+``contains_mask``, which also gives the direct count its digit test.
 """
 
 from __future__ import annotations
@@ -156,6 +162,15 @@ class ArcLedger:
                 + self.sums[ArcClass.MINOR_OFFSET])
 
 
+def _check_d0(Q: int, D0: int) -> None:
+    """Reject a D0 the batch path cannot serve exactly."""
+    if D0 < 1:
+        raise DomainError("D0 must be positive")
+    if Q * D0 >= EXACT_FLOAT_LIMIT:
+        raise DomainError(
+            f"Q*D0 = {Q * D0} not below 2^53: beta would not be exact")
+
+
 def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
     """``dirichlet_approx`` for every numerator in ``a`` at once.
 
@@ -164,11 +179,7 @@ def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
     numerator leaves the live set when its remainder hits 0 or its next
     denominator exceeds D0, and only then are its ell and d written.
     """
-    if D0 < 1:
-        raise DomainError("D0 must be positive")
-    if Q * D0 >= EXACT_FLOAT_LIMIT:
-        raise DomainError(
-            f"Q*D0 = {Q * D0} not below 2^53: beta would not be exact")
+    _check_d0(Q, D0)
     n = a.size
     ell = np.zeros(n, dtype=np.int64)
     d = np.ones(n, dtype=np.int64)
@@ -198,35 +209,119 @@ def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
     return ell, d, beta
 
 
+def _codes(d: np.ndarray, beta: np.ndarray, Q: int, thr: float) -> np.ndarray:
+    """The class code of ``classify`` from batch fields d and beta."""
+    return np.where(d >= thr, 1, np.where(Q * np.abs(beta) >= thr, 2, 0))
+
+
+def _neighbourhoods(Q: int, D0: int, dmax: int):
+    """Yield (a, ell, d), at most BLOCK points at a time: every a <= Q//2
+    with |a*d - ell*Q| <= Q//(D0 + 1), for each reduced ell/d in [0, 1/2]
+    with d <= dmax.
+
+    The fractions are listed in groups of consecutive d, about BLOCK at a
+    time, and each group's neighbourhoods are cut into chunks of BLOCK.
+    """
+    half, r = Q // 2, Q // (D0 + 1)
+    d_lo = 1
+    while d_lo <= dmax:
+        # d_lo..d_hi hold about (d_hi**2 - d_lo**2)/4 numerators ell <= d/2
+        d_hi = min(dmax, math.isqrt(d_lo * d_lo + 4 * BLOCK))
+        per_d = np.arange(d_lo, d_hi + 1, dtype=np.int64)
+        sizes = per_d // 2 + 1
+        d = np.repeat(per_d, sizes)
+        ell = np.arange(d.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        reduced = np.gcd(ell, d) == 1
+        ell, d = ell[reduced], d[reduced]
+        # exact bounds: ceil((ell*Q - r)/d) and floor((ell*Q + r)/d)
+        lo = np.maximum(-((r - ell * Q) // d), 0)
+        n = np.maximum(np.minimum((ell * Q + r) // d, half) - lo + 1, 0)
+        ends = np.cumsum(n)
+        total = int(ends[-1])
+        for start in range(0, total, BLOCK):
+            i = np.arange(start, min(start + BLOCK, total), dtype=np.int64)
+            f = np.searchsorted(ends, i, side="right")
+            yield lo[f] + i - (ends[f] - n[f]), ell[f], d[f]
+        d_lo = d_hi + 1
+
+
 def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
     """int8 class code of every a/Q, a < Q (see ``ARC_CLASSES``).
 
-    Only a <= Q//2 go through ``_batch_dirichlet``; a > Q//2 copies the
-    code of Q - a.  Proof that codes[a] == codes[Q - a] for 0 < a < Q:
-    take x = a/Q < 1/2 (else swap a and Q - a; a = Q/2 is its own
-    mirror and is computed directly) and its Euclid expansion
-    x = [0; a1, ..., an], where a1 >= 2 and an >= 2 if n >= 2.  Then
-    1 - x = [0; 1, a1 - 1, a2, ..., an], and that is again the expansion
-    Euclid yields, since its last quotient is an >= 2, or a1 - 1 >= 2 when
-    n = 1 (a1 = 2, n = 1 is x = 1/2, excluded).  So the convergents of
-    1 - x are 0/1, 1/1, then (d - ell)/d for each convergent ell/d of x
-    past 0/1: the same denominators in the same order, with d = 1 twice.
-    The last one with d <= D0 therefore has the same d; its numerator is
-    d - ell, so beta(Q - a) = (1 - x) - (d - ell)/d = -beta(a), where
-    D0 < a1 gives the pair 0/1, 1/1 and beta = x, -x.  Both coordinates
-    of ``classify`` (d and |beta|) agree, hence so do the codes.  The one
-    point where beta is not negated is the tie a = Q/2 with D0 = 1: it is
-    its own mirror, Euclid stops at 0/1 and beta = +1/2 (not the -1/2 of
-    1/1).  It lies in the computed half, and only |beta| is classified.
+    Only a <= Q//2 are classified; a > Q//2 copies the code of Q - a.
+    Proof that codes[a] == codes[Q - a] for 0 < a < Q: take x = a/Q < 1/2
+    (else swap a and Q - a; a = Q/2 is its own mirror and is computed
+    directly) and its Euclid expansion x = [0; a1, ..., an], where
+    a1 >= 2 and an >= 2 if n >= 2.  Then 1 - x = [0; 1, a1 - 1, a2, ...,
+    an], and that is again the expansion Euclid yields, since its last
+    quotient is an >= 2, or a1 - 1 >= 2 when n = 1 (a1 = 2, n = 1 is
+    x = 1/2, excluded).  So the convergents of 1 - x are 0/1, 1/1, then
+    (d - ell)/d for each convergent ell/d of x past 0/1: the same
+    denominators in the same order, with d = 1 twice.  The last one with
+    d <= D0 therefore has the same d; its numerator is d - ell, so
+    beta(Q - a) = (1 - x) - (d - ell)/d = -beta(a), where D0 < a1 gives
+    the pair 0/1, 1/1 and beta = x, -x.  Both coordinates of ``classify``
+    (d and |beta|) agree, hence so do the codes.  The one point where
+    beta is not negated is the tie a = Q/2 with D0 = 1: it is its own
+    mirror, Euclid stops at 0/1 and beta = +1/2 (not the -1/2 of 1/1).
+    It lies in the computed half, and only |beta| is classified.
+
+    Euclid runs only where two lemmas leave the code open.  For a <= Q//2
+    let x = a/Q, let ell/d be its last convergent with d <= D0 (what
+    ``dirichlet_approx`` returns), delta = a*d - ell*Q and
+    thr = (log Q)**A.
+
+    Superset lemma: a code other than 1 (major or minor_offset) needs
+    d < thr, and always |delta| <= Q//(D0 + 1) and ell/d <= 1/2.  Proof:
+    if x != ell/d, the next convergent has a denominator d' >= D0 + 1 and
+    |x - ell/d| <= 1/(d*d'), so |delta| = Q*d*|x - ell/d| <= Q/(D0 + 1),
+    an integer bound since delta is one.  The convergents of x <= 1/2 lie
+    between its first two, 0/1 and 1/a1 with a1 >= 2, so in [0, 1/2].
+    Hence every code starts at 1, and only the neighbourhoods
+    |delta| <= Q//(D0 + 1) of the reduced ell/d in [0, 1/2] with
+    d <= dmax = ceil(thr) - 1 are visited (``_neighbourhoods``).
+
+    Inner-zone lemma: if ell/d is reduced, d <= D0 and
+    |delta|*(D0 + d) < Q, then ell/d is the last convergent of x with
+    denominator <= D0.  Proof: |x - ell/d| < 1/(d*(D0 + d)) <= 1/(2*d*d),
+    so ell/d is a convergent of x by Legendre's criterion (Hardy-Wright,
+    Thm 184).  It is one of Euclid's: the only other candidate, the
+    penultimate convergent (p_n - p_{n-1})/(q_n - q_{n-1}) of the
+    expansion ending in 1, lies 1/(q_n*(q_n - q_{n-1})) >= 1/(2*d*d) from
+    x, as q_n >= 2*q_{n-1}.  If x = ell/d it is the last convergent.
+    Otherwise the next one, with denominator d', has
+    |x - ell/d| > 1/(d*(d + d')), since the complete quotient is below the
+    next partial quotient plus 1; so d + d' > D0 + d and d' > D0.  In
+    that inner zone the code is set from d and beta = delta/(Q*d), the
+    float division of exact integers that ``_batch_dirichlet`` makes, so
+    beta is the same bit for bit.  The rest of each neighbourhood, a
+    shell about one point wide on each side when D0**2 is near Q, goes
+    through ``_batch_dirichlet``.  Every code written is the true one, so
+    neighbourhoods that overlap may be written in any order.
+
+    Every a <= Q//2 goes through ``_batch_dirichlet`` instead when
+    thr > D0 (no code 1 exists; a NaN thr lands here too) or when
+    dmax*(dmax + 1)/2 > Q//2 + 1 (more fractions than points).
     """
+    _check_d0(Q, D0)
     thr = arc_threshold(Q, A_major)
-    codes = np.empty(Q, dtype=np.int8)
     half = Q // 2
-    for start in range(0, half + 1, BLOCK):
-        a = np.arange(start, min(start + BLOCK, half + 1), dtype=np.int64)
-        _, d, beta = _batch_dirichlet(a, Q, D0)
-        codes[start:start + a.size] = np.where(
-            d >= thr, 1, np.where(Q * np.abs(beta) >= thr, 2, 0))
+    codes = np.empty(Q, dtype=np.int8)
+    dmax = math.ceil(thr) - 1 if thr <= D0 else None
+    if dmax is None or dmax * (dmax + 1) > 2 * (half + 1):
+        for start in range(0, half + 1, BLOCK):
+            a = np.arange(start, min(start + BLOCK, half + 1), dtype=np.int64)
+            _, d, beta = _batch_dirichlet(a, Q, D0)
+            codes[start:start + a.size] = _codes(d, beta, Q, thr)
+    else:
+        codes[:half + 1] = 1
+        for a, ell, d in _neighbourhoods(Q, D0, dmax):
+            delta = a * d - ell * Q
+            beta = delta.astype(np.float64) / (Q * d).astype(np.float64)
+            shell = np.flatnonzero(np.abs(delta) * (D0 + d) >= Q)
+            if shell.size:
+                _, d[shell], beta[shell] = _batch_dirichlet(a[shell], Q, D0)
+            codes[a] = _codes(d, beta, Q, thr)
     codes[half + 1:] = codes[1:Q - half][::-1]
     return codes
 

@@ -232,9 +232,8 @@ def bound_ratio_report(kind: str, seed: int) -> List[dict]:
     ``kind`` is a key of ``CALIBRATED_MAX_RATIO``, and the sweep runs at
     the fixed configuration its ceiling was calibrated at (the constants
     beside it).  ``seed`` draws the points of the equidistribution and
-    polynomial sweeps; the prime sweep draws none.  Hypothesis-violating
-    points are flagged (``admissible = False``), never silently dropped.
-    No implied constant is asserted here.
+    polynomial sweeps; the prime sweep draws none.  No implied constant is
+    asserted here.
     """
     if kind == "equidistribution":
         return _equidistribution_sweep(random.Random(seed))
@@ -263,8 +262,7 @@ def _equidistribution_sweep(rng: random.Random) -> List[dict]:
         rhs = equidistribution_rhs(N, M, d, beta)
         rows.append({
             "N": N, "M": M, "a": a, "d": d, "beta": beta,
-            "admissible": abs(beta) < 1.0 / d ** 2, "lhs": lhs, "rhs": rhs,
-            "ratio": lhs / rhs,
+            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
         })
     return rows
 
@@ -279,8 +277,7 @@ def _prime_sweep() -> List[dict]:
         rhs = prime_rhs(x, d, 0.0)
         rows.append({
             "x": x, "a": a, "d": d, "beta": 0.0,
-            "admissible": True, "lhs": lhs, "rhs": rhs,
-            "ratio": lhs / rhs,
+            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
         })
     return rows
 
@@ -299,11 +296,10 @@ def _polynomial_sweep(rng: random.Random) -> List[dict]:
         rhs = poly_rhs(x, r, d, beta)
         rows.append({
             "coeffs": P.coeffs, "x": x, "a": a, "d": d, "beta": beta,
-            "admissible": abs(beta) < 1.0 / d ** 2, "lhs": lhs, "rhs": rhs,
-            "ratio": lhs / rhs,
+            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
         })
     return rows
 
 
 def max_sweep_ratio(rows: Sequence[dict]) -> float:
-    return max(row["ratio"] for row in rows if row["admissible"])
+    return max(row["ratio"] for row in rows)

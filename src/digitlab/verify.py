@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -58,14 +58,19 @@ def pipeline_vs_direct(cases: Iterable[tuple]) -> List[dict]:
     return checks
 
 
-def ledger_class_counts(cases: Iterable[tuple]) -> List[dict]:
+def ledger_class_counts(cases: Iterable[tuple],
+                        A_major: Optional[float] = None) -> List[dict]:
     """Ledger class counts against the scalar ``classify`` of every a < Q.
 
-    Cases are those of ``pipeline_vs_direct``.
+    Cases are those of ``pipeline_vs_direct``.  The pipeline runs at
+    ``A_major``, or at its default when that is None; a given A is named
+    in the check.
     """
     checks = []
+    at = "" if A_major is None else f", A={A_major}"
+    kw = {} if A_major is None else {"A_major": A_major}
     for ds, k, weight, _ in cases:
-        led = arcs_mod.circle_pipeline(ds, k, weight)
+        led = arcs_mod.circle_pipeline(ds, k, weight, **kw)
         Q = ds.q ** k
         oracle = {cls: 0 for cls in arcs_mod.ArcClass}
         for a in range(Q):
@@ -73,7 +78,7 @@ def ledger_class_counts(cases: Iterable[tuple]) -> List[dict]:
             oracle[arcs_mod.classify(ap, led.A_major)] += 1
         counts = led.counts
         checks.append(_check(
-            f"ledger class counts vs scalar classify (q={ds.q}, k={k})",
+            f"ledger class counts vs scalar classify (q={ds.q}, k={k}{at})",
             counts == oracle and sum(counts.values()) == Q,
             "major/minor_denominator/minor_offset "
             + "/".join(str(counts[c]) for c in arcs_mod.ArcClass)))
@@ -207,6 +212,8 @@ def _suite_arcs(seed: int) -> List[dict]:
         case = (DigitSet(q, excl), k, exp_mod.build_mangoldt(q ** k),
                 "mangoldt")
         checks += pipeline_vs_direct([case]) + ledger_class_counts([case])
+        # A = 1 fills all three classes; the default A = 3 is all major
+        checks += ledger_class_counts([case], A_major=1.0)
     P = IntPolynomial((0, 0, 1))
     ds = DigitSet(10, (7,))
     checks += pipeline_vs_direct([(ds, 3, P, "n^2")])

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,155 @@ class TestBatchClassification:
     def test_inexact_or_empty_D0_rejected(self, D0):
         with pytest.raises(DomainError):
             arcs_mod._classification(10 ** 3, D0, 1.0)
+
+
+def batch_codes(Q, D0, A):
+    """Oracle for the prefilter: ``_batch_dirichlet`` over every a <= Q//2,
+    classified, then mirrored."""
+    half = Q // 2
+    _, d, beta = arcs_mod._batch_dirichlet(
+        np.arange(half + 1, dtype=np.int64), Q, D0)
+    thr = arcs_mod.arc_threshold(Q, A)
+    low = np.where(d >= thr, 1, np.where(Q * np.abs(beta) >= thr, 2, 0))
+    return np.concatenate([low, low[1:Q - half][::-1]]).astype(np.int8)
+
+
+def assert_prefilter_matches(Q, D0, A):
+    codes = arcs_mod._classification(Q, D0, A)
+    assert codes.dtype == np.int8
+    assert codes.tobytes() == batch_codes(Q, D0, A).tobytes(), (Q, D0, A)
+
+
+@pytest.fixture
+def euclid_numerators(monkeypatch):
+    """How many numerators ``_batch_dirichlet`` receives, in total."""
+    seen = [0]
+    real = arcs_mod._batch_dirichlet
+
+    def counting(a, Q, D0):
+        seen[0] += a.size
+        return real(a, Q, D0)
+
+    monkeypatch.setattr(arcs_mod, "_batch_dirichlet", counting)
+    return seen
+
+
+class TestPrefilter:
+    """Codes set from the fractions below the threshold (the superset and
+    inner-zone lemmas of ``_classification``), Euclid only on the rest."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), Q=st.integers(1, 2 * 10 ** 5),
+           A=st.sampled_from((0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)))
+    def test_codes_equal_batch_euclid(self, data, Q, A):
+        D0 = data.draw(st.integers(1, 3 * math.isqrt(Q) + 3), label="D0")
+        assert_prefilter_matches(Q, D0, A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), Q=st.integers(1, 10 ** 6))
+    def test_inner_zone_lemma(self, data, Q):
+        # reduced ell/d with d <= D0 and |a*d - ell*Q|*(D0 + d) < Q: ell/d
+        # is the last convergent with d <= D0, and beta is the one float
+        # division of exact integers
+        D0 = data.draw(st.integers(
+            1, min(3 * math.isqrt(Q) + 3, (2 ** 53 - 1) // Q)), label="D0")
+        d = data.draw(st.integers(1, D0), label="d")
+        ell = data.draw(st.integers(0, d), label="ell")
+        if math.gcd(ell, d) != 1:
+            return
+        R = (Q - 1) // (D0 + d)
+        lo = max(0, -((R - ell * Q) // d))
+        hi = min(Q - 1, (ell * Q + R) // d)
+        if lo > hi:
+            return
+        inside = {lo, hi} | set(data.draw(st.lists(
+            st.integers(lo, hi), max_size=8), label="a"))
+        for a in inside:
+            delta = a * d - ell * Q
+            assert abs(delta) * (D0 + d) < Q
+            r = dirichlet_approx(a, Q, D0)
+            assert (r.ell, r.d) == (ell, d)
+            assert r.beta.hex() == (float(delta) / float(Q * d)).hex()
+
+    @pytest.mark.parametrize("A", [0.3, 1.0, 3.0])
+    def test_one_point_grid(self, A):
+        # k = 0: Q = 1 and thr = 0, so the one point is minor_denominator
+        assert arcs_mod._classification(1, 1, A).tolist() == [1]
+        assert_prefilter_matches(1, 1, A)
+
+    @pytest.mark.parametrize("thr", [0.5, 1.0])
+    def test_threshold_at_most_one_needs_no_euclid(self, thr, monkeypatch,
+                                                   euclid_numerators):
+        monkeypatch.setattr(arcs_mod, "arc_threshold", lambda Q, A: thr)
+        codes = arcs_mod._classification(10 ** 4, 100, 1.0)
+        assert codes.tolist() == [1] * 10 ** 4
+        assert euclid_numerators[0] == 0
+
+    @pytest.mark.parametrize("Q", [2, 3, 997, 10 ** 4])
+    @pytest.mark.parametrize("D0", [1, 2])
+    def test_smallest_D0(self, Q, D0):
+        for A in (0.3, 0.5, 1.0, 2.0, 3.0):
+            assert_prefilter_matches(Q, D0, A)
+
+    def test_threshold_above_D0_falls_back(self, euclid_numerators):
+        Q, D0 = 10 ** 4, 7
+        assert arcs_mod.arc_threshold(Q, 2.0) > D0
+        assert_prefilter_matches(Q, D0, 2.0)
+        assert 1 not in arcs_mod._classification(Q, D0, 2.0)
+
+    @pytest.mark.parametrize("Q", [10 ** 3, 6 ** 5, 10 ** 4])
+    def test_largest_exact_D0(self, Q):
+        # Q // (D0 + 1) = 0: the neighbourhoods hold only a*d = ell*Q
+        for A in (0.5, 1.0, 2.0, 3.0):
+            assert_prefilter_matches(Q, (2 ** 53 - 1) // Q, A)
+
+    @pytest.mark.parametrize("D0", [0, 2 ** 53])
+    def test_bad_D0_rejected_without_euclid(self, D0, euclid_numerators):
+        # at Q = 2 and A = 0.3, thr = 0.69**0.3 < 1: no fraction is listed
+        # and no Euclid step runs, yet the D0 checks still apply
+        assert arcs_mod.arc_threshold(2, 0.3) < 1
+        assert arcs_mod._classification(2, 1, 0.3).tolist() == [1, 1]
+        assert euclid_numerators[0] == 0
+        with pytest.raises(DomainError):
+            arcs_mod._classification(2, D0, 0.3)
+
+    def test_chunks_join_seamlessly(self, monkeypatch):
+        # fraction groups and neighbourhood chunks of 37 split every
+        # neighbourhood and every run of denominators
+        monkeypatch.setattr(arcs_mod, "BLOCK", 37)
+        for Q, D0, A in ((6 ** 5, 88, 2.0), (10 ** 4, 7, 0.5),
+                         (2 ** 12, 64, 1.5)):
+            assert_prefilter_matches(Q, D0, A)
+
+    # Work-count guard: numerators sent through Euclid (500,001 before the
+    # prefilter at this config; see CHANGES.md for the recorded figure).
+    def test_euclid_runs_on_a_thin_shell(self, euclid_numerators):
+        codes = arcs_mod._classification(10 ** 6, 1000, 2.0)
+        assert np.bincount(codes).tolist() == [217746, 779142, 3112]
+        assert euclid_numerators[0] <= 9357
+
+    @pytest.mark.parametrize("Q, D0, A", [
+        (10 ** 6, 1000, 3.0),  # thr > D0, and too many fractions
+        (10 ** 5, 100, 2.0),  # thr > D0 alone
+        (10 ** 4, 10 ** 11, 4.0),  # more fractions than points
+    ])
+    def test_fallback_runs_euclid_everywhere(self, Q, D0, A,
+                                             euclid_numerators):
+        arcs_mod._classification(Q, D0, A)
+        assert euclid_numerators[0] == Q // 2 + 1
+
+    # tracemalloc peaks of the whole-half Euclid before the prefilter were
+    # 3.92 MB (Q = 1e6) and 3.02 MB (Q = 1e5); allow 1.25 times that
+    @pytest.mark.parametrize("Q, before", [(10 ** 6, 3.92e6),
+                                           (10 ** 5, 3.02e6)])
+    def test_working_memory_is_chunked(self, Q, before):
+        tracemalloc.start()
+        try:
+            arcs_mod._classification(Q, math.isqrt(Q), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * before
 
 
 class TestPipeline:

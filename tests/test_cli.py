@@ -305,8 +305,9 @@ class TestVerify:
         monkeypatch.setattr(arcs_mod, "_classification", off_by_one)
         checks = {c["check"]: c["passed"] for c in verify.SUITES["arcs"](1)}
         for q in (6, 10):
-            assert not checks[
-                f"ledger class counts vs scalar classify (q={q}, k=3)"]
+            for at in ("", ", A=1.0"):
+                assert not checks[
+                    f"ledger class counts vs scalar classify (q={q}, k=3{at})"]
 
     def test_grid_oracle_check_can_fail(self, monkeypatch):
         real = fourier_mod.grid_values

@@ -198,7 +198,6 @@ class TestWeylDifferencing:
 class TestBoundRatios:
     def test_equidistribution_sweep(self):
         rows = bound_ratio_report("equidistribution", CALIBRATION_SEED)
-        assert all(r["admissible"] for r in rows)
         assert {(r["N"], r["M"]) for r in rows} == {(1000, 1000.0)}
         assert max_sweep_ratio(rows) <= \
             CALIBRATED_MAX_RATIO["equidistribution"]

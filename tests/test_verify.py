@@ -1,5 +1,6 @@
 """Each shared check family of the verify catalogue can fail."""
 
+import numpy as np
 import pytest
 
 from digitlab import arcs as arcs_mod
@@ -34,6 +35,23 @@ def test_pipeline_vs_direct(monkeypatch):
     assert [c["check"] for c in checks] == [
         "pipeline vs direct (q=10, k=2, mangoldt)",
         "pipeline vs direct (q=10, k=2, n^2)"]
+
+
+def test_ledger_class_counts_sees_minor_arcs(monkeypatch):
+    cases = [(DigitSet(6, (3,)), 3, build_mangoldt(216), "mangoldt")]
+    assert verdicts(verify.ledger_class_counts(cases)) == [True]
+    checks = verify.ledger_class_counts(cases, A_major=1.0)
+    assert verdicts(checks) == [True]
+    assert checks[0]["check"] == \
+        "ledger class counts vs scalar classify (q=6, k=3, A=1.0)"
+    assert checks[0]["detail"].endswith(" 74/120/22")
+    # swapping the two minor codes is invisible where every point is major
+    real = arcs_mod._classification
+    swap = np.array([0, 2, 1], dtype=np.int8)
+    monkeypatch.setattr(arcs_mod, "_classification",
+                        lambda *args: swap[real(*args)])
+    assert verdicts(verify.ledger_class_counts(cases)) == [True]
+    assert verdicts(verify.ledger_class_counts(cases, A_major=1.0)) == [False]
 
 
 def test_parseval(monkeypatch):
