@@ -45,6 +45,8 @@ from .errors import CapExceededError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, poly_range
 from .fourier import FourierContext, grid_values, GRID_CAP
 
+# The pair count's Horner values stay below QJ**2 <= PAIR_COUNT_CAP**2,
+# which is below 2**63, so int64 never overflows.
 PAIR_COUNT_CAP = 10 ** 7
 # Numerators (or pair-count arguments) handled per numpy step; bounds the
 # working arrays at a few MB whatever Q is.
@@ -348,15 +350,12 @@ def pipeline_stages(
     weight: Weight,
     D0: Optional[int] = None,
     A_major: float = 3.0,
-    cap: int = GRID_CAP,
 ) -> PipelineStages:
     """Grid, weight spectrum and class codes; D0 defaults to isqrt(Q)."""
     Q = ds.q ** k
-    if Q > cap:
-        raise CapExceededError(f"grid of {Q} points exceeds cap {cap}")
     if D0 is None:
         D0 = max(1, math.isqrt(Q))
-    fhat = grid_values(FourierContext(ds, k), cap=cap)
+    fhat = grid_values(FourierContext(ds, k))
     # forward DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q)
     s_vals = np.fft.fft(_weight_vector(weight, Q))
     codes = _classification(Q, D0, A_major)
@@ -369,13 +368,12 @@ def circle_pipeline(
     weight: Weight,
     D0: Optional[int] = None,
     A_major: float = 3.0,
-    cap: int = GRID_CAP,
 ) -> ArcLedger:
     """Full Fourier-inversion sum with per-arc-class accounting.
 
     The ledger's ``total`` is the complex sum; its real part is the count.
     """
-    st = pipeline_stages(ds, k, weight, D0=D0, A_major=A_major, cap=cap)
+    st = pipeline_stages(ds, k, weight, D0=D0, A_major=A_major)
     terms = st.fhat * st.s_vals / st.Q
     ledger = ArcLedger(D0=st.D0, A_major=A_major,
                        threshold=arc_threshold(st.Q, A_major))
@@ -387,12 +385,12 @@ def circle_pipeline(
     return ledger
 
 
-def direct_count(ds: DigitSet, k: int, weight: Weight,
-                 cap: int = GRID_CAP) -> float:
+def direct_count(ds: DigitSet, k: int, weight: Weight) -> float:
     """Literal weighted count: the oracle side of every pipeline test."""
     Q = ds.q ** k
-    if Q > cap:
-        raise CapExceededError(f"direct count over {Q} exceeds cap {cap}")
+    if Q > GRID_CAP:
+        raise CapExceededError(
+            f"direct count over {Q} exceeds cap {GRID_CAP}")
     if isinstance(weight, MangoldtTable):
         ns, logs = weight.support_below(Q)
         picked = logs[contains_mask(ds, ns, k)]
@@ -432,16 +430,14 @@ def kappa(ds: DigitSet) -> Fraction:
     return Fraction(q * (phi - s_prime), (q - 1) * phi)
 
 
-def singular_series_pair_count(P: IntPolynomial, ds: DigitSet, J: int,
-                               cap: int = PAIR_COUNT_CAP) -> int:
+def singular_series_pair_count(P: IntPolynomial, ds: DigitSet,
+                               J: int) -> int:
     """#{(n, m) : 0 <= n, m < q**J, m in the set, P(n) == m mod q**J}."""
     q = ds.q
     QJ = q ** J
-    if QJ > cap:
-        raise CapExceededError(f"pair counting over {QJ} exceeds cap {cap}")
-    # Horner values stay below QJ**2, which must fit in int64.
-    if QJ * QJ >= 1 << 63:
-        raise CapExceededError(f"pair counting modulo {QJ} overflows int64")
+    if QJ > PAIR_COUNT_CAP:
+        raise CapExceededError(
+            f"pair counting over {QJ} exceeds cap {PAIR_COUNT_CAP}")
     coeffs = [c % QJ for c in reversed(P.coeffs)]
     count = 0
     for start in range(0, QJ, BLOCK):
@@ -453,11 +449,10 @@ def singular_series_pair_count(P: IntPolynomial, ds: DigitSet, J: int,
     return count
 
 
-def singular_series(P: IntPolynomial, ds: DigitSet, J: int,
-                    cap: int = PAIR_COUNT_CAP) -> Fraction:
+def singular_series(P: IntPolynomial, ds: DigitSet, J: int) -> Fraction:
     """Finite-level local density: pair count over (q-s)**J, exact."""
     denom = (ds.q - ds.s) ** J
-    return Fraction(singular_series_pair_count(P, ds, J, cap=cap), denom)
+    return Fraction(singular_series_pair_count(P, ds, J), denom)
 
 
 @dataclass
@@ -472,12 +467,7 @@ class MainTermReport:
     singular_series_value: Optional[Fraction] = None
 
 
-def theorem_comparison(
-    ds: DigitSet,
-    k: int,
-    weight: Weight,
-    cap: int = GRID_CAP,
-) -> MainTermReport:
+def theorem_comparison(ds: DigitSet, k: int, weight: Weight) -> MainTermReport:
     """Main term vs direct count, prime or polynomial flavour.
 
     The polynomial main term takes the singular series at the largest
@@ -485,7 +475,7 @@ def theorem_comparison(
     """
     q = ds.q
     members = (q - ds.s) ** k
-    direct = direct_count(ds, k, weight, cap=cap)
+    direct = direct_count(ds, k, weight)
     if isinstance(weight, MangoldtTable):
         kap = kappa(ds)
         main = float(kap) * members

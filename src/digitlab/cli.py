@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 assertion failure, 2 config error, 3 resource cap.
 Reports are JSON (schema 1) with the generating config inline; grids are
 CSV with a fixed header, so every number is reproducible from its file.
 
+``--cap`` limits q^k and is checked once, by ``_make_weight`` (and by
+``cmd_constants``), before any stage allocates.  The library checks only
+its fixed caps: ``fourier.GRID_CAP``, ``expsums.MANGOLDT_CAP``,
+``digits.ENUMERATION_CAP`` and ``arcs.PAIR_COUNT_CAP``.
+
 ``arcs`` and ``scan`` share one set of pipeline stages
 (``arcs.pipeline_stages``).  ``scan`` streams its CSV to the output in
 blocks of ``arcs.BLOCK`` rows, each converted column-wise, and opens the
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -67,10 +73,10 @@ class ExperimentConfig:
             raise ConfigError("poly-coeffs: need degree >= 1")
         if self.D0 is not None and self.D0 < 1:
             raise ConfigError("d0: must be positive")
-        if self.A_major <= 0:
-            raise ConfigError("a-major: must be positive")
-        if self.cap > fou_mod.GRID_CAP:
-            raise ConfigError(f"cap: must be at most {fou_mod.GRID_CAP}")
+        if not 0 < self.A_major < math.inf:
+            raise ConfigError("a-major: must be positive and finite")
+        if not 1 <= self.cap <= fou_mod.GRID_CAP:
+            raise ConfigError(f"cap: must lie in [1, {fou_mod.GRID_CAP}]")
 
     def digit_set(self) -> DigitSet:
         try:
@@ -98,7 +104,11 @@ def _jsonify(obj):
 def _emit(blocks: Iterable[str], out: Optional[str]) -> None:
     """Write the strings in order to the file ``out``, or to stdout."""
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise ConfigError(f"out: {exc}") from exc
+        with fh:
             fh.writelines(blocks)
     else:
         sys.stdout.writelines(blocks)
@@ -127,7 +137,7 @@ def cmd_count(cfg: ExperimentConfig) -> int:
     ds = cfg.digit_set()
     Q = cfg.q ** cfg.k
     weight = _make_weight(cfg, Q)
-    report = arcs_mod.theorem_comparison(ds, cfg.k, weight, cap=cfg.cap)
+    report = arcs_mod.theorem_comparison(ds, cfg.k, weight)
     payload = {
         "schema": SCHEMA,
         "config": cfg.public(),
@@ -160,7 +170,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     cfg.validate()
     st = arcs_mod.pipeline_stages(
         cfg.digit_set(), cfg.k, _make_weight(cfg, cfg.q ** cfg.k),
-        D0=cfg.D0, A_major=cfg.A_major, cap=cfg.cap
+        D0=cfg.D0, A_major=cfg.A_major
     )
     _emit(_scan_csv_blocks(st), cfg.out)
     return 0
@@ -194,9 +204,9 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
     Q = cfg.q ** cfg.k
     weight = _make_weight(cfg, Q)
     ledger = arcs_mod.circle_pipeline(
-        ds, cfg.k, weight, D0=cfg.D0, A_major=cfg.A_major, cap=cfg.cap
+        ds, cfg.k, weight, D0=cfg.D0, A_major=cfg.A_major
     )
-    comparison = arcs_mod.theorem_comparison(ds, cfg.k, weight, cap=cfg.cap)
+    comparison = arcs_mod.theorem_comparison(ds, cfg.k, weight)
     payload = {
         "schema": SCHEMA,
         "config": cfg.public(),

@@ -199,14 +199,12 @@ def count_in_ap(ds: DigitSet, x: int, k: int, modulus: int, residue: int) -> int
     return total
 
 
-def enumerate_members(
-    ds: DigitSet, k: int, cap: int = ENUMERATION_CAP
-) -> Iterator[int]:
+def enumerate_members(ds: DigitSet, k: int) -> Iterator[int]:
     """Yield the members of the set in [0, q**k) in increasing order."""
     full = ds.q - ds.s
-    if full ** k > cap:
+    if full ** k > ENUMERATION_CAP:
         raise CapExceededError(
-            f"enumeration of {full}^{k} members exceeds cap {cap}"
+            f"enumeration of {full}^{k} members exceeds cap {ENUMERATION_CAP}"
         )
     allowed = ds.allowed
     q = ds.q

@@ -66,7 +66,7 @@ class MangoldtTable:
                 np.log(self.entries_p[sel].astype(np.float64)))
 
 
-def build_mangoldt(X: int, cap: int = MANGOLDT_CAP) -> MangoldtTable:
+def build_mangoldt(X: int) -> MangoldtTable:
     """List the prime powers up to X from a boolean Eratosthenes sieve.
 
     The sieve crosses out multiples of the primes up to isqrt(X), one byte
@@ -75,8 +75,8 @@ def build_mangoldt(X: int, cap: int = MANGOLDT_CAP) -> MangoldtTable:
     """
     if X < 1:
         raise DomainError("X must be positive")
-    if X > cap:
-        raise CapExceededError(f"sieve limit {X} exceeds cap {cap}")
+    if X > MANGOLDT_CAP:
+        raise CapExceededError(f"sieve limit {X} exceeds cap {MANGOLDT_CAP}")
     is_prime = np.ones(X + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(X) + 1):

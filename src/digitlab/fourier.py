@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .digits import ENUMERATION_CAP, DigitSet, enumerate_members
+from .digits import DigitSet, enumerate_members
 from .errors import CapExceededError, DomainError
 from .summation import pairwise_sum
 
@@ -133,15 +133,13 @@ def eval_product_real(ctx: FourierContext, theta) -> complex:
     return result
 
 
-def eval_direct(
-    ds: DigitSet, k: int, freq: RationalFrequency, cap: int = ENUMERATION_CAP
-) -> complex:
+def eval_direct(ds: DigitSet, k: int, freq: RationalFrequency) -> complex:
     """Oracle: literal sum of e(n * a/Q) over the enumerated members."""
     Q = freq.denominator
     a = freq.residue
     terms = [
         cmath.exp(2j * math.pi * ((n * a) % Q) / Q)
-        for n in enumerate_members(ds, k, cap=cap)
+        for n in enumerate_members(ds, k)
     ]
     return pairwise_sum(terms)
 
@@ -219,9 +217,7 @@ def _transform_blocks(ctx: FourierContext, theta0):
         yield cols, block
 
 
-def grid_values(
-    ctx: FourierContext, theta0=0.0, cap: int = GRID_CAP
-) -> np.ndarray:
+def grid_values(ctx: FourierContext, theta0=0.0) -> np.ndarray:
     """All q**k transform values F(theta0 + a/q**k), a = 0..q**k-1.
 
     Blocked FFT of the digit indicator (see _transform_blocks): each block
@@ -230,40 +226,37 @@ def grid_values(
     Memory: the q**k-point result, the q**(k-1)-point high grid and one
     BLOCK-point block.
     """
-    if ctx.Q > cap:
-        raise CapExceededError(f"grid of {ctx.Q} points exceeds cap {cap}")
+    if ctx.Q > GRID_CAP:
+        raise CapExceededError(
+            f"grid of {ctx.Q} points exceeds cap {GRID_CAP}")
     out = np.empty(ctx.Q, dtype=np.complex128)
     for cols, block in _transform_blocks(ctx, theta0):
         out.reshape(len(block), -1)[:, cols] = block
     return out
 
 
-def l1_grid_sum(ctx: FourierContext, theta0=0.0, cap: int = GRID_CAP) -> float:
+def l1_grid_sum(ctx: FourierContext, theta0=0.0) -> float:
     """Sum of |F(theta0 + a/q**k)| over the full grid a < q**k.
 
     Sums the blocks of _transform_blocks as they come, so it never holds
     q**k points: its arrays are the q**(k-1)-point high grid and one
     BLOCK-point block.
     """
-    if ctx.Q > cap:
-        raise CapExceededError(f"grid of {ctx.Q} points exceeds cap {cap}")
+    if ctx.Q > GRID_CAP:
+        raise CapExceededError(
+            f"grid of {ctx.Q} points exceeds cap {GRID_CAP}")
     return sum(float(np.abs(block).sum())
                for _, block in _transform_blocks(ctx, theta0))
 
 
-def empirical_Cq(ctx: FourierContext, theta_samples: Sequence[float]) -> float:
-    """max over samples of l1_grid_sum(theta)**(1/k) / (q * log q).
+def empirical_Cq(ctx: FourierContext) -> float:
+    """l1_grid_sum(ctx)**(1/k) / (q * log q), the grid at theta = 0.
 
     At k = 0 the sum is the single value F = 1, whose root is taken as 1.
     """
-    if not theta_samples:
-        raise DomainError("theta_samples must be nonempty")
     q, k = ctx.ds.q, ctx.k
     exponent = 1.0 / k if k else 0.0
-    return max(
-        l1_grid_sum(ctx, t) ** exponent / (q * math.log(q))
-        for t in theta_samples
-    )
+    return l1_grid_sum(ctx, 0.0) ** exponent / (q * math.log(q))
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +322,7 @@ def constants_report(
         alpha=alpha(q, s, consecutive),
     )
     if ctx is not None:
-        rep.Cq_empirical = empirical_Cq(ctx, (0.0,))
+        rep.Cq_empirical = empirical_Cq(ctx)
         rep.k = ctx.k
     return rep
 

@@ -400,7 +400,7 @@ class TestPipeline:
     def test_cap(self):
         ds = DigitSet(10, (7,))
         with pytest.raises(CapExceededError):
-            circle_pipeline(ds, 9, SQUARE, cap=10 ** 6)
+            circle_pipeline(ds, 9, SQUARE)  # 10**9 points exceed GRID_CAP
 
     def test_short_table_rejected(self):
         ds = DigitSet(10, (7,))
@@ -485,9 +485,9 @@ class TestSingularSeries:
         assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
 
     def test_cap(self):
+        # q**J = 10**8 exceeds PAIR_COUNT_CAP
         with pytest.raises(CapExceededError):
-            singular_series_pair_count(SQUARE, DigitSet(10, (7,)), 8,
-                                       cap=10 ** 6)
+            singular_series_pair_count(SQUARE, DigitSet(10, (7,)), 8)
 
 
 def looped_pair_count(P, ds, J):
@@ -539,9 +539,8 @@ class TestBlockedPairCount:
             looped_pair_count(P, ds, 7)
 
     def test_int64_guard(self):
-        with pytest.raises(CapExceededError):
-            singular_series_pair_count(SQUARE, DigitSet(10, (7,)), 10,
-                                       cap=10 ** 10)
+        # Horner values stay below PAIR_COUNT_CAP**2
+        assert arcs_mod.PAIR_COUNT_CAP ** 2 < 2 ** 63
 
 
 class TestTheoremComparison:

@@ -1,17 +1,23 @@
 import csv
+import inspect
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from digitlab import arcs as arcs_mod
 from digitlab import cli
+from digitlab import digits as digits_mod
+from digitlab import expsums as expsums_mod
 from digitlab import fourier as fourier_mod
 from digitlab import verify
 from digitlab.digits import DigitSet
 from digitlab.expsums import IntPolynomial, build_mangoldt
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -202,15 +208,6 @@ class TestArcs:
         assert sum(per[c]["count"] for c in per) == 1000
         assert payload["deviation"] < 0.25
 
-    def test_cap_checked_before_the_sieve(self, monkeypatch):
-        def no_sieve(X, *args, **kwargs):
-            raise AssertionError(f"sieve up to {X} built before the cap check")
-
-        monkeypatch.setattr(cli, "build_mangoldt", no_sieve)
-        code = run(["arcs", "--q", "10", "--exclude", "7", "--k", "7",
-                    "--weight", "mangoldt", "--cap", "1000000"])
-        assert code == 3
-
     def test_inexact_beta_bound_is_config_error(self, capsys):
         # Q * D0 = 1000 * 2^53 leaves float64's exact range
         code = run(["arcs", "--q", "10", "--exclude", "7", "--k", "3",
@@ -264,6 +261,31 @@ class TestConstants:
         assert "exceeds cap 1000" in payload["Cq_empirical_reason"]
 
 
+class TestCapAtTheBoundary:
+    """``--cap`` is checked once, in the CLI, before any stage runs."""
+
+    @pytest.mark.parametrize("weight", ["mangoldt", "poly"])
+    @pytest.mark.parametrize("command", ["count", "scan", "arcs"])
+    def test_cap_checked_before_the_sieve(self, command, weight,
+                                          monkeypatch):
+        def refuse(name):
+            def stage(*args, **kwargs):
+                raise AssertionError(f"{name} ran before the cap check")
+            return stage
+
+        monkeypatch.setattr(cli, "build_mangoldt", refuse("build_mangoldt"))
+        for name in ("grid_values", "direct_count"):
+            monkeypatch.setattr(arcs_mod, name, refuse(name))
+        code = run([command, "--q", "10", "--exclude", "7", "--k", "7",
+                    "--weight", weight, "--cap", "1000000"])
+        assert code == 3
+
+    def test_no_library_function_takes_a_cap(self):
+        for module in (arcs_mod, fourier_mod, digits_mod, expsums_mod):
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                assert "cap" not in inspect.signature(fn).parameters, name
+
+
 class TestCapAboveGridCap:
     @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
     def test_rejected_as_config_error(self, command, capsys):
@@ -271,6 +293,52 @@ class TestCapAboveGridCap:
                     "--cap", str(fourier_mod.GRID_CAP + 1)])
         assert code == 2
         assert "cap" in capsys.readouterr().err
+
+
+class TestCapBelowOne:
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan", "constants"])
+    def test_rejected_as_config_error(self, command, cap, capsys):
+        code = run([command, "--q", "10", "--exclude", "7", "--k", "2",
+                    f"--cap={cap}"])
+        assert code == 2
+        assert "cap: must lie in [1, " in capsys.readouterr().err
+
+
+class TestNonFiniteAMajor:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["arcs", "scan", "count"])
+    def test_flag_rejected_as_config_error(self, command, value, capsys):
+        code = run([command, "--q", "10", "--exclude", "7", "--k", "2",
+                    "--a-major", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "a-major: must be positive and finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["arcs", "scan", "count"])
+    def test_config_file_rejected_as_config_error(self, command, value,
+                                                  tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"q=10\nexclude=7\nk=2\na_major={value}\n")
+        assert run([command, "--config", str(cfgfile)]) == 2
+        assert "a-major" in capsys.readouterr().err
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--q", "10", "--exclude", "7", "--k", "2"],
+        ["arcs", "--q", "10", "--exclude", "7", "--k", "2"],
+        ["scan", "--q", "10", "--exclude", "7", "--k", "2"],
+        ["constants", "--q", "10", "--exclude", "7", "--k", "2"],
+        ["verify", "constants"],
+    ], ids=["count", "arcs", "scan", "constants", "verify"])
+    def test_missing_directory_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "out: " in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestD0BelowOne:
@@ -328,6 +396,12 @@ class TestVerify:
         assert run(["verify", "all", "--out", str(a)]) == 0
         assert run(["verify", "all", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_matches_committed_report(self, tmp_path):
+        # the refactor gate: a change to this report must update the file
+        out = tmp_path / "verify.json"
+        assert run(["verify", "all", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "verify_all.json").read_bytes()
 
     def test_unknown_suite(self, capsys):
         code = run(["verify", "bogus"])

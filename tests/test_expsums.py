@@ -10,6 +10,7 @@ from digitlab.errors import CapExceededError, DomainError
 from digitlab.expsums import (
     CALIBRATED_MAX_RATIO,
     CALIBRATION_SEED,
+    MANGOLDT_CAP,
     IntPolynomial,
     bound_ratio_report,
     build_mangoldt,
@@ -82,7 +83,7 @@ class TestMangoldt:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            build_mangoldt(10 ** 7, cap=10 ** 6)
+            build_mangoldt(MANGOLDT_CAP + 1)
 
 
 class TestPrimeExpsum:

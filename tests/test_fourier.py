@@ -109,9 +109,9 @@ class TestEvalDirect:
             assert abs(vb - va.conjugate()) < 1e-10
 
     def test_cap(self):
+        # 9**9 members exceed ENUMERATION_CAP
         with pytest.raises(CapExceededError):
-            eval_direct(DigitSet(10, (7,)), 12, RationalFrequency(1, 10 ** 12),
-                        cap=10 ** 4)
+            eval_direct(DigitSet(10, (7,)), 9, RationalFrequency(1, 10 ** 9))
 
 
 class TestDigitFactorBound:
@@ -181,9 +181,11 @@ class TestGridValues:
         vals = grid_values(FourierContext(ds, 3))
         assert float(np.max(np.abs(vals))) <= 7 ** 3 * (1 + 1e-12)
 
-    def test_cap(self):
+    @pytest.mark.parametrize("transform", [grid_values, l1_grid_sum])
+    def test_cap(self, transform):
+        # 10**9 points exceed GRID_CAP
         with pytest.raises(CapExceededError):
-            grid_values(FourierContext(DigitSet(10, (7,)), 9), cap=10 ** 6)
+            transform(FourierContext(DigitSet(10, (7,)), 9))
 
 
 class TestL1GridSum:
@@ -278,7 +280,7 @@ class TestTransformEngine:
         vals = grid_values(ctx, theta0)
         assert vals.tolist() == [1 + 0j]
         assert l1_grid_sum(ctx, theta0) == 1.0
-        assert empirical_Cq(ctx, [theta0]) == 1 / (10 * math.log(10))
+        assert empirical_Cq(ctx) == 1 / (10 * math.log(10))
 
     @pytest.mark.parametrize("q, excl, k", ENGINE_CASES)
     def test_blocks_tile_the_grid_within_budget(self, engine_block,
@@ -306,18 +308,15 @@ class TestEmpiricalCq:
         ds = DigitSet(10, (7,))
         ctx = FourierContext(ds, 1)
         direct = sum(abs(digit_factor(ds, a / 10)) for a in range(10))
-        assert empirical_Cq(ctx, [0.0]) == \
+        assert empirical_Cq(ctx) == \
             pytest.approx(direct / (10 * math.log(10)), rel=1e-9)
 
     def test_below_analytic_bracket(self):
         for q, k in [(8, 3), (10, 4)]:
             ctx = FourierContext(DigitSet(q, (7,)), k)
-            assert empirical_Cq(ctx, [0.0, 0.37]) <= analytic_Cq(q, 1)
-
-    def test_empty_samples_rejected(self):
-        ctx = FourierContext(DigitSet(10, (7,)), 2)
-        with pytest.raises(DomainError):
-            empirical_Cq(ctx, [])
+            assert empirical_Cq(ctx) <= analytic_Cq(q, 1)
+            shifted = l1_grid_sum(ctx, 0.37) ** (1 / k) / (q * math.log(q))
+            assert shifted <= analytic_Cq(q, 1)
 
 
 class TestConstants:
