@@ -4,14 +4,21 @@ The counting sum over a digit-restricted set equals (1/q**k) times the
 grid sum of the set's Fourier transform against the weight's exponential
 sum; every a/q**k is Dirichlet-approximated, classified major/minor and
 accumulated per class.  Class totals sum to the pipeline total by
-construction (one shared accumulation tree).  The per-point stages (grid,
-weight spectrum, class codes) come from ``pipeline_stages``, which the
-``arcs`` ledger and the ``scan`` CSV both read.
+construction (one shared accumulation tree).  The per-point stages (half
+grid, weight spectrum, class codes) come from ``pipeline_stages``, which
+the ``arcs`` ledger and the ``scan`` CSV both read.
+
+The stages hold a <= Q/2 only.  The digit indicator and the weight are
+real, so F(-theta) = conj F(theta) and S(-theta) = conj S(theta); the half
+grid comes from ``fourier.half_grid_values`` and the weight spectrum from
+a real FFT.  The term at Q - a is the conjugate of the term at a, in the
+same class, so the ledger sums Re(F*S)/Q, twice for 0 < a < Q/2, and its
+imaginary parts are exactly 0.0.
 
 Each point gets an int8 class code (``ARC_CLASSES[code]`` is its
 ``ArcClass``), computed for a <= Q/2 only: 1 - x = [0; 1, a1 - 1, a2, ...]
 when x = [0; a1, a2, ...], so a/Q and (Q - a)/Q share d and have opposite
-beta, and the other half of the codes is a reversed copy.  A point that is
+beta, and the code of Q - a is the code of a.  A point that is
 not minor_denominator lies near a reduced ell/d <= 1/2 with d below the
 threshold, |a*d - ell*Q| <= Q//(D0 + 1), so codes start as
 minor_denominator and only those neighbourhoods are visited.  Where
@@ -43,7 +50,7 @@ import numpy as np
 from .digits import DigitSet, contains_mask
 from .errors import CapExceededError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, poly_range
-from .fourier import FourierContext, grid_values, GRID_CAP
+from .fourier import FourierContext, half_grid_values, GRID_CAP
 
 # The pair count's Horner values stay below QJ**2 <= PAIR_COUNT_CAP**2,
 # which is below 2**63, so int64 never overflows.
@@ -248,9 +255,9 @@ def _neighbourhoods(Q: int, D0: int, dmax: int):
 
 
 def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
-    """int8 class code of every a/Q, a < Q (see ``ARC_CLASSES``).
+    """int8 class code of a/Q for a = 0..Q//2 (see ``ARC_CLASSES``).
 
-    Only a <= Q//2 are classified; a > Q//2 copies the code of Q - a.
+    The code of a > Q//2 is the code of Q - a, which is not stored.
     Proof that codes[a] == codes[Q - a] for 0 < a < Q: take x = a/Q < 1/2
     (else swap a and Q - a; a = Q/2 is its own mirror and is computed
     directly) and its Euclid expansion x = [0; a1, ..., an], where
@@ -308,7 +315,7 @@ def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
     _check_d0(Q, D0)
     thr = arc_threshold(Q, A_major)
     half = Q // 2
-    codes = np.empty(Q, dtype=np.int8)
+    codes = np.empty(half + 1, dtype=np.int8)
     dmax = math.ceil(thr) - 1 if thr <= D0 else None
     if dmax is None or dmax * (dmax + 1) > 2 * (half + 1):
         for start in range(0, half + 1, BLOCK):
@@ -316,7 +323,7 @@ def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
             _, d, beta = _batch_dirichlet(a, Q, D0)
             codes[start:start + a.size] = _codes(d, beta, Q, thr)
     else:
-        codes[:half + 1] = 1
+        codes[:] = 1
         for a, ell, d in _neighbourhoods(Q, D0, dmax):
             delta = a * d - ell * Q
             beta = delta.astype(np.float64) / (Q * d).astype(np.float64)
@@ -324,17 +331,19 @@ def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
             if shell.size:
                 _, d[shell], beta[shell] = _batch_dirichlet(a[shell], Q, D0)
             codes[a] = _codes(d, beta, Q, thr)
-    codes[half + 1:] = codes[1:Q - half][::-1]
     return codes
 
 
 @dataclass
 class PipelineStages:
-    """The per-point stages of the circle pipeline on the grid a/Q, a < Q.
+    """The per-point stages of the circle pipeline at a/Q, a <= Q//2.
 
     ``fhat[a]`` is F(a/Q), ``s_vals[a]`` is S_w(-a/Q) and ``codes[a]`` the
-    int8 class code of a/Q (see ``ARC_CLASSES``); ``arcs`` reduces them to
-    a ledger and ``scan`` writes them per point.
+    int8 class code of a/Q (see ``ARC_CLASSES``).  The digit indicator and
+    the weight are real and the codes mirror (``_classification``), so the
+    point Q - a has fhat conj(fhat[a]), s_vals conj(s_vals[a]) and code
+    codes[a].  ``arcs`` reduces the stages to a ledger and ``scan`` writes
+    them per point.
     """
 
     Q: int
@@ -351,13 +360,13 @@ def pipeline_stages(
     D0: Optional[int] = None,
     A_major: float = 3.0,
 ) -> PipelineStages:
-    """Grid, weight spectrum and class codes; D0 defaults to isqrt(Q)."""
+    """Half grid, weight spectrum and class codes; D0 defaults to isqrt(Q)."""
     Q = ds.q ** k
     if D0 is None:
         D0 = max(1, math.isqrt(Q))
-    fhat = grid_values(FourierContext(ds, k))
-    # forward DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q)
-    s_vals = np.fft.fft(_weight_vector(weight, Q))
+    fhat = half_grid_values(FourierContext(ds, k))
+    # forward real DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q), a <= Q//2
+    s_vals = np.fft.rfft(_weight_vector(weight, Q))
     codes = _classification(Q, D0, A_major)
     return PipelineStages(Q=Q, D0=D0, fhat=fhat, s_vals=s_vals, codes=codes)
 
@@ -371,17 +380,25 @@ def circle_pipeline(
 ) -> ArcLedger:
     """Full Fourier-inversion sum with per-arc-class accounting.
 
-    The ledger's ``total`` is the complex sum; its real part is the count.
+    The ledger's ``total`` is the count.  The terms at a and Q - a are
+    conjugate and share a class, so each class sums Re(F*S)/Q over
+    a <= Q//2, twice for 0 < a < Q/2 (whose mirror is another point), and
+    its imaginary part is exactly 0.0.
     """
     st = pipeline_stages(ds, k, weight, D0=D0, A_major=A_major)
-    terms = st.fhat * st.s_vals / st.Q
+    paired = slice(1, st.Q - st.Q // 2)
+    terms = st.fhat.real * st.s_vals.real
+    terms -= st.fhat.imag * st.s_vals.imag
+    terms /= st.Q
+    terms[paired] *= 2.0
     ledger = ArcLedger(D0=st.D0, A_major=A_major,
                        threshold=arc_threshold(st.Q, A_major))
     for code, cls in enumerate(ARC_CLASSES):
-        picked = terms[st.codes == code]
-        ledger.counts[cls] = picked.size
-        if picked.size:
-            ledger.sums[cls] = complex(np.add.reduce(picked))
+        mask = st.codes == code
+        ledger.counts[cls] = (int(np.count_nonzero(mask))
+                              + int(np.count_nonzero(mask[paired])))
+        if ledger.counts[cls]:
+            ledger.sums[cls] = complex(np.add.reduce(terms[mask]))
     return ledger
 
 

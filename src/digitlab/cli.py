@@ -7,13 +7,16 @@ CSV with a fixed header, so every number is reproducible from its file.
 ``--cap`` limits q^k and is checked once, by ``_make_weight`` (and by
 ``cmd_constants``), before any stage allocates.  The library checks only
 its fixed caps: ``fourier.GRID_CAP``, ``expsums.MANGOLDT_CAP``,
-``digits.ENUMERATION_CAP`` and ``arcs.PAIR_COUNT_CAP``.
+``digits.ENUMERATION_CAP``, ``digits.BASE_CAP`` (when the ``DigitSet`` is
+made) and ``arcs.PAIR_COUNT_CAP``.  The directory of ``--out`` must exist
+before any stage runs (``validate`` and ``cmd_verify``).
 
 ``arcs`` and ``scan`` share one set of pipeline stages
-(``arcs.pipeline_stages``).  ``scan`` streams its CSV to the output in
-blocks of ``arcs.BLOCK`` rows, each converted column-wise, and opens the
-output only once every stage has succeeded, so a failed run leaves an
-existing file untouched.
+(``arcs.pipeline_stages``), which hold a <= Q//2 only.  ``scan`` streams
+its CSV to the output in blocks of ``arcs.BLOCK`` rows, each converted
+column-wise, reading rows a > Q//2 as the conjugates of rows Q - a, and
+opens the output only once every stage has succeeded, so a failed run
+leaves an existing file untouched.
 
 ``count`` and ``arcs`` both report ``arcs.theorem_comparison`` at every
 k; at k = 0 the set is {0} and the direct count is the weight at 0.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -77,6 +81,7 @@ class ExperimentConfig:
             raise ConfigError("a-major: must be positive and finite")
         if not 1 <= self.cap <= fou_mod.GRID_CAP:
             raise ConfigError(f"cap: must lie in [1, {fou_mod.GRID_CAP}]")
+        _check_out_dir(self.out)
 
     def digit_set(self) -> DigitSet:
         try:
@@ -88,6 +93,13 @@ class ExperimentConfig:
         d = asdict(self)
         d.pop("out")
         return d
+
+
+def _check_out_dir(out: Optional[str]) -> None:
+    """Reject an output path whose directory does not exist."""
+    parent = os.path.dirname(out or "") or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"out: directory {parent!r} does not exist")
 
 
 def _jsonify(obj):
@@ -177,21 +189,33 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
 
 
 def _scan_csv_blocks(st: arcs_mod.PipelineStages) -> Iterator[str]:
-    """The scan CSV: its header, then ``arcs.BLOCK`` rows per string."""
+    """The scan CSV: its header, then at most ``arcs.BLOCK`` rows per
+    string.  Rows a > Q//2 read the stages at Q - a through reversed
+    slices and conjugate fhat (see ``arcs.PipelineStages``)."""
     yield "a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"
     names = [cls.value for cls in arcs_mod.ARC_CLASSES]
-    for start in range(0, st.Q, arcs_mod.BLOCK):
-        stop = min(start + arcs_mod.BLOCK, st.Q)
-        f, s = st.fhat[start:stop], st.s_vals[start:stop]
-        # np.hypot equals abs() of a Python complex bit for bit; the
-        # complex np.abs differs from it in the last bit on many points.
-        yield "".join(
-            f"{a},{re!r},{im!r},{fa!r},{names[c]},{sa!r}\n"
-            for a, re, im, fa, c, sa in zip(
-                range(start, stop), f.real.tolist(), f.imag.tolist(),
-                np.hypot(f.real, f.imag).tolist(),
-                st.codes[start:stop].tolist(),
-                np.hypot(s.real, s.imag).tolist()))
+    Q, stored = st.Q, st.codes.size  # rows a < stored = Q//2 + 1 are held
+    for start in range(0, Q, arcs_mod.BLOCK):
+        stop = min(start + arcs_mod.BLOCK, Q)
+        lo, hi = min(stop, stored), max(start, stored)
+        f, m = st.fhat[start:lo], slice(Q - hi, Q - stop, -1)  # m: Q - a
+        yield (_csv_rows(start, f.real, f.imag, st.s_vals[start:lo],
+                         st.codes[start:lo], names)
+               + _csv_rows(hi, st.fhat[m].real, -st.fhat[m].imag,
+                           st.s_vals[m], st.codes[m], names))
+
+
+def _csv_rows(a0: int, re: np.ndarray, im: np.ndarray, s: np.ndarray,
+              codes: np.ndarray, names: list) -> str:
+    """CSV rows a0, a0 + 1, ... with fhat = re + i*im."""
+    # np.hypot equals abs() of a Python complex bit for bit; the
+    # complex np.abs differs from it in the last bit on many points.
+    return "".join(
+        f"{a},{r!r},{i!r},{fa!r},{names[c]},{sa!r}\n"
+        for a, r, i, fa, c, sa in zip(
+            range(a0, a0 + re.size), re.tolist(), im.tolist(),
+            np.hypot(re, im).tolist(), codes.tolist(),
+            np.hypot(s.real, s.imag).tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +282,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_verify(suite: str, seed: int, out: Optional[str]) -> int:
+    _check_out_dir(out)
     payload = verify_mod.report(suite, seed)
     _emit_json({"schema": SCHEMA, **payload}, out)
     return 0 if payload["passed"] else 1

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import CapExceededError, DomainError
 
 ENUMERATION_CAP = 10 ** 8
+# Largest base: the digit tables (``allowed``, the transform's digit
+# vectors) hold O(q) Python objects, 175 MB at q = 10**6.
+BASE_CAP = 10 ** 6
 # Largest lookup table of contains_mask, in entries (one byte each).
 MASK_TABLE = 1 << 16
 
@@ -32,6 +35,9 @@ class DigitSet:
     def __post_init__(self):
         if self.q < 3:
             raise DomainError(f"base must be >= 3, got q={self.q}")
+        if self.q > BASE_CAP:
+            raise CapExceededError(
+                f"base q={self.q} exceeds cap {BASE_CAP}")
         exc = tuple(sorted(set(int(d) for d in self.excluded)))
         object.__setattr__(self, "excluded", exc)
         if not exc:

@@ -25,6 +25,8 @@ from .fourier import RationalFrequency, distance_to_integer
 from .summation import pairwise_sum
 
 MANGOLDT_CAP = 10 ** 9
+# Products n * num below this are exact in int64 (see _residues).
+INT64_LIMIT = 2 ** 63
 
 # One-time calibration run (seed below); the sweeps in the verification
 # suites must stay under these max-ratio ceilings.
@@ -101,15 +103,27 @@ def build_mangoldt(X: int) -> MangoldtTable:
 Alpha = Union[float, Fraction, RationalFrequency]
 
 
+def _residues(ns: np.ndarray, num: int, den: int) -> np.ndarray:
+    """(n * num) mod den for an array of integers n, exactly.
+
+    int64 when no product can reach 2**63, Python ints otherwise; both
+    give the same residues, floor-mod as Python's %.
+    """
+    big = max(abs(int(ns.max())), abs(int(ns.min())), 1) if ns.size else 1
+    if big * abs(num) < INT64_LIMIT and den < INT64_LIMIT:
+        return (ns.astype(np.int64) * num) % den
+    return (ns.astype(object) * num) % den
+
+
 def _phases_mod1(ns: np.ndarray, alpha: Alpha) -> np.ndarray:
     """(n * alpha) mod 1 for an array of integers n, exactly for rationals."""
     if isinstance(alpha, RationalFrequency):
-        Q = alpha.denominator
-        return ((ns.astype(object) * alpha.residue) % Q).astype(np.float64) / Q
-    if isinstance(alpha, Fraction):
+        num, den = alpha.residue, alpha.denominator
+    elif isinstance(alpha, Fraction):
         num, den = alpha.numerator, alpha.denominator
-        return ((ns.astype(object) * num) % den).astype(np.float64) / den
-    return np.mod(ns.astype(np.float64) * float(alpha), 1.0)
+    else:
+        return np.mod(ns.astype(np.float64) * float(alpha), 1.0)
+    return _residues(ns, num, den).astype(np.float64) / den
 
 
 def prime_expsum(table: MangoldtTable, x: int, alpha: Alpha) -> complex:

@@ -11,8 +11,11 @@ blocked four-step FFT of the digit indicator (modulated by e(n*theta0)):
 an inverse FFT over the high k-1 digits, then batched length-q transforms
 over the low digit, BLOCK points at a time.  grid_values stores the blocks;
 l1_grid_sum sums their moduli and never holds more than the q**(k-1)-point
-high grid plus one block.  The product formula (eval_product,
-eval_product_real) stays the scalar oracle of the engine.
+high grid plus one block.  half_grid_values, the circle pipeline's grid,
+holds a <= q**k//2 only: the indicator is real, so F(-a/Q) = conj F(a/Q),
+and the engine transforms half the columns and conjugates the mirror into
+the rest.  The product formula (eval_product, eval_product_real) stays the
+scalar oracle of the engine.
 """
 
 from __future__ import annotations
@@ -184,9 +187,10 @@ def _digit_vectors(ctx: FourierContext, theta0) -> list:
     return vecs
 
 
-def _transform_blocks(ctx: FourierContext, theta0):
+def _transform_blocks(ctx: FourierContext, theta0, stop=None):
     """Yield (cols, block) with block[t, j] = F(theta0 + (t*Q/q + m)/Q),
-    m = cols.start + j: the whole grid, column block by column block.
+    m = cols.start + j: the columns m < stop (default all Q/q) of the
+    grid, column block by column block.
 
     Four-step FFT (Cooley-Tukey, in Bailey's blocked layout).  Positions
     1..k-1 contribute G[m] = sum_n kron(v_{k-1}, ..., v_1)[n] e(n*m/(Q/q)),
@@ -207,8 +211,9 @@ def _transform_blocks(ctx: FourierContext, theta0):
     )
     d = np.arange(len(low), dtype=np.int64)[:, None]
     step = max(1, BLOCK // len(low))
-    for start in range(0, width, step):
-        cols = slice(start, min(start + step, width))
+    stop = width if stop is None else stop
+    for start in range(0, stop, step):
+        cols = slice(start, min(start + step, stop))
         m = np.arange(cols.start, cols.stop, dtype=np.int64)
         # d*m < Q, so the twiddle phase is an exact integer over Q
         twiddle = np.exp((2j * np.pi / Q) * (d * m))
@@ -232,6 +237,40 @@ def grid_values(ctx: FourierContext, theta0=0.0) -> np.ndarray:
     out = np.empty(ctx.Q, dtype=np.complex128)
     for cols, block in _transform_blocks(ctx, theta0):
         out.reshape(len(block), -1)[:, cols] = block
+    return out
+
+
+def half_grid_values(ctx: FourierContext) -> np.ndarray:
+    """F(a/q**k) for a = 0..q**k//2; the rest of the grid is its mirror.
+
+    The indicator is real, so F(-theta) = conj F(theta).  In the (q, W)
+    view of the grid (a = t*W + m, W = q**(k-1)), Q - a = (q-1-t)*W + W-m,
+    so G[t, m] = conj G[q-1-t, W-m] for 0 < m < W.  Only the columns
+    m <= W//2 are transformed (by _transform_blocks, so they equal
+    grid_values bit for bit); each block writes its own points a <= Q//2
+    and the conjugates of the points W - m it mirrors.  The last partial
+    row holds only columns m <= W//2: Q//2 + 1 is (q//2)*W + 1 for even Q
+    and ((q-1)/2)*W + W//2 + 1 for odd Q.  Memory: the Q//2 + 1 points of
+    the result, the high grid and one block.
+    """
+    if ctx.Q > GRID_CAP:
+        raise CapExceededError(
+            f"grid of {ctx.Q} points exceeds cap {GRID_CAP}")
+    width = ctx.Q // ctx.ds.q if ctx.k else 1
+    out = np.empty(ctx.Q // 2 + 1, dtype=np.complex128)
+    rows, rem = divmod(out.size, width)
+    body = out[:rows * width].reshape(rows, width)
+    tail = out[rows * width:]
+    for cols, block in _transform_blocks(ctx, 0.0, stop=width // 2 + 1):
+        start = cols.start
+        body[:, cols] = block[:rows]
+        if start < rem:
+            tail[start:cols.stop] = block[rows, :rem - start]
+        # mirrored columns W - m for m in [lo, hi), from rows q-1, q-2, ...
+        lo, hi = max(start, 1), min(cols.stop, width - width // 2)
+        if lo < hi:
+            np.conjugate(block[::-1][:rows, lo - start:hi - start][:, ::-1],
+                         out=body[:, width - hi + 1:width - lo + 1])
     return out
 
 

@@ -21,6 +21,7 @@ from . import expsums as exp_mod
 from . import fourier as fou_mod
 from .digits import DigitSet, count_in_ap
 from .expsums import IntPolynomial
+from .summation import pairwise_sum
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
@@ -58,30 +59,60 @@ def pipeline_vs_direct(cases: Iterable[tuple]) -> List[dict]:
     return checks
 
 
-def ledger_class_counts(cases: Iterable[tuple],
-                        A_major: Optional[float] = None) -> List[dict]:
-    """Ledger class counts against the scalar ``classify`` of every a < Q.
+def _scalar_terms(ds: DigitSet, k: int, weight) -> list:
+    """F(a/Q) S_w(-a/Q) / Q for every a < Q from the scalar oracles:
+    ``eval_product`` at a/Q, and ``prime_expsum`` or ``poly_expsum`` at
+    the exact frequency -a/Q."""
+    Q = ds.q ** k
+    ctx = fou_mod.FourierContext(ds, k)
+    expsum = (exp_mod.prime_expsum
+              if isinstance(weight, exp_mod.MangoldtTable)
+              else exp_mod.poly_expsum)
+    return [fou_mod.eval_product(ctx, fou_mod.RationalFrequency(a, Q))
+            * expsum(weight, Q, fou_mod.RationalFrequency(-a, Q)) / Q
+            for a in range(Q)]
 
-    Cases are those of ``pipeline_vs_direct``.  The pipeline runs at
-    ``A_major``, or at its default when that is None; a given A is named
-    in the check.
+
+def ledger_vs_scalar(cases: Iterable[tuple],
+                     A_values: Iterable[Optional[float]] = (None,)
+                     ) -> List[dict]:
+    """Ledger class counts and per-class sums against a scalar oracle.
+
+    Cases are those of ``pipeline_vs_direct``; the pipeline runs at each
+    A in ``A_values`` (None is its default, and a given A is named in the
+    checks).  One scalar pass classifies every a < Q (``dirichlet_approx``
+    and ``classify``); the counts must match exactly, and each class sum
+    of the scalar terms (``_scalar_terms``, added by ``pairwise_sum``)
+    must match the ledger's within 1e-9 of the class's sum of |term|.
     """
     checks = []
-    at = "" if A_major is None else f", A={A_major}"
-    kw = {} if A_major is None else {"A_major": A_major}
     for ds, k, weight, _ in cases:
-        led = arcs_mod.circle_pipeline(ds, k, weight, **kw)
         Q = ds.q ** k
-        oracle = {cls: 0 for cls in arcs_mod.ArcClass}
-        for a in range(Q):
-            ap = arcs_mod.dirichlet_approx(a, Q, led.D0)
-            oracle[arcs_mod.classify(ap, led.A_major)] += 1
-        counts = led.counts
-        checks.append(_check(
-            f"ledger class counts vs scalar classify (q={ds.q}, k={k}{at})",
-            counts == oracle and sum(counts.values()) == Q,
-            "major/minor_denominator/minor_offset "
-            + "/".join(str(counts[c]) for c in arcs_mod.ArcClass)))
+        D0 = max(1, math.isqrt(Q))
+        approx = [arcs_mod.dirichlet_approx(a, Q, D0) for a in range(Q)]
+        terms = _scalar_terms(ds, k, weight)
+        for A in A_values:
+            at = "" if A is None else f", A={A}"
+            kw = {} if A is None else {"A_major": A}
+            led = arcs_mod.circle_pipeline(ds, k, weight, D0=D0, **kw)
+            classes = [arcs_mod.classify(ap, led.A_major) for ap in approx]
+            counts = led.counts
+            checks.append(_check(
+                f"ledger class counts vs scalar classify "
+                f"(q={ds.q}, k={k}{at})",
+                counts == {c: classes.count(c) for c in arcs_mod.ArcClass}
+                and sum(counts.values()) == Q,
+                "major/minor_denominator/minor_offset "
+                + "/".join(str(counts[c]) for c in arcs_mod.ArcClass)))
+            worst = 0.0
+            for cls in arcs_mod.ArcClass:
+                picked = [t for t, c in zip(terms, classes) if c is cls]
+                err = abs(led.sums[cls] - pairwise_sum(picked))
+                scale = pairwise_sum([abs(t) for t in picked])
+                worst = max(worst, err / scale if scale else err)
+            checks.append(_check(
+                f"ledger class sums vs scalar oracle (q={ds.q}, k={k}{at})",
+                worst < 1e-9, f"max rel err {worst:.2e}"))
     return checks
 
 
@@ -211,9 +242,9 @@ def _suite_arcs(seed: int) -> List[dict]:
     for q, excl, k in [(6, (3,), 3), (10, (7,), 3)]:
         case = (DigitSet(q, excl), k, exp_mod.build_mangoldt(q ** k),
                 "mangoldt")
-        checks += pipeline_vs_direct([case]) + ledger_class_counts([case])
         # A = 1 fills all three classes; the default A = 3 is all major
-        checks += ledger_class_counts([case], A_major=1.0)
+        checks += pipeline_vs_direct([case]) + ledger_vs_scalar(
+            [case], (None, 1.0))
     P = IntPolynomial((0, 0, 1))
     ds = DigitSet(10, (7,))
     checks += pipeline_vs_direct([(ds, 3, P, "n^2")])

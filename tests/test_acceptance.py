@@ -193,3 +193,15 @@ def test_criterion_10_deterministic_reports(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     report(10, f"two verify-all runs byte-identical "
                f"({len(a.read_bytes())} bytes)")
+
+
+def test_criterion_11_ledger_class_sums():
+    ds = DigitSet(10, (7,))
+    cases = [(ds, 4, build_mangoldt(10 ** 4), "mangoldt"),
+             (ds, 4, SQUARE, "n^2")]
+    A_values = (0.5, 1.0, 1.5)
+    checks = verify.ledger_vs_scalar(cases, A_values)
+    assert_passed(checks, [(label, A, kind) for _, _, _, label in cases
+                           for A in A_values for kind in ("counts", "sums")])
+    report(11, f"{len(checks)} class-count and class-sum checks at q=10, "
+               f"k=4, A in {A_values}, both weights")

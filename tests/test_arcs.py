@@ -24,7 +24,13 @@ from digitlab.arcs import (
 )
 from digitlab.digits import DigitSet, contains, count_in_ap
 from digitlab.errors import CapExceededError, DomainError
-from digitlab.expsums import IntPolynomial, build_mangoldt
+from digitlab.expsums import (
+    IntPolynomial,
+    build_mangoldt,
+    poly_expsum,
+    prime_expsum,
+)
+from digitlab.fourier import FourierContext, RationalFrequency, grid_values
 
 SQUARE = IntPolynomial((0, 0, 1))
 
@@ -97,11 +103,18 @@ def scalar_classes(Q, D0, A_values):
     return {A: [classify(ap, A) for ap in approx] for A in A_values}
 
 
+def mirrored(codes, Q):
+    """The code of every a < Q from the half a <= Q//2: a > Q//2 takes
+    the code of Q - a."""
+    return np.concatenate([codes, codes[1:Q - Q // 2][::-1]])
+
+
 def assert_codes_match(Q, D0, A_values):
     oracle = scalar_classes(Q, D0, A_values)
     for A in A_values:
         codes = arcs_mod._classification(Q, D0, A)
-        assert codes.dtype == np.int8 and codes.shape == (Q,)
+        assert codes.dtype == np.int8 and codes.shape == (Q // 2 + 1,)
+        codes = mirrored(codes, Q)
         assert [ARC_CLASSES[c] for c in codes] == oracle[A], (Q, D0, A)
         counts = np.bincount(codes, minlength=len(ARC_CLASSES))
         assert [int(n) for n in counts] == [
@@ -199,7 +212,7 @@ class TestBatchClassification:
             codes = arcs_mod._classification(Q, 1, A)
             assert classify(r, A) is want
             assert ARC_CLASSES[codes[half]] is want
-            assert codes[1:].tolist() == codes[:0:-1].tolist()
+            assert codes.size == half + 1
 
     def test_largest_exact_D0_accepted(self):
         Q = 10 ** 3
@@ -213,13 +226,12 @@ class TestBatchClassification:
 
 def batch_codes(Q, D0, A):
     """Oracle for the prefilter: ``_batch_dirichlet`` over every a <= Q//2,
-    classified, then mirrored."""
-    half = Q // 2
+    classified."""
     _, d, beta = arcs_mod._batch_dirichlet(
-        np.arange(half + 1, dtype=np.int64), Q, D0)
+        np.arange(Q // 2 + 1, dtype=np.int64), Q, D0)
     thr = arcs_mod.arc_threshold(Q, A)
-    low = np.where(d >= thr, 1, np.where(Q * np.abs(beta) >= thr, 2, 0))
-    return np.concatenate([low, low[1:Q - half][::-1]]).astype(np.int8)
+    return np.where(d >= thr, 1, np.where(Q * np.abs(beta) >= thr, 2, 0)
+                    ).astype(np.int8)
 
 
 def assert_prefilter_matches(Q, D0, A):
@@ -290,7 +302,7 @@ class TestPrefilter:
                                                    euclid_numerators):
         monkeypatch.setattr(arcs_mod, "arc_threshold", lambda Q, A: thr)
         codes = arcs_mod._classification(10 ** 4, 100, 1.0)
-        assert codes.tolist() == [1] * 10 ** 4
+        assert codes.tolist() == [1] * (10 ** 4 // 2 + 1)
         assert euclid_numerators[0] == 0
 
     @pytest.mark.parametrize("Q", [2, 3, 997, 10 ** 4])
@@ -332,7 +344,8 @@ class TestPrefilter:
     # Work-count guard: numerators sent through Euclid (500,001 before the
     # prefilter at this config; see CHANGES.md for the recorded figure).
     def test_euclid_runs_on_a_thin_shell(self, euclid_numerators):
-        codes = arcs_mod._classification(10 ** 6, 1000, 2.0)
+        Q = 10 ** 6
+        codes = mirrored(arcs_mod._classification(Q, 1000, 2.0), Q)
         assert np.bincount(codes).tolist() == [217746, 779142, 3112]
         assert euclid_numerators[0] <= 9357
 
@@ -410,6 +423,64 @@ class TestPipeline:
         ledger = circle_pipeline(DigitSet(101, (7,)), 1, build_mangoldt(100))
         assert ledger.total.real == pytest.approx(
             direct_count(DigitSet(101, (7,)), 1, build_mangoldt(100)))
+
+
+# (q, excluded, k): odd Q with odd W, even Q with even W, and k = 1
+HALF_CASES = [(7, (3,), 3), (10, (7,), 3), (6, (5,), 3), (5, (2,), 1)]
+
+
+class TestHalfSpectrum:
+    """The stages hold a <= Q//2; the ledger weighs their mirror."""
+
+    @pytest.mark.parametrize("q, excluded, k", HALF_CASES)
+    @pytest.mark.parametrize("weight", ["mangoldt", "n^2"])
+    def test_rfft_half_matches_exact_expsums(self, q, excluded, k, weight):
+        Q = q ** k
+        if weight == "mangoldt":
+            w = build_mangoldt(Q)
+            expsum = prime_expsum
+        else:
+            w, expsum = SQUARE, poly_expsum
+        st = arcs_mod.pipeline_stages(DigitSet(q, excluded), k, w)
+        assert st.s_vals.shape == st.fhat.shape == st.codes.shape == \
+            (Q // 2 + 1,)
+        scale = abs(expsum(w, Q, RationalFrequency(0, Q)))
+        for a in range(Q // 2 + 1):
+            want = expsum(w, Q, RationalFrequency(-a, Q))
+            assert abs(st.s_vals[a] - want) <= 1e-12 * scale, a
+
+    @pytest.mark.parametrize("q, excluded, k", HALF_CASES)
+    @pytest.mark.parametrize("A", [0.5, 1.0, 3.0])
+    def test_ledger_matches_full_grid_reduction(self, q, excluded, k, A):
+        # the whole-grid reduction: complex terms at every a < Q, with
+        # the full code array
+        ds, Q = DigitSet(q, excluded), q ** k
+        table = build_mangoldt(Q)
+        led = circle_pipeline(ds, k, table, A_major=A)
+        terms = (grid_values(FourierContext(ds, k))
+                 * np.fft.fft(arcs_mod._weight_vector(table, Q)) / Q)
+        codes = mirrored(arcs_mod._classification(Q, led.D0, A), Q)
+        assert led.total.imag == 0.0
+        for code, cls in enumerate(ARC_CLASSES):
+            picked = terms[codes == code]
+            assert led.counts[cls] == picked.size
+            assert led.sums[cls].imag == 0.0
+            assert abs(led.sums[cls].real - picked.sum().real) <= \
+                1e-12 * np.abs(picked).sum()
+
+    @pytest.mark.parametrize("Q", [10 ** 5, 10 ** 6])
+    def test_bytes_per_point(self, Q):
+        # 66 B/point with the whole-grid stages; about 31 and 25 now
+        ds = DigitSet(10, (7,))
+        table = build_mangoldt(Q)
+        k = round(math.log10(Q))
+        tracemalloc.start()
+        try:
+            circle_pipeline(ds, k, table, A_major=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * Q
 
 
 class TestDirectCount:

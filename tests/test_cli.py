@@ -33,6 +33,13 @@ def strict_json(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def refuse(name):
+    """A stage that fails the test if it is called."""
+    def stage(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return stage
+
+
 class TestCount:
     def test_json_report(self, tmp_path):
         out = tmp_path / "count.json"
@@ -129,16 +136,18 @@ class TestScan:
 
 
 def scan_oracle(q, excluded, k, weight, A_major=3.0):
-    """The scan CSV from the stages built by hand and one csv.writer row
-    (scalar abs, repr of each float) per point."""
+    """The scan CSV from the half stages (a <= Q//2) built by hand,
+    mirrored per row (a > Q//2 reads conj fhat and the s and code of
+    Q - a), and one csv.writer row (scalar abs, repr of each float) per
+    point."""
     ds = DigitSet(q, excluded)
     Q = q ** k
-    fhat = fourier_mod.grid_values(fourier_mod.FourierContext(ds, k))
+    fhat = fourier_mod.half_grid_values(fourier_mod.FourierContext(ds, k))
     if weight == "mangoldt":
         w = build_mangoldt(max(Q - 1, 1))
     else:
         w = IntPolynomial((0, 0, 1))
-    s_vals = np.fft.fft(arcs_mod._weight_vector(w, Q))
+    s_vals = np.fft.rfft(arcs_mod._weight_vector(w, Q))
     codes = arcs_mod._classification(Q, max(1, math.isqrt(Q)), A_major)
     names = [cls.value for cls in arcs_mod.ARC_CLASSES]
     buf = io.StringIO()
@@ -146,13 +155,15 @@ def scan_oracle(q, excluded, k, weight, A_major=3.0):
     writer.writerow(["a", "fhat_re", "fhat_im", "fhat_abs",
                      "arc_class", "s_abs"])
     for a in range(Q):
+        b = min(a, Q - a)
+        f = complex(fhat[b]) if a == b else complex(fhat[b]).conjugate()
         writer.writerow([
             a,
-            repr(float(fhat[a].real)),
-            repr(float(fhat[a].imag)),
-            repr(float(abs(fhat[a]))),
-            names[codes[a]],
-            repr(float(abs(s_vals[a]))),
+            repr(f.real),
+            repr(f.imag),
+            repr(abs(f)),
+            names[codes[b]],
+            repr(abs(complex(s_vals[b]))),
         ])
     return buf.getvalue()
 
@@ -268,13 +279,8 @@ class TestCapAtTheBoundary:
     @pytest.mark.parametrize("command", ["count", "scan", "arcs"])
     def test_cap_checked_before_the_sieve(self, command, weight,
                                           monkeypatch):
-        def refuse(name):
-            def stage(*args, **kwargs):
-                raise AssertionError(f"{name} ran before the cap check")
-            return stage
-
         monkeypatch.setattr(cli, "build_mangoldt", refuse("build_mangoldt"))
-        for name in ("grid_values", "direct_count"):
+        for name in ("half_grid_values", "direct_count"):
             monkeypatch.setattr(arcs_mod, name, refuse(name))
         code = run([command, "--q", "10", "--exclude", "7", "--k", "7",
                     "--weight", weight, "--cap", "1000000"])
@@ -333,12 +339,74 @@ class TestUnwritableOut:
         ["scan", "--q", "10", "--exclude", "7", "--k", "2"],
         ["constants", "--q", "10", "--exclude", "7", "--k", "2"],
         ["verify", "constants"],
-    ], ids=["count", "arcs", "scan", "constants", "verify"])
-    def test_missing_directory_is_config_error(self, argv, tmp_path, capsys):
+        ["verify", "all"],
+    ], ids=["count", "arcs", "scan", "constants", "verify", "verify-all"])
+    def test_missing_directory_is_config_error(self, argv, tmp_path, capsys,
+                                               monkeypatch):
+        # checked before any stage runs
+        monkeypatch.setattr(cli, "build_mangoldt", refuse("build_mangoldt"))
+        monkeypatch.setattr(cli, "count_below", refuse("count_below"))
+        for name in ("pipeline_stages", "circle_pipeline",
+                     "theorem_comparison"):
+            monkeypatch.setattr(arcs_mod, name, refuse(name))
+        monkeypatch.setattr(fourier_mod, "constants_report",
+                            refuse("constants_report"))
+        monkeypatch.setattr(verify, "report", refuse("verify.report"))
         out = tmp_path / "missing" / "x.json"
         assert run([*argv, "--out", str(out)]) == 2
-        assert "out: " in capsys.readouterr().err
+        assert "out: directory " in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_bare_file_name_is_the_working_directory(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["constants", "--q", "10", "--exclude", "7", "--k", "1",
+                    "--out", "x.json"]) == 0
+        assert strict_json((tmp_path / "x.json").read_text())["k"] == 1
+
+
+class TestBaseCap:
+    """``digits.BASE_CAP`` is checked before any O(q) table is built."""
+
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan",
+                                         "constants"])
+    def test_exit_3_before_allowed_is_built(self, command, monkeypatch,
+                                            capsys):
+        monkeypatch.setattr(DigitSet, "allowed",
+                            property(refuse("DigitSet.allowed")))
+        monkeypatch.setattr(fourier_mod, "_digit_vectors",
+                            refuse("_digit_vectors"))
+        q = digits_mod.BASE_CAP + 1
+        assert run([command, "--q", str(q), "--exclude", "7",
+                    "--k", "1"]) == 3
+        assert f"base q={q} exceeds cap" in capsys.readouterr().err
+
+    def test_cap_itself_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(DigitSet, "allowed",
+                            property(refuse("DigitSet.allowed")))
+        assert DigitSet(digits_mod.BASE_CAP, (7,)).q == digits_mod.BASE_CAP
+
+
+# Golden reports, generated by the commands below; each report command is
+# gated on byte identity, as ``verify all`` is by verify_all.json.
+GOLDEN = [
+    (["arcs", "--q", "10", "--exclude", "7", "--k", "4", "--a-major", "1.0"],
+     "arcs_q10_k4.json"),
+    (["scan", "--q", "7", "--exclude", "3", "--k", "4"], "scan_q7_k4.csv"),
+    (["count", "--q", "50", "--exclude", "7", "--k", "3", "--weight", "poly",
+      "--poly-coeffs", "0,0,1"], "count_q50_k3_poly.json"),
+    (["constants", "--q", "31", "--exclude", "7", "--k", "4"],
+     "constants_q31_k4.json"),
+]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("argv, name", GOLDEN,
+                             ids=[name for _, name in GOLDEN])
+    def test_matches_committed_report(self, argv, name, tmp_path):
+        out = tmp_path / name
+        assert run([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 class TestD0BelowOne:

@@ -65,6 +65,10 @@ class TestDigitSet:
     def test_allowed(self):
         assert DigitSet(5, (2,)).allowed == (0, 1, 3, 4)
 
+    def test_base_cap(self):
+        with pytest.raises(CapExceededError, match="base q="):
+            DigitSet(digits_mod.BASE_CAP + 1, (7,))
+
 
 @st.composite
 def digit_sets(draw, max_q=16):

@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from digitlab import expsums as exp_mod
 from digitlab.errors import CapExceededError, DomainError
 from digitlab.expsums import (
     CALIBRATED_MAX_RATIO,
     CALIBRATION_SEED,
+    INT64_LIMIT,
     MANGOLDT_CAP,
     IntPolynomial,
     bound_ratio_report,
@@ -20,6 +24,7 @@ from digitlab.expsums import (
     poly_range,
     prime_expsum,
 )
+from digitlab.fourier import RationalFrequency
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(p) for p in (2, 3, 5, 7))
 
@@ -112,6 +117,59 @@ class TestPrimeExpsum:
         t = build_mangoldt(100)
         with pytest.raises(DomainError):
             prime_expsum(t, 200, 0.0)
+
+
+def object_phases(ns, num, den):
+    """The reduction on Python ints: (n * num) % den, then / den."""
+    return ((ns.astype(object) * num) % den).astype(np.float64) / den
+
+
+@st.composite
+def edge_reductions(draw):
+    """ns, num, den with max |n| * |num| within 2 of 2**63."""
+    big = draw(st.integers(1, 2 ** 62), label="max |n|")
+    num = (INT64_LIMIT - 1) // big + draw(st.integers(-1, 1), label="step")
+    num *= draw(st.sampled_from([1, -1]), label="sign")
+    rest = draw(st.lists(st.integers(-big, big), max_size=8), label="ns")
+    ns = np.array([draw(st.sampled_from([big, -big]))] + rest,
+                  dtype=np.int64)
+    den = draw(st.integers(1, INT64_LIMIT - 1), label="den")
+    return ns, num, den
+
+
+class TestPhasesMod1:
+    """The int64 reduction against the object-array one, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ns=st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=20),
+           num=st.integers(-10 ** 9, 10 ** 9), den=st.integers(1, 10 ** 12))
+    def test_int64_path_matches_object_path(self, ns, num, den):
+        ns = np.array(ns, dtype=np.int64)
+        assert exp_mod._residues(ns, num, den).dtype == np.int64
+        frac = Fraction(num, den)
+        got = exp_mod._phases_mod1(ns, frac)
+        assert np.array_equal(
+            got, object_phases(ns, frac.numerator, frac.denominator))
+        got = exp_mod._phases_mod1(ns.astype(object),
+                                   RationalFrequency(num, den))
+        assert np.array_equal(got, object_phases(ns, num % den, den))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_reductions())
+    def test_overflow_edge(self, case):
+        ns, num, den = case
+        big = int(np.abs(ns).max())
+        residues = exp_mod._residues(ns, num, den)
+        want_int64 = big * abs(num) < INT64_LIMIT
+        assert (residues.dtype == np.int64) == want_int64
+        assert residues.tolist() == [n * num % den for n in ns.tolist()]
+        assert np.array_equal(exp_mod._phases_mod1(ns, Fraction(num, den)),
+                              object_phases(ns, *Fraction(num, den)
+                                            .as_integer_ratio()))
+
+    def test_empty(self):
+        ns = np.zeros(0, dtype=np.int64)
+        assert exp_mod._phases_mod1(ns, Fraction(3, 7)).size == 0
 
 
 class TestIntPolynomial:

@@ -23,6 +23,7 @@ from digitlab.fourier import (
     eval_product,
     eval_product_real,
     grid_values,
+    half_grid_values,
     l1_grid_sum,
     linf_decay_report,
 )
@@ -181,7 +182,8 @@ class TestGridValues:
         vals = grid_values(FourierContext(ds, 3))
         assert float(np.max(np.abs(vals))) <= 7 ** 3 * (1 + 1e-12)
 
-    @pytest.mark.parametrize("transform", [grid_values, l1_grid_sum])
+    @pytest.mark.parametrize("transform",
+                             [grid_values, l1_grid_sum, half_grid_values])
     def test_cap(self, transform):
         # 10**9 points exceed GRID_CAP
         with pytest.raises(CapExceededError):
@@ -301,6 +303,42 @@ class TestTransformEngine:
         expect = l1_grid_sum(ctx)
         monkeypatch.setattr(fou_mod, "grid_values", refuse)
         assert l1_grid_sum(ctx) == expect
+
+
+class TestHalfGrid:
+    """half_grid_values against the full grid: a <= Q//2, columns
+    m <= W//2 transformed, the rest conjugated from the mirror."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    @pytest.mark.parametrize("q, excl", [(10, (7,)), (6, (1,)), (7, (0, 3)),
+                                         (3, (0,))])
+    def test_equals_full_grid_prefix(self, engine_block, q, excl, k):
+        ctx = FourierContext(DigitSet(q, excl), k)
+        Q = q ** k
+        half = half_grid_values(ctx)
+        full = grid_values(ctx)
+        assert half.shape == (Q // 2 + 1,) and half.dtype == np.complex128
+        a = np.arange(half.size)
+        width = Q // q if k else 1
+        computed = a % width <= width // 2
+        # bit for bit on the transformed columns
+        assert half[computed].tobytes() == full[a[computed]].tobytes()
+        # the mirrored ones are conjugates of transformed values at Q - a
+        mirrored = a[~computed]
+        assert half[~computed].tobytes() == \
+            full[Q - mirrored].conj().tobytes()
+        scale = (q - len(excl)) ** k
+        err = np.abs(half[~computed] - full[mirrored])
+        assert err.max(initial=0.0) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("q, excl, k", ENGINE_CASES)
+    def test_column_bound_tiles_the_columns_below_it(self, engine_block,
+                                                     q, excl, k):
+        ctx = FourierContext(DigitSet(q, excl), k)
+        stop = q ** (k - 1) // 2 + 1
+        seen = [m for cols, _ in fou_mod._transform_blocks(ctx, 0.0, stop)
+                for m in range(cols.start, cols.stop)]
+        assert seen == list(range(stop))
 
 
 class TestEmpiricalCq:

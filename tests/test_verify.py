@@ -39,19 +39,76 @@ def test_pipeline_vs_direct(monkeypatch):
 
 def test_ledger_class_counts_sees_minor_arcs(monkeypatch):
     cases = [(DigitSet(6, (3,)), 3, build_mangoldt(216), "mangoldt")]
-    assert verdicts(verify.ledger_class_counts(cases)) == [True]
-    checks = verify.ledger_class_counts(cases, A_major=1.0)
-    assert verdicts(checks) == [True]
-    assert checks[0]["check"] == \
-        "ledger class counts vs scalar classify (q=6, k=3, A=1.0)"
-    assert checks[0]["detail"].endswith(" 74/120/22")
+    checks = verify.ledger_vs_scalar(cases, (None, 1.0))
+    assert verdicts(checks) == [True] * 4
+    assert [c["check"] for c in checks] == [
+        "ledger class counts vs scalar classify (q=6, k=3)",
+        "ledger class sums vs scalar oracle (q=6, k=3)",
+        "ledger class counts vs scalar classify (q=6, k=3, A=1.0)",
+        "ledger class sums vs scalar oracle (q=6, k=3, A=1.0)"]
+    assert checks[2]["detail"].endswith(" 74/120/22")
     # swapping the two minor codes is invisible where every point is major
     real = arcs_mod._classification
     swap = np.array([0, 2, 1], dtype=np.int8)
     monkeypatch.setattr(arcs_mod, "_classification",
                         lambda *args: swap[real(*args)])
-    assert verdicts(verify.ledger_class_counts(cases)) == [True]
-    assert verdicts(verify.ledger_class_counts(cases, A_major=1.0)) == [False]
+    assert verdicts(verify.ledger_vs_scalar(cases)) == [True] * 2
+    assert verdicts(verify.ledger_vs_scalar(cases, (1.0,))) == [False] * 2
+
+
+LEDGER_CASES = [(DigitSet(6, (3,)), 3, build_mangoldt(216), "mangoldt"),
+                (DS, 3, build_mangoldt(1000), "mangoldt"),
+                (DS, 3, IntPolynomial((0, 0, 1)), "n^2")]
+
+
+def plant_ledger(monkeypatch, roll=0, paired=lambda Q: slice(1, Q - Q // 2)):
+    """Replace the ledger's class sums by a reduction of the same stages
+    whose class masks are rolled by ``roll`` or whose points counted twice
+    are ``paired(Q)``; counts and D0 stay those of the real ledger."""
+    real = arcs_mod.circle_pipeline
+
+    def pipeline(ds, k, weight, **kw):
+        led = real(ds, k, weight, **kw)
+        st = arcs_mod.pipeline_stages(ds, k, weight, **kw)
+        terms = (st.fhat * st.s_vals).real / st.Q
+        terms[paired(st.Q)] *= 2
+        for code, cls in enumerate(arcs_mod.ARC_CLASSES):
+            led.sums[cls] = complex(
+                terms[np.roll(st.codes == code, roll)].sum())
+        return led
+
+    monkeypatch.setattr(arcs_mod, "circle_pipeline", pipeline)
+
+
+def sum_verdicts(A):
+    checks = verify.ledger_vs_scalar(LEDGER_CASES, (A,))
+    return verdicts(checks[0::2]), verdicts(checks[1::2])
+
+
+@pytest.mark.parametrize("A", [0.5, 1.0, 3.0])
+def test_class_sums_pass_on_the_planted_harness(A, monkeypatch):
+    plant_ledger(monkeypatch)
+    assert sum_verdicts(A) == ([True] * 3, [True] * 3)
+
+
+@pytest.mark.parametrize("A", [0.5, 1.0])
+def test_class_sums_see_rolled_masks(A, monkeypatch):
+    # the counts stay right: only the sum check can see it
+    plant_ledger(monkeypatch, roll=1)
+    assert sum_verdicts(A) == ([True] * 3, [False] * 3)
+
+
+@pytest.mark.parametrize("paired, sums", [
+    # a = 0 counted twice
+    (lambda Q: slice(0, Q - Q // 2), [False] * 3),
+    # a = Q/2 counted twice (every Q here is even); for n^2 with
+    # n = 0..31 the term is 0, as S(1/2) = #even n - #odd n = 0
+    (lambda Q: slice(1, Q // 2 + 1), [False, False, True]),
+], ids=["zero", "half"])
+@pytest.mark.parametrize("A", [1.0, 3.0])
+def test_class_sums_see_a_self_mirror_doubled(paired, sums, A, monkeypatch):
+    plant_ledger(monkeypatch, paired=paired)
+    assert sum_verdicts(A) == ([True] * 3, sums)
 
 
 def test_parseval(monkeypatch):
