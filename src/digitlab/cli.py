@@ -12,11 +12,12 @@ made) and ``arcs.PAIR_COUNT_CAP``.  The directory of ``--out`` must exist
 before any stage runs (``validate`` and ``cmd_verify``).
 
 ``arcs`` and ``scan`` share one set of pipeline stages
-(``arcs.pipeline_stages``), which hold a <= Q//2 only.  ``scan`` streams
-its CSV to the output in blocks of ``arcs.BLOCK`` rows, each converted
-column-wise, reading rows a > Q//2 as the conjugates of rows Q - a, and
-opens the output only once every stage has succeeded, so a failed run
-leaves an existing file untouched.
+(``arcs.pipeline_stages``), which hold a <= Q//2 only.  ``scan`` formats
+each pair of rows a and Q - a once, in blocks of ``CSV_BLOCK`` rows: it
+streams the rows a <= Q//2 to the output and spills their mirror rows to
+an anonymous temporary file, read back after them (``_scan_csv_blocks``).
+It creates the spill file, and then opens the output, only once every
+stage has succeeded, so a failed run leaves an existing file untouched.
 
 ``count`` and ``arcs`` both report ``arcs.theorem_comparison`` at every
 k; at k = 0 the set is {0} and the direct count is the weight at 0.
@@ -32,9 +33,10 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional
+from typing import BinaryIO, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -178,44 +180,82 @@ def _make_weight(cfg: ExperimentConfig, Q: int):
 # scan
 # ----------------------------------------------------------------------
 
+# Rows per block of the scan writer.  Its transient strings and lists
+# (a few per row of one block) set ``scan``'s peak RSS: at q = 10, k = 5,
+# a run peaked at 45 MB with blocks of 2^14 rows (``arcs.BLOCK``), 36 MB
+# with 2^12 and 35 MB with 2^10.
+CSV_BLOCK = 1 << 12
+
+
 def cmd_scan(cfg: ExperimentConfig) -> int:
     cfg.validate()
     st = arcs_mod.pipeline_stages(
         cfg.digit_set(), cfg.k, _make_weight(cfg, cfg.q ** cfg.k),
         D0=cfg.D0, A_major=cfg.A_major
     )
-    _emit(_scan_csv_blocks(st), cfg.out)
+    with _spill_file() as spill:
+        _emit(_scan_csv_blocks(st, spill), cfg.out)
     return 0
 
 
-def _scan_csv_blocks(st: arcs_mod.PipelineStages) -> Iterator[str]:
-    """The scan CSV: its header, then at most ``arcs.BLOCK`` rows per
-    string.  Rows a > Q//2 read the stages at Q - a through reversed
-    slices and conjugate fhat (see ``arcs.PipelineStages``)."""
+def _spill_file() -> BinaryIO:
+    """An anonymous temporary file, made before ``--out`` is opened."""
+    tmp = None
+    try:
+        tmp = tempfile.gettempdir()
+        return tempfile.TemporaryFile(dir=tmp)
+    except OSError as exc:
+        raise ConfigError(f"scan: cannot create a spill file in the temp "
+                          f"directory {tmp!r}: {exc}") from exc
+
+
+def _scan_csv_blocks(st: arcs_mod.PipelineStages,
+                     spill: BinaryIO) -> Iterator[str]:
+    """The scan CSV: its header, then at most ``CSV_BLOCK`` rows per
+    string.
+
+    The pair rule: row Q - m (1 <= m < Q - Q//2) repeats row m but for
+    the sign of fhat_im, as F and S_w are conjugate-symmetric (see
+    ``arcs.PipelineStages``).  So the rows a <= Q//2 are formatted block
+    by block, and each block's mirror rows are built from the same
+    strings, with fhat_im written as ``repr(-im)``: that is exactly the
+    conjugate's imaginary part (-0.0 for 0.0, nan for nan), so no sign
+    case needs proof.  The mirror rows of a block (a = Q - m ascending)
+    are appended to ``spill``, an empty binary file, and read back in
+    reverse block order after the last lower block, so memory stays
+    O(``CSV_BLOCK``) and the spill grows to about half the CSV in the
+    temp directory.  A failed spill write raises ``OSError`` as a
+    failed ``--out`` write does; either leaves a partial ``--out``.
+    """
     yield "a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"
     names = [cls.value for cls in arcs_mod.ARC_CLASSES]
     Q, stored = st.Q, st.codes.size  # rows a < stored = Q//2 + 1 are held
-    for start in range(0, Q, arcs_mod.BLOCK):
-        stop = min(start + arcs_mod.BLOCK, Q)
-        lo, hi = min(stop, stored), max(start, stored)
-        f, m = st.fhat[start:lo], slice(Q - hi, Q - stop, -1)  # m: Q - a
-        yield (_csv_rows(start, f.real, f.imag, st.s_vals[start:lo],
-                         st.codes[start:lo], names)
-               + _csv_rows(hi, st.fhat[m].real, -st.fhat[m].imag,
-                           st.s_vals[m], st.codes[m], names))
-
-
-def _csv_rows(a0: int, re: np.ndarray, im: np.ndarray, s: np.ndarray,
-              codes: np.ndarray, names: list) -> str:
-    """CSV rows a0, a0 + 1, ... with fhat = re + i*im."""
-    # np.hypot equals abs() of a Python complex bit for bit; the
-    # complex np.abs differs from it in the last bit on many points.
-    return "".join(
-        f"{a},{r!r},{i!r},{fa!r},{names[c]},{sa!r}\n"
-        for a, r, i, fa, c, sa in zip(
-            range(a0, a0 + re.size), re.tolist(), im.tolist(),
-            np.hypot(re, im).tolist(), codes.tolist(),
-            np.hypot(s.real, s.imag).tolist()))
+    sizes = []
+    for start in range(0, stored, CSV_BLOCK):
+        stop = min(start + CSV_BLOCK, stored)
+        f, s = st.fhat[start:stop], st.s_vals[start:stop]
+        # np.hypot equals abs() of a Python complex bit for bit; the
+        # complex np.abs differs from it in the last bit on many points.
+        heads = [f",{re!r}," for re in f.real.tolist()]
+        ims = f.imag.tolist()
+        tails = [f",{fa!r},{names[c]},{sa!r}\n" for fa, c, sa in zip(
+            np.hypot(f.real, f.imag).tolist(), st.codes[start:stop].tolist(),
+            np.hypot(s.real, s.imag).tolist())]
+        yield "".join(f"{a}{h}{im!r}{t}" for a, h, im, t in zip(
+            range(start, stop), heads, ims, tails))
+        lo, hi = max(start, 1), min(stop, Q - stored + 1)  # mirrored m
+        if lo < hi:
+            i, j = lo - start, hi - start
+            data = "".join(f"{a}{h}{-im!r}{t}" for a, h, im, t in zip(
+                range(Q - hi + 1, Q - lo + 1), reversed(heads[i:j]),
+                reversed(ims[i:j]), reversed(tails[i:j]))).encode()
+            spill.write(data)
+            sizes.append(len(data))
+    end = sum(sizes)
+    for size in reversed(sizes):
+        end -= size
+        spill.seek(end)
+        yield spill.read(size).decode()
 
 
 # ----------------------------------------------------------------------

@@ -79,14 +79,15 @@ def ledger_vs_scalar(cases: Iterable[tuple],
     """Ledger class counts and per-class sums against a scalar oracle.
 
     Cases are those of ``pipeline_vs_direct``; the pipeline runs at each
-    A in ``A_values`` (None is its default, and a given A is named in the
-    checks).  One scalar pass classifies every a < Q (``dirichlet_approx``
-    and ``classify``); the counts must match exactly, and each class sum
-    of the scalar terms (``_scalar_terms``, added by ``pairwise_sum``)
-    must match the ledger's within 1e-9 of the class's sum of |term|.
+    A in ``A_values`` (None is its default).  The checks are named by q,
+    k, the case's weight label and any given A.  One scalar pass
+    classifies every a < Q (``dirichlet_approx`` and ``classify``); the
+    counts must match exactly, and each class sum of the scalar terms
+    (``_scalar_terms``, added by ``pairwise_sum``) must match the
+    ledger's within 1e-9 of the class's sum of |term|.
     """
     checks = []
-    for ds, k, weight, _ in cases:
+    for ds, k, weight, label in cases:
         Q = ds.q ** k
         D0 = max(1, math.isqrt(Q))
         approx = [arcs_mod.dirichlet_approx(a, Q, D0) for a in range(Q)]
@@ -99,7 +100,7 @@ def ledger_vs_scalar(cases: Iterable[tuple],
             counts = led.counts
             checks.append(_check(
                 f"ledger class counts vs scalar classify "
-                f"(q={ds.q}, k={k}{at})",
+                f"(q={ds.q}, k={k}, {label}{at})",
                 counts == {c: classes.count(c) for c in arcs_mod.ArcClass}
                 and sum(counts.values()) == Q,
                 "major/minor_denominator/minor_offset "
@@ -111,7 +112,8 @@ def ledger_vs_scalar(cases: Iterable[tuple],
                 scale = pairwise_sum([abs(t) for t in picked])
                 worst = max(worst, err / scale if scale else err)
             checks.append(_check(
-                f"ledger class sums vs scalar oracle (q={ds.q}, k={k}{at})",
+                f"ledger class sums vs scalar oracle "
+                f"(q={ds.q}, k={k}, {label}{at})",
                 worst < 1e-9, f"max rel err {worst:.2e}"))
     return checks
 

@@ -203,5 +203,6 @@ def test_criterion_11_ledger_class_sums():
     checks = verify.ledger_vs_scalar(cases, A_values)
     assert_passed(checks, [(label, A, kind) for _, _, _, label in cases
                            for A in A_values for kind in ("counts", "sums")])
+    assert len({c["check"] for c in checks}) == len(checks)
     report(11, f"{len(checks)} class-count and class-sum checks at q=10, "
                f"k=4, A in {A_values}, both weights")

@@ -3,6 +3,8 @@ import inspect
 import io
 import json
 import math
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,13 +173,15 @@ def scan_oracle(q, excluded, k, weight, A_major=3.0):
 class TestScanWriter:
     """The block-wise writer against the per-row csv.writer loop."""
 
-    @pytest.mark.parametrize("block", [37, arcs_mod.BLOCK])
+    # 11^3 // 2 + 1 = 666 = 18 * 37: the last lower block is full
+    @pytest.mark.parametrize("block", [37, cli.CSV_BLOCK])
     @pytest.mark.parametrize("weight", ["mangoldt", "poly"])
     @pytest.mark.parametrize("q, excluded, k", [
-        (7, (3,), 4), (10, (3, 7), 4), (10, (7,), 0)])
+        (7, (3,), 4), (10, (3, 7), 4), (11, (5,), 3), (10, (7,), 1),
+        (7, (3,), 1), (10, (7,), 0)])
     def test_byte_identical(self, q, excluded, k, weight, block, tmp_path,
                             capsys, monkeypatch):
-        monkeypatch.setattr(arcs_mod, "BLOCK", block)
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
         expected = scan_oracle(q, excluded, k, weight)
         flags = ["scan", "--q", str(q), "--k", str(k), "--weight", weight,
                  "--exclude", ",".join(map(str, excluded))]
@@ -187,6 +191,46 @@ class TestScanWriter:
         assert run(flags) == 0
         assert capsys.readouterr().out == expected
         assert expected.count("\n") == q ** k + 1
+
+    @pytest.mark.parametrize("block", [2, cli.CSV_BLOCK])
+    def test_signed_zero_and_nan_imaginary_parts(self, block, tmp_path,
+                                                 monkeypatch):
+        # no small config has fhat.imag exactly +-0.0 at 0 < a < Q/2
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        Q = 7
+        fhat = np.array([4.0, complex(1.5, 0.0), complex(-2.0, -0.0),
+                         complex(0.25, math.nan)])
+        s_vals = np.array([3.0, 1 + 1j, complex(0.0, -0.0), -2j])
+        codes = np.array([0, 1, 2, 0], dtype=np.int8)
+        st = arcs_mod.PipelineStages(Q=Q, D0=2, fhat=fhat, s_vals=s_vals,
+                                     codes=codes)
+        names = [cls.value for cls in arcs_mod.ARC_CLASSES]
+        expected = ["a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"]
+        for a in range(Q):
+            b = min(a, Q - a)
+            f = complex(fhat[b]) if a == b else complex(fhat[b]).conjugate()
+            expected.append(f"{a},{f.real!r},{f.imag!r},{abs(f)!r},"
+                            f"{names[codes[b]]},{abs(complex(s_vals[b]))!r}\n")
+        with open(tmp_path / "spill", "w+b") as spill:
+            got = "".join(cli._scan_csv_blocks(st, spill))
+        assert got == "".join(expected)
+        assert ",-0.0," in got and ",0.0," in got and ",nan," in got
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        # about 2.7 MB; a writer that holds the mirror half (4.7 MB of
+        # rows) in memory, or formats 2^14 rows per string, tops 6 MB
+        st = arcs_mod.pipeline_stages(DigitSet(10, (7,)), 5,
+                                      build_mangoldt(10 ** 5 - 1))
+        with open(tmp_path / "spill", "w+b") as spill:
+            blocks = cli._scan_csv_blocks(st, spill)
+            tracemalloc.start()
+            try:
+                rows = sum(block.count("\n") for block in blocks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rows == 10 ** 5 + 1
+        assert peak <= 1000 * cli.CSV_BLOCK
 
 
 class TestScanFailureLeavesOut:
@@ -203,6 +247,21 @@ class TestScanFailureLeavesOut:
                     "--out", str(out)]) == code
         assert out.read_text() == "sentinel\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_no_spill_file(self, tmp_path, monkeypatch, capsys):
+        def refuse_spill(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse_spill)
+        out = tmp_path / "scan.csv"
+        out.write_text("sentinel\n")
+        assert run(["scan", "--q", "10", "--exclude", "7", "--k", "3",
+                    "--out", str(out)]) == 2
+        assert out.read_text() == "sentinel\n"
+        assert list(tmp_path.iterdir()) == [out]
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scan: cannot create a spill")
+        assert repr(tempfile.gettempdir()) in err
 
 
 class TestArcs:
@@ -442,8 +501,8 @@ class TestVerify:
         checks = {c["check"]: c["passed"] for c in verify.SUITES["arcs"](1)}
         for q in (6, 10):
             for at in ("", ", A=1.0"):
-                assert not checks[
-                    f"ledger class counts vs scalar classify (q={q}, k=3{at})"]
+                assert not checks[f"ledger class counts vs scalar classify "
+                                  f"(q={q}, k=3, mangoldt{at})"]
 
     def test_grid_oracle_check_can_fail(self, monkeypatch):
         real = fourier_mod.grid_values

@@ -42,10 +42,10 @@ def test_ledger_class_counts_sees_minor_arcs(monkeypatch):
     checks = verify.ledger_vs_scalar(cases, (None, 1.0))
     assert verdicts(checks) == [True] * 4
     assert [c["check"] for c in checks] == [
-        "ledger class counts vs scalar classify (q=6, k=3)",
-        "ledger class sums vs scalar oracle (q=6, k=3)",
-        "ledger class counts vs scalar classify (q=6, k=3, A=1.0)",
-        "ledger class sums vs scalar oracle (q=6, k=3, A=1.0)"]
+        "ledger class counts vs scalar classify (q=6, k=3, mangoldt)",
+        "ledger class sums vs scalar oracle (q=6, k=3, mangoldt)",
+        "ledger class counts vs scalar classify (q=6, k=3, mangoldt, A=1.0)",
+        "ledger class sums vs scalar oracle (q=6, k=3, mangoldt, A=1.0)"]
     assert checks[2]["detail"].endswith(" 74/120/22")
     # swapping the two minor codes is invisible where every point is major
     real = arcs_mod._classification
