@@ -19,7 +19,7 @@ import numpy as np
 from . import arcs as arcs_mod
 from . import expsums as exp_mod
 from . import fourier as fou_mod
-from .digits import DigitSet, count_in_ap
+from .digits import DigitSet, contains, count_in_ap
 from .expsums import IntPolynomial
 from .summation import pairwise_sum
 
@@ -115,6 +115,24 @@ def ledger_vs_scalar(cases: Iterable[tuple],
                 f"ledger class sums vs scalar oracle "
                 f"(q={ds.q}, k={k}, {label}{at})",
                 worst < 1e-9, f"max rel err {worst:.2e}"))
+    return checks
+
+
+def pair_count_vs_looped(cases: Iterable[tuple]) -> List[dict]:
+    """Singular-series pair count against a literal loop over ``contains``.
+
+    Each case is ``(digit_set, polynomial, label, J)``; the loop makes
+    q**J ``contains`` calls, so keep q**J small.
+    """
+    checks = []
+    for ds, P, label, J in cases:
+        QJ = ds.q ** J
+        want = sum(1 for n in range(QJ) if contains(ds, P(n) % QJ, J))
+        got = arcs_mod.singular_series_pair_count(P, ds, J)
+        excl = ",".join(map(str, ds.excluded))
+        checks.append(_check(
+            f"pair count vs looped contains ({label}, q={ds.q}, ex {excl}, "
+            f"J={J})", got == want, f"got {got}, looped {want}"))
     return checks
 
 
@@ -261,6 +279,11 @@ def _suite_arcs(seed: int) -> List[dict]:
             ok = False
     checks.append(_check("dirichlet approx postcondition (2000 random)",
                          ok, ""))
+    # n^2 has gcd(P'(r), 10) in {2, 10}; the cubic's slopes 3r^2 - 4 mod
+    # 10 take gcd 1 and 2.  2,100 contains calls in all.
+    checks += pair_count_vs_looped([
+        (ds, P, "n^2", 2), (ds, P, "n^2", 3),
+        (ds, IntPolynomial((5, -4, 0, 1)), "n^3-4n+5", 3)])
     sj = arcs_mod.singular_series(P, ds, 1)
     checks.append(_check("singular series S_1(n^2, q=10, ex 7) = 10/9",
                          sj == Fraction(10, 9), f"got {sj}"))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import digitlab.arcs as arcs_mod
@@ -22,7 +22,7 @@ from digitlab.arcs import (
     singular_series_pair_count,
     theorem_comparison,
 )
-from digitlab.digits import DigitSet, contains, count_in_ap
+from digitlab.digits import DigitSet, contains, contains_mask, count_in_ap
 from digitlab.errors import CapExceededError, DomainError
 from digitlab.expsums import (
     IntPolynomial,
@@ -595,17 +595,81 @@ class TestBlockedPairCount:
                 assert singular_series(P, ds, J) == Fraction(
                     want, (q - len(excluded)) ** J)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_looped_oracle(self, data):
+        q = data.draw(st.integers(3, 12), label="q")
+        excluded = data.draw(st.sets(st.integers(0, q - 1), min_size=1,
+                                     max_size=q - 2), label="excluded")
+        try:
+            ds = DigitSet(q, tuple(excluded))
+        except DomainError:
+            assume(False)
+        coeff = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                          st.integers(-4, 4).map(lambda j: j * q),
+                          st.sampled_from([-2 ** 62, 2 ** 61 + 1]))
+        lead = st.one_of(st.integers(1, 10 ** 6),
+                         st.integers(1, 4).map(lambda j: j * q))
+        degree = data.draw(st.integers(1, 4), label="degree")
+        P = IntPolynomial(tuple(data.draw(
+            st.lists(coeff, min_size=degree, max_size=degree),
+            label="coeffs")) + (data.draw(lead, label="lead"),))
+        J = data.draw(st.integers(1, 4).filter(lambda j: q ** j <= 2 * 10 ** 4),
+                      label="J")
+        assert singular_series_pair_count(P, ds, J) == \
+            looped_pair_count(P, ds, J)
+
+    @pytest.mark.parametrize("q,excluded,coeffs,slopes", [
+        # 4n^3 at q = 12: P' = 12n^2, so u = 0 and g = q at every r
+        (12, (3, 9, 11), (0, 0, 0, 4), {12}),
+        (12, (0,), (5, 0, 0, 4), {12}),
+        # 6n + 1 at q = 12: g = 6 at every r, and 0 and 6 are excluded
+        (12, (0, 6), (1, 6), {6}),
+        # n^2 at q = 10: g = 2 or 10; 2n^2 + 5n: 4n + 5 is odd, g in {1, 5}
+        (10, (0, 5), (0, 0, 1), {2, 10}),
+        (10, (3, 4), (0, 5, 2), {1, 5}),
+        # 3n^2 + n at q = 9: 6n + 1 is a unit, g = 1
+        (9, (2, 5, 8), (0, 1, 3), {1}),
+    ])
+    def test_slope_gcd_cases(self, q, excluded, coeffs, slopes):
+        ds = DigitSet(q, excluded)
+        P = IntPolynomial(coeffs)
+        def slope(r):
+            return sum(i * c * r ** (i - 1) for i, c in enumerate(coeffs)
+                       if i)
+
+        assert {math.gcd(slope(r), q) for r in range(q)} == slopes
+        for J in (1, 2, 3):
+            assert singular_series_pair_count(P, ds, J) == \
+                looped_pair_count(P, ds, J)
+
+    def test_work_is_q_to_the_J_minus_1(self, monkeypatch):
+        # the lift tests the low digits of q**(J-1) residues; the q**J
+        # loop it replaced tested 6.25 M values here
+        tested = []
+
+        def counting_mask(ds, n, k):
+            tested.append(np.size(n))
+            return contains_mask(ds, n, k)
+
+        monkeypatch.setattr(arcs_mod, "contains_mask", counting_mask)
+        ds = DigitSet(50, (7,))
+        assert singular_series_pair_count(SQUARE, ds, 4) == 5924560
+        assert 0 < sum(tested) <= 50 ** 3
+
     def test_blocks_join_seamlessly(self, monkeypatch):
-        ds = DigitSet(5, (2,))
-        P = IntPolynomial((5, -4, 0, 1))
-        want = looped_pair_count(P, ds, 4)
-        monkeypatch.setattr(arcs_mod, "BLOCK", 37)
-        assert singular_series_pair_count(P, ds, 4) == want
+        # at q = 5 the residues that steps of 37 would count twice all
+        # have a low digit excluded; n^2 at q = 10 counts them
+        monkeypatch.setattr(arcs_mod, "PAIR_BLOCK", 37)
+        for ds, P in [(DigitSet(5, (2,)), IntPolynomial((5, -4, 0, 1))),
+                      (DigitSet(10, (7,)), SQUARE)]:
+            assert singular_series_pair_count(P, ds, 4) == \
+                looped_pair_count(P, ds, 4)
 
     def test_across_real_blocks(self):
         ds = DigitSet(5, (2,))
         P = IntPolynomial((-1, -2, -3, 2))
-        assert 5 ** 7 > arcs_mod.BLOCK
+        assert 5 ** 6 > arcs_mod.PAIR_BLOCK
         assert singular_series_pair_count(P, ds, 7) == \
             looped_pair_count(P, ds, 7)
 

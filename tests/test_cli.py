@@ -3,6 +3,9 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -534,6 +537,21 @@ class TestVerify:
         code = run(["verify", "bogus"])
         assert code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_parser_names_every_suite(self):
+        assert cli.VERIFY_SUITES == tuple(verify.SUITES)
+
+    def test_cli_import_leaves_the_catalogue_out(self):
+        # only ``verify`` needs verify.py; a fresh interpreter shows that
+        # importing the CLI does not load it
+        src = Path(cli.__file__).parents[1]
+        probe = "import sys, digitlab.cli; print(*sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        loaded = done.stdout.split()
+        assert "digitlab.cli" in loaded
+        assert "digitlab.verify" not in loaded
 
 
 class TestConfigFile:

@@ -111,6 +111,19 @@ def test_class_sums_see_a_self_mirror_doubled(paired, sums, A, monkeypatch):
     assert sum_verdicts(A) == ([True] * 3, sums)
 
 
+def test_pair_count_vs_looped(monkeypatch):
+    cases = [(DS, IntPolynomial((0, 0, 1)), "n^2", J) for J in (1, 2)]
+    checks = verify.pair_count_vs_looped(cases)
+    assert verdicts(checks) == [True] * 2
+    assert [c["check"] for c in checks] == [
+        "pair count vs looped contains (n^2, q=10, ex 7, J=1)",
+        "pair count vs looped contains (n^2, q=10, ex 7, J=2)"]
+    real = arcs_mod.singular_series_pair_count
+    monkeypatch.setattr(arcs_mod, "singular_series_pair_count",
+                        lambda P, ds, J: real(P, ds, J) + (J == 2))
+    assert verdicts(verify.pair_count_vs_looped(cases)) == [True, False]
+
+
 def test_parseval(monkeypatch):
     cases = [(DS, 3), (DigitSet(6, (5,)), 3)]
     assert verdicts(verify.parseval(cases)) == [True] * 2
