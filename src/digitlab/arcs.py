@@ -53,7 +53,8 @@ import numpy as np
 from .digits import DigitSet, contains_mask
 from .errors import CapExceededError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, poly_range
-from .fourier import FourierContext, half_grid_values, GRID_CAP
+from .fourier import (FourierContext, GRID_CAP, half_grid_values,
+                      mirror_paired)
 
 # Bounds q**J in the pair count.  Its Horner values stay below
 # q**J * q**(J-1) (q**J * q**J when J = 1) <= PAIR_COUNT_CAP**2, which is
@@ -393,11 +394,11 @@ def circle_pipeline(
 
     The ledger's ``total`` is the count.  The terms at a and Q - a are
     conjugate and share a class, so each class sums Re(F*S)/Q over
-    a <= Q//2, twice for 0 < a < Q/2 (whose mirror is another point), and
-    its imaginary part is exactly 0.0.
+    a <= Q//2, twice for a in mirror_paired(Q) (whose mirror is another
+    point), and its imaginary part is exactly 0.0.
     """
     st = pipeline_stages(ds, k, weight, D0=D0, A_major=A_major)
-    paired = slice(1, st.Q - st.Q // 2)
+    paired = mirror_paired(st.Q)
     terms = st.fhat.real * st.s_vals.real
     terms -= st.fhat.imag * st.s_vals.imag
     terms /= st.Q

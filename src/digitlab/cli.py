@@ -214,7 +214,7 @@ def _scan_csv_blocks(st: arcs_mod.PipelineStages,
     """The scan CSV: its header, then at most ``CSV_BLOCK`` rows per
     string.
 
-    The pair rule: row Q - m (1 <= m < Q - Q//2) repeats row m but for
+    The pair rule: row Q - m (m in ``mirror_paired(Q)``) repeats row m but for
     the sign of fhat_im, as F and S_w are conjugate-symmetric (see
     ``arcs.PipelineStages``).  So the rows a <= Q//2 are formatted block
     by block, and each block's mirror rows are built from the same
@@ -230,6 +230,7 @@ def _scan_csv_blocks(st: arcs_mod.PipelineStages,
     yield "a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"
     names = [cls.value for cls in arcs_mod.ARC_CLASSES]
     Q, stored = st.Q, st.codes.size  # rows a < stored = Q//2 + 1 are held
+    paired = fou_mod.mirror_paired(Q)  # the m whose row Q - m is mirrored
     sizes = []
     for start in range(0, stored, CSV_BLOCK):
         stop = min(start + CSV_BLOCK, stored)
@@ -243,7 +244,7 @@ def _scan_csv_blocks(st: arcs_mod.PipelineStages,
             np.hypot(s.real, s.imag).tolist())]
         yield "".join(f"{a}{h}{im!r}{t}" for a, h, im, t in zip(
             range(start, stop), heads, ims, tails))
-        lo, hi = max(start, 1), min(stop, Q - stored + 1)  # mirrored m
+        lo, hi = max(start, paired.start), min(stop, paired.stop)
         if lo < hi:
             i, j = lo - start, hi - start
             data = "".join(f"{a}{h}{-im!r}{t}" for a, h, im, t in zip(

@@ -11,11 +11,14 @@ blocked four-step FFT of the digit indicator (modulated by e(n*theta0)):
 an inverse FFT over the high k-1 digits, then batched length-q transforms
 over the low digit, BLOCK points at a time.  grid_values stores the blocks;
 l1_grid_sum sums their moduli and never holds more than the q**(k-1)-point
-high grid plus one block.  half_grid_values, the circle pipeline's grid,
-holds a <= q**k//2 only: the indicator is real, so F(-a/Q) = conj F(a/Q),
-and the engine transforms half the columns and conjugates the mirror into
-the rest.  The product formula (eval_product, eval_product_real) stays the
-scalar oracle of the engine.
+high grid plus one block.  At theta0 = 0 the indicator is real, so
+F(-a/Q) = conj F(a/Q): in the (q, W = q**(k-1)) view of the grid, column
+W - m holds the conjugates of column m with the rows reversed.  So
+half_grid_values, the circle pipeline's grid, holds a <= q**k//2 only,
+and both it and the theta0 = 0 L1 sum transform just the columns
+m <= W//2; mirror_paired names the indices whose mirror is another index,
+which count twice.  The product formula (eval_product, eval_product_real)
+stays the scalar oracle of the engine.
 """
 
 from __future__ import annotations
@@ -187,6 +190,12 @@ def _digit_vectors(ctx: FourierContext, theta0) -> list:
     return vecs
 
 
+def mirror_paired(n: int) -> slice:
+    """The indices 0 < i < n/2 of range(n) whose mirror n - i is another
+    index; i = 0 and i = n/2 are their own mirrors."""
+    return slice(1, n - n // 2)
+
+
 def _transform_blocks(ctx: FourierContext, theta0, stop=None):
     """Yield (cols, block) with block[t, j] = F(theta0 + (t*Q/q + m)/Q),
     m = cols.start + j: the columns m < stop (default all Q/q) of the
@@ -257,6 +266,7 @@ def half_grid_values(ctx: FourierContext) -> np.ndarray:
         raise CapExceededError(
             f"grid of {ctx.Q} points exceeds cap {GRID_CAP}")
     width = ctx.Q // ctx.ds.q if ctx.k else 1
+    paired = mirror_paired(width)
     out = np.empty(ctx.Q // 2 + 1, dtype=np.complex128)
     rows, rem = divmod(out.size, width)
     body = out[:rows * width].reshape(rows, width)
@@ -267,7 +277,7 @@ def half_grid_values(ctx: FourierContext) -> np.ndarray:
         if start < rem:
             tail[start:cols.stop] = block[rows, :rem - start]
         # mirrored columns W - m for m in [lo, hi), from rows q-1, q-2, ...
-        lo, hi = max(start, 1), min(cols.stop, width - width // 2)
+        lo, hi = max(start, paired.start), min(cols.stop, paired.stop)
         if lo < hi:
             np.conjugate(block[::-1][:rows, lo - start:hi - start][:, ::-1],
                          out=body[:, width - hi + 1:width - lo + 1])
@@ -279,13 +289,29 @@ def l1_grid_sum(ctx: FourierContext, theta0=0.0) -> float:
 
     Sums the blocks of _transform_blocks as they come, so it never holds
     q**k points: its arrays are the q**(k-1)-point high grid and one
-    BLOCK-point block.
+    BLOCK-point block.  Each block is summed by columns first.  At
+    theta0 = 0 only the columns m <= W//2 of the (q, W) view are
+    transformed: column W - m holds the moduli of column m, rows reversed,
+    so the columns in mirror_paired(W) count twice.  Other theta0 sum all
+    W columns once.  Either sum may differ from np.abs(grid_values).sum()
+    in the last bits, by the summation order.
     """
     if ctx.Q > GRID_CAP:
         raise CapExceededError(
             f"grid of {ctx.Q} points exceeds cap {GRID_CAP}")
-    return sum(float(np.abs(block).sum())
-               for _, block in _transform_blocks(ctx, theta0))
+    width = ctx.Q // ctx.ds.q if ctx.k else 1
+    if theta0 == 0:
+        stop, paired = width // 2 + 1, mirror_paired(width)
+    else:
+        stop, paired = width, slice(0, 0)
+    total = 0.0
+    for cols, block in _transform_blocks(ctx, theta0, stop):
+        sums = np.abs(block).sum(axis=0)
+        lo, hi = max(cols.start, paired.start), min(cols.stop, paired.stop)
+        if lo < hi:
+            sums[lo - cols.start:hi - cols.start] *= 2.0
+        total += float(sums.sum())
+    return total
 
 
 def empirical_Cq(ctx: FourierContext) -> float:

@@ -137,11 +137,15 @@ def pair_count_vs_looped(cases: Iterable[tuple]) -> List[dict]:
 
 
 def parseval(cases: Iterable[tuple]) -> List[dict]:
-    """sum |F(a/Q)|^2 over the grid = Q * #members, per ``(digit_set, k)``."""
+    """sum |F(a/Q)|^2 over the grid = Q * #members, per ``(digit_set, k)``,
+    read from the half grid with the points of ``mirror_paired(Q)``
+    counted twice."""
     checks = []
     for ds, k in cases:
-        vals = fou_mod.grid_values(fou_mod.FourierContext(ds, k))
-        lhs = float(np.add.reduce(np.abs(vals) ** 2))
+        sq = np.abs(fou_mod.half_grid_values(fou_mod.FourierContext(ds, k)))
+        sq **= 2
+        sq[fou_mod.mirror_paired(ds.q ** k)] *= 2.0
+        lhs = float(np.add.reduce(sq))
         expected = ds.q ** k * (ds.q - ds.s) ** k
         checks.append(_check(
             f"Parseval q={ds.q} k={k}",
@@ -151,23 +155,26 @@ def parseval(cases: Iterable[tuple]) -> List[dict]:
 
 
 def lemma_inequality(thetas: Iterable[float]) -> List[dict]:
-    """2 + 2 cos(2 pi t) <= 4 exp(-2 ||t||^2) at every t."""
-    ok = all(
-        2 + 2 * math.cos(2 * math.pi * t)
-        <= 4 * math.exp(-2 * fou_mod.distance_to_integer(t) ** 2) + 1e-12
-        for t in thetas)
-    return [_check("2+2cos(2 pi t) <= 4 exp(-2 ||t||^2)", ok, "")]
+    """2 + 2 cos(2 pi t) <= 4 exp(-2 ||t||^2) at every t; the detail is the
+    worst margin, right side minus left (np.min keeps a nan)."""
+    margin = float(np.min([
+        4 * math.exp(-2 * fou_mod.distance_to_integer(t) ** 2)
+        - (2 + 2 * math.cos(2 * math.pi * t))
+        for t in thetas]))
+    return [_check("2+2cos(2 pi t) <= 4 exp(-2 ||t||^2)", margin >= -1e-12,
+                   f"min margin {margin:.3e}")]
 
 
 def digit_factor_bound_holds(sets: Iterable[DigitSet],
                              thetas: Iterable[float]) -> List[dict]:
-    """|digit_factor| <= digit_factor_bound for every set at every t."""
+    """|digit_factor| <= digit_factor_bound for every set at every t; the
+    detail is the worst margin, bound minus |digit_factor|."""
     thetas = list(thetas)
-    ok = all(
-        abs(fou_mod.digit_factor(ds, t))
-        <= fou_mod.digit_factor_bound(ds, t) + 1e-9
-        for ds in sets for t in thetas)
-    return [_check("digit factor bound dominates on grid", ok, "")]
+    margin = float(np.min([
+        fou_mod.digit_factor_bound(ds, t) - abs(fou_mod.digit_factor(ds, t))
+        for ds in sets for t in thetas]))
+    return [_check("digit factor bound dominates on grid", margin >= -1e-9,
+                   f"min margin {margin:.3e}")]
 
 
 def sweep_ratios(seed: int) -> List[dict]:

@@ -295,14 +295,57 @@ class TestTransformEngine:
             seen.extend(range(cols.start, cols.stop))
         assert seen == list(range(q ** (k - 1)))
 
-    def test_l1_does_not_build_the_grid(self, monkeypatch):
+    @pytest.mark.parametrize("theta0", [0.0, 0.3217])
+    def test_l1_does_not_build_the_grid(self, monkeypatch, theta0):
         def refuse(*args, **kwargs):
-            raise AssertionError("l1_grid_sum called grid_values")
+            raise AssertionError("l1_grid_sum built a grid")
 
         ctx = FourierContext(DigitSet(10, (7,)), 3)
-        expect = l1_grid_sum(ctx)
+        expect = l1_grid_sum(ctx, theta0)
         monkeypatch.setattr(fou_mod, "grid_values", refuse)
-        assert l1_grid_sum(ctx) == expect
+        monkeypatch.setattr(fou_mod, "half_grid_values", refuse)
+        assert l1_grid_sum(ctx, theta0) == expect
+
+
+# ENGINE_CASES plus k = 0, and even and odd W = q**(k-1) whose patched
+# blocks (step 37//q columns) straddle the end of the paired columns:
+# q = 10, k = 3 has the block [48, 51) and q = 4, k = 4 the block [27, 33).
+L1_CASES = ENGINE_CASES + [(10, (7,), 0), (4, (1,), 4), (9, (2,), 3)]
+
+
+class TestHalfSpectrumL1:
+    """l1_grid_sum at theta0 = 0 transforms the columns m <= W//2 and
+    counts the columns of mirror_paired(W) twice."""
+
+    @pytest.mark.parametrize("q, excl, k", L1_CASES)
+    def test_matches_full_grid(self, engine_block, q, excl, k):
+        ctx = FourierContext(DigitSet(q, excl), k)
+        expect = float(np.abs(grid_values(ctx)).sum())
+        assert l1_grid_sum(ctx) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("q, excl, k", L1_CASES)
+    @pytest.mark.parametrize("theta0, half", [
+        (0.0, True), (0, True), (Fraction(0), True), (0.3217, False)])
+    def test_transforms_the_half_columns_at_zero_only(
+            self, engine_block, monkeypatch, q, excl, k, theta0, half):
+        seen = []
+        real = fou_mod._transform_blocks
+
+        def recording(*args, **kwargs):
+            for cols, block in real(*args, **kwargs):
+                seen.extend(range(cols.start, cols.stop))
+                yield cols, block
+
+        monkeypatch.setattr(fou_mod, "_transform_blocks", recording)
+        l1_grid_sum(FourierContext(DigitSet(q, excl), k), theta0)
+        width = q ** (k - 1) if k else 1
+        assert seen == list(range(width // 2 + 1 if half else width))
+
+    @pytest.mark.parametrize("n, paired", [
+        (0, []), (1, []), (2, []), (3, [1]), (4, [1]), (5, [1, 2]),
+        (6, [1, 2])])
+    def test_mirror_paired(self, n, paired):
+        assert list(range(n))[fou_mod.mirror_paired(n)] == paired
 
 
 class TestHalfGrid:

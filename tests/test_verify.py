@@ -61,7 +61,7 @@ LEDGER_CASES = [(DigitSet(6, (3,)), 3, build_mangoldt(216), "mangoldt"),
                 (DS, 3, IntPolynomial((0, 0, 1)), "n^2")]
 
 
-def plant_ledger(monkeypatch, roll=0, paired=lambda Q: slice(1, Q - Q // 2)):
+def plant_ledger(monkeypatch, roll=0, paired=fou_mod.mirror_paired):
     """Replace the ledger's class sums by a reduction of the same stages
     whose class masks are rolled by ``roll`` or whose points counted twice
     are ``paired(Q)``; counts and D0 stay those of the real ledger."""
@@ -127,15 +127,17 @@ def test_pair_count_vs_looped(monkeypatch):
 def test_parseval(monkeypatch):
     cases = [(DS, 3), (DigitSet(6, (5,)), 3)]
     assert verdicts(verify.parseval(cases)) == [True] * 2
-    real = fou_mod.grid_values
-    monkeypatch.setattr(fou_mod, "grid_values",
+    real = fou_mod.half_grid_values
+    monkeypatch.setattr(fou_mod, "half_grid_values",
                         lambda *args, **kw: real(*args, **kw) * (1 + 1e-9))
     assert verdicts(verify.parseval(cases)) == [False] * 2
 
 
 def test_lemma_inequality(monkeypatch):
     thetas = [i / 100 for i in range(100)]
-    assert verdicts(verify.lemma_inequality(thetas)) == [True]
+    [check] = verify.lemma_inequality(thetas)
+    # equality at t = 0
+    assert check["passed"] and check["detail"] == "min margin 0.000e+00"
     monkeypatch.setattr(fou_mod, "distance_to_integer", lambda t: 0.5)
     assert verdicts(verify.lemma_inequality(thetas)) == [False]
 
@@ -143,10 +145,19 @@ def test_lemma_inequality(monkeypatch):
 def test_digit_factor_bound_holds(monkeypatch):
     sets = [DS, DigitSet(10, (3, 4))]
     thetas = [(i + 0.5) / 100 for i in range(100)]
-    assert verdicts(verify.digit_factor_bound_holds(sets, thetas)) == [True]
+    [check] = verify.digit_factor_bound_holds(sets, thetas)
+    margin = min(fou_mod.digit_factor_bound(ds, t)
+                 - abs(fou_mod.digit_factor(ds, t))
+                 for ds in sets for t in thetas)
+    assert check["passed"] and check["detail"] == f"min margin {margin:.3e}"
     real = fou_mod.digit_factor_bound
     monkeypatch.setattr(fou_mod, "digit_factor_bound",
                         lambda ds, t: real(ds, t) / 2 if ds.s == 2
+                        else real(ds, t))
+    assert verdicts(verify.digit_factor_bound_holds(sets, thetas)) == [False]
+    # a nan anywhere fails the check, not only in first place
+    monkeypatch.setattr(fou_mod, "digit_factor_bound",
+                        lambda ds, t: float("nan") if t == thetas[50]
                         else real(ds, t))
     assert verdicts(verify.digit_factor_bound_holds(sets, thetas)) == [False]
 
