@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Union
@@ -126,6 +127,31 @@ ARC_CLASSES = (ArcClass.MAJOR, ArcClass.MINOR_DENOMINATOR,
 
 def arc_threshold(Q: int, A_major: float) -> float:
     return math.log(Q) ** A_major
+
+
+def max_a_major(Q: int) -> float:
+    """The largest float A for which ``arc_threshold(Q, A)`` is finite.
+
+    (log Q)**A overflows once A*log(log Q) passes the log of the largest
+    float; that quotient lies within a few ulps of the boundary, and the
+    steps below find it exactly.  log Q <= 1 (Q = 1) never overflows.
+    """
+    lg = math.log(Q)
+    if lg <= 1.0:
+        return math.inf
+
+    def finite(a: float) -> bool:
+        try:
+            return math.isfinite(lg ** a)
+        except OverflowError:
+            return False
+
+    a = math.log(sys.float_info.max) / math.log(lg)
+    while not finite(a):
+        a = math.nextafter(a, 0.0)
+    while finite(math.nextafter(a, math.inf)):
+        a = math.nextafter(a, math.inf)
+    return a
 
 
 def classify(approx: RationalApprox, A_major: float) -> ArcClass:

@@ -7,9 +7,11 @@ CSV with a fixed header, so every number is reproducible from its file.
 ``--cap`` limits q^k and is checked once, by ``_make_weight`` (and by
 ``cmd_constants``), before any stage allocates.  The library checks only
 its fixed caps: ``fourier.GRID_CAP``, ``expsums.MANGOLDT_CAP``,
-``digits.ENUMERATION_CAP``, ``digits.BASE_CAP`` (when the ``DigitSet`` is
-made) and ``arcs.PAIR_COUNT_CAP``.  The directory of ``--out`` must exist
-before any stage runs (``validate`` and ``cmd_verify``).
+``expsums.POLY_SCAN_CAP``, ``digits.ENUMERATION_CAP``, ``digits.BASE_CAP``
+(when the ``DigitSet`` is made) and ``arcs.PAIR_COUNT_CAP``.  The
+directory of ``--out`` must exist before any stage runs (``validate`` and
+``cmd_verify``), and ``validate`` rejects an ``--a-major`` whose threshold
+(log Q)^A would overflow, naming the largest A it accepts.
 
 ``arcs`` and ``scan`` share one set of pipeline stages
 (``arcs.pipeline_stages``), which hold a <= Q//2 only.  ``scan`` formats
@@ -81,6 +83,11 @@ class ExperimentConfig:
             raise ConfigError("d0: must be positive")
         if not 0 < self.A_major < math.inf:
             raise ConfigError("a-major: must be positive and finite")
+        limit = arcs_mod.max_a_major(self.q ** self.k)
+        if self.A_major > limit:
+            raise ConfigError(
+                f"a-major: (log Q)^A overflows at Q = {self.q}^{self.k}; "
+                f"the largest A accepted is {limit!r}")
         if not 1 <= self.cap <= fou_mod.GRID_CAP:
             raise ConfigError(f"cap: must lie in [1, {fou_mod.GRID_CAP}]")
         _check_out_dir(self.out)

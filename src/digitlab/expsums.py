@@ -12,6 +12,7 @@ the seed alone picks the random draws.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -25,6 +26,9 @@ from .fourier import RationalFrequency, distance_to_integer
 from .summation import pairwise_sum
 
 MANGOLDT_CAP = 10 ** 9
+# Values n tested by poly_range; as fourier.GRID_CAP, since the identity
+# polynomial at the largest grid tests every n < Q.
+POLY_SCAN_CAP = 10 ** 8
 # Products n * num below this are exact in int64 (see _residues).
 INT64_LIMIT = 2 ** 63
 
@@ -165,32 +169,40 @@ class IntPolynomial:
         return v
 
     def increasing_from(self) -> int:
-        """An integer N such that the polynomial is increasing on [N, oo).
+        """An integer N >= 0 such that the polynomial is increasing on
+        [N, oo).
 
-        Cauchy-style bound on the roots of the derivative.
+        A Cauchy bound for the negative part of P'.  On n >= 0 only the
+        negative coefficients can make P'(n) = sum_i i*c_i*n**(i-1)
+        negative.  Let L = r*c_r > 0 and M = max(i*|c_i|) over 1 <= i < r
+        with c_i < 0.  With no such i, P'(n) >= L*n**(r-1) > 0 for n > 0,
+        so N = 0.  Otherwise, for n > 1,
+        P'(n) >= L*n**(r-1) - M*(n**(r-1) - 1)/(n - 1)
+              > (L - M/(n - 1))*n**(r-1),
+        which is >= 0 once n - 1 >= M/L.  N = 2 + M//L exceeds 1 + M/L.
         """
-        r = self.degree
-        if r == 1:
-            return 0
-        lead = r * self.coeffs[-1]
-        bound = 1 + max(
-            abs(i * self.coeffs[i]) for i in range(1, r)
-        ) // lead + 1
-        return bound
+        r, cs = self.degree, self.coeffs
+        negative = [-i * cs[i] for i in range(1, r) if cs[i] < 0]
+        return 2 + max(negative) // (r * cs[-1]) if negative else 0
 
 
 def poly_range(P: IntPolynomial, x: int) -> List[int]:
-    """All n >= 0 with P(n) < x, found by scan past the increasing point."""
-    out = []
+    """All n >= 0 with P(n) < x, ascending.
+
+    Past N = ``P.increasing_from()`` they are the n < end, where end is
+    the first n > N with P(n) >= x, found by doubling and bisection.  The
+    scan tests every n < end, so end is checked against
+    ``POLY_SCAN_CAP`` before it starts.
+    """
     start = P.increasing_from()
-    for n in range(start + 1):
-        if P(n) < x:
-            out.append(n)
-    n = start + 1
-    while P(n) < x:
-        out.append(n)
-        n += 1
-    return out
+    hi = start + 1
+    while P(hi) < x:
+        hi *= 2
+    end = bisect.bisect_left(range(hi + 1), x, lo=start + 1, key=P)
+    if end > POLY_SCAN_CAP:
+        raise CapExceededError(
+            f"polynomial scan of {end} values exceeds cap {POLY_SCAN_CAP}")
+    return [n for n in range(end) if P(n) < x]
 
 
 def poly_expsum(P: IntPolynomial, x: int, alpha: Alpha) -> complex:

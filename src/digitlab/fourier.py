@@ -234,6 +234,9 @@ def _transform_blocks(ctx: FourierContext, theta0, stop=None):
 def grid_values(ctx: FourierContext, theta0=0.0) -> np.ndarray:
     """All q**k transform values F(theta0 + a/q**k), a = 0..q**k-1.
 
+    No report and no ``verify`` check reads it: the tests keep it as the
+    full-grid reference for the engine.
+
     Blocked FFT of the digit indicator (see _transform_blocks): each block
     is written into its columns of the (q, q**(k-1)) view of the result.
     Work: q**k complex exponentials plus FFTs of lengths q**(k-1) and q.

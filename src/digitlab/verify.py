@@ -2,9 +2,14 @@
 
 Each check family is written once, as a function of its cases, and returns
 a list of ``{"check", "passed", "detail"}`` dicts.  ``SUITES`` calls the
-families with the cases ``digitlab verify`` reports, and the acceptance
-tests with their own.  Pipeline stages are called through their modules,
-so a replaced module attribute reaches every check.
+families with the cheap cases ``digitlab verify`` reports, and the
+acceptance tests with their own, larger ones; a threshold is a constant
+inside its family, so both callers hold the same one.  Pipeline stages are
+called through their modules, so a replaced module attribute reaches every
+check.  The oracle side of a family never calls what it checks: the
+residue family counts its totient from the definition, and the transform
+checks read the half grid and the L1 sum against the product formula,
+never ``fourier.grid_values``.
 """
 
 from __future__ import annotations
@@ -17,15 +22,21 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from . import arcs as arcs_mod
+from . import digits as dig_mod
 from . import expsums as exp_mod
 from . import fourier as fou_mod
-from .digits import DigitSet, contains, count_in_ap
+from .digits import DigitSet, contains
 from .expsums import IntPolynomial
 from .summation import pairwise_sum
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
     return {"check": name, "passed": bool(passed), "detail": detail}
+
+
+def _set_label(ds: DigitSet) -> str:
+    """"q=10, ex 7", "q=10, ex 0,7": a digit set as check names give it."""
+    return f"q={ds.q}, ex {','.join(map(str, ds.excluded))}"
 
 
 def exponent_targets() -> List[dict]:
@@ -129,9 +140,8 @@ def pair_count_vs_looped(cases: Iterable[tuple]) -> List[dict]:
         QJ = ds.q ** J
         want = sum(1 for n in range(QJ) if contains(ds, P(n) % QJ, J))
         got = arcs_mod.singular_series_pair_count(P, ds, J)
-        excl = ",".join(map(str, ds.excluded))
         checks.append(_check(
-            f"pair count vs looped contains ({label}, q={ds.q}, ex {excl}, "
+            f"pair count vs looped contains ({label}, {_set_label(ds)}, "
             f"J={J})", got == want, f"got {got}, looped {want}"))
     return checks
 
@@ -191,6 +201,155 @@ def sweep_ratios(seed: int) -> List[dict]:
     return checks
 
 
+def product_vs_direct(cases: Iterable[tuple], draws: int,
+                      rng: random.Random) -> List[dict]:
+    """``eval_product`` against the literal sum ``eval_direct`` at ``draws``
+    random a/Q per ``(digit_set, k)``, drawn from ``rng`` case by case.
+
+    One check over every draw: the error is relative to max(|oracle|, 1),
+    which is at most (q - s)**k, and must stay under 1e-9.
+    """
+    worst, n = 0.0, 0
+    for ds, k in cases:
+        ctx = fou_mod.FourierContext(ds, k)
+        Q = ds.q ** k
+        for _ in range(draws):
+            freq = fou_mod.RationalFrequency(rng.randrange(Q), Q)
+            oracle = fou_mod.eval_direct(ds, k, freq)
+            err = abs(fou_mod.eval_product(ctx, freq) - oracle)
+            worst = max(worst, err / max(abs(oracle), 1.0))
+            n += 1
+    return [_check(f"product vs direct ({n} random frequencies)",
+                   worst < 1e-9, f"max rel err {worst:.2e}")]
+
+
+def l1_bound(cases: Iterable[tuple], thetas: Iterable) -> List[dict]:
+    """The L1 lemma: (sum_a |F(theta + a/Q)|)**(1/k) <= C_q * q * log q,
+    with C_q = ``analytic_Cq`` of the set, per ``(digit_set, k)`` (k >= 1)
+    and theta.  The sum is ``l1_grid_sum``."""
+    thetas = list(thetas)
+    checks = []
+    for ds, k in cases:
+        q = ds.q
+        bound = (fou_mod.analytic_Cq(q, ds.s, ds.consecutive_flag)
+                 * q * math.log(q))
+        ctx = fou_mod.FourierContext(ds, k)
+        for theta in thetas:
+            root = fou_mod.l1_grid_sum(ctx, theta) ** (1.0 / k)
+            checks.append(_check(
+                f"L1 bound (q={q}, k={k}, theta {theta})", root <= bound,
+                f"root {root:.4f}, bound {bound:.4f}, "
+                f"ratio {root / bound:.4f}"))
+    return checks
+
+
+def l1_vs_product(cases: Iterable[tuple], thetas: Iterable) -> List[dict]:
+    """``l1_grid_sum`` against the sum of |``eval_product_real``| over the
+    Q exact frequencies theta + a/Q, per ``(digit_set, k)`` and theta.
+
+    A theta with ||Q*theta|| small makes the shifted grid nearly the
+    unshifted one rolled, and then an engine that drops theta passes, so
+    take ||Q*theta|| >= 1/4.
+    """
+    thetas = list(thetas)
+    checks = []
+    for ds, k in cases:
+        ctx = fou_mod.FourierContext(ds, k)
+        Q = ds.q ** k
+        for theta in thetas:
+            got = fou_mod.l1_grid_sum(ctx, theta)
+            want = pairwise_sum([
+                abs(fou_mod.eval_product_real(
+                    ctx, Fraction(theta) + Fraction(a, Q)))
+                for a in range(Q)])
+            rel = abs(got - want) / want
+            checks.append(_check(
+                f"L1 sum vs product formula (q={ds.q}, k={k}, theta {theta})",
+                rel < 1e-9, f"rel err {rel:.2e}"))
+    return checks
+
+
+def digit_factor_decay(sets: Iterable[DigitSet],
+                       thetas: Iterable[float]) -> List[dict]:
+    """|digit_factor| <= (q - 1) exp(-||t||^2 / q) for sets with one
+    excluded digit, at every t; the detail is the worst margin, bound minus
+    |digit_factor|."""
+    thetas = list(thetas)
+    margin = float(np.min([
+        (ds.q - 1) * math.exp(-fou_mod.distance_to_integer(t) ** 2 / ds.q)
+        - abs(fou_mod.digit_factor(ds, t))
+        for ds in sets for t in thetas]))
+    return [_check("|digit factor| <= (q-1) exp(-||t||^2/q)",
+                   margin >= -1e-9, f"min margin {margin:.3e}")]
+
+
+def residue_counts(cases: Iterable[tuple]) -> List[dict]:
+    """The members n < q**k split over the residues a mod q: the coprime
+    allowed a hold (phi(q) - s')(q - s)**(k-1) of them together, and each
+    excluded a holds none, per ``(digit_set, k)`` with k >= 1.
+
+    s' counts the excluded digits coprime to q, and phi(q) is counted here
+    from its definition, #{a < q : gcd(a, q) = 1}, not by the totient of
+    ``arcs``.  The counts come from ``digits.count_in_ap``.
+    """
+    checks = []
+    for ds, k in cases:
+        q, Q = ds.q, ds.q ** k
+        phi = sum(1 for a in range(q) if math.gcd(a, q) == 1)
+        s_prime = sum(1 for b in ds.excluded if math.gcd(b, q) == 1)
+        want = (phi - s_prime) * (q - ds.s) ** (k - 1)
+        got = sum(dig_mod.count_in_ap(ds, Q, k, q, a) for a in range(q)
+                  if math.gcd(a, q) == 1 and a not in ds.excluded)
+        stray = sum(dig_mod.count_in_ap(ds, Q, k, q, b) for b in ds.excluded)
+        checks.append(_check(
+            f"residue count (phi - s')(q - s)^(k-1) ({_set_label(ds)}, "
+            f"k={k})", got == want and stray == 0,
+            f"got {got}, expected {want}; {stray} at excluded residues"))
+    return checks
+
+
+def singular_series_levels(cases: Iterable[tuple]) -> List[dict]:
+    """Per ``(digit_set, polynomial, label, S_1, top)``: S_1 equals the
+    exact ``S_1``; the gaps |S_(J+1) - S_J| for J < top do not increase
+    (within 1e-15); and the identity polynomial has pair count
+    (q - s)**J, the member count, at every J <= top."""
+    checks = []
+    ident = IntPolynomial((0, 1))
+    for ds, P, label, s1, top in cases:
+        at = _set_label(ds)
+        got = arcs_mod.singular_series(P, ds, 1)
+        checks.append(_check(f"singular series S_1({label}, {at}) = {s1}",
+                             got == s1, f"got {got}"))
+        vals = [float(arcs_mod.singular_series(P, ds, J))
+                for J in range(1, top + 1)]
+        gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
+        checks.append(_check(
+            f"singular series gaps nonincreasing ({label}, {at}, "
+            f"J=1..{top})",
+            all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:])),
+            "gaps " + " ".join(f"{g:.3e}" for g in gaps)))
+        counts = [arcs_mod.singular_series_pair_count(ident, ds, J)
+                  for J in range(1, top + 1)]
+        checks.append(_check(
+            f"identity pair counts = (q - s)^J ({at}, J=1..{top})",
+            counts == [(ds.q - ds.s) ** J for J in range(1, top + 1)],
+            "got " + " ".join(map(str, counts))))
+    return checks
+
+
+def main_term_deviation(cases: Iterable[tuple]) -> List[dict]:
+    """``theorem_comparison``'s relative deviation of the direct count from
+    the main term is at most 0.2, per ``(digit_set, k, weight, label)``."""
+    checks = []
+    for ds, k, weight, label in cases:
+        dev = arcs_mod.theorem_comparison(ds, k, weight).deviation
+        checks.append(_check(
+            f"main term deviation <= 0.2 ({_set_label(ds)}, k={k}, "
+            f"{label})", dev is not None and dev <= 0.2,
+            "main term is 0" if dev is None else f"deviation {dev:.4f}"))
+    return checks
+
+
 def _suite_constants(seed: int) -> List[dict]:
     cq = fou_mod.analytic_Cq(10, 1)
     return exponent_targets() + [
@@ -202,44 +361,32 @@ def _suite_constants(seed: int) -> List[dict]:
 
 
 def _suite_fourier(seed: int) -> List[dict]:
-    checks = []
     rng = random.Random(seed)
-    worst = 0.0
-    for q, excl, k in [(5, (2,), 3), (8, (7,), 3), (10, (7,), 3)]:
-        ds = DigitSet(q, excl)
-        ctx = fou_mod.FourierContext(ds, k)
-        Q = q ** k
-        for _ in range(40):
-            freq = fou_mod.RationalFrequency(rng.randrange(Q), Q)
-            v1 = fou_mod.eval_product(ctx, freq)
-            v2 = fou_mod.eval_direct(ds, k, freq)
-            worst = max(worst, abs(v1 - v2) / (q - ds.s) ** k)
-    checks.append(_check("product vs direct (120 random frequencies)",
-                         worst < 1e-9, f"max rel err {worst:.2e}"))
     ds = DigitSet(10, (7,))
+    small = DigitSet(5, (2,))
+    checks = product_vs_direct(
+        [(small, 3), (DigitSet(8, (7,)), 3), (ds, 3)], 40, rng)
     checks += parseval([(ds, 4)])
     ctx = fou_mod.FourierContext(ds, 4)
-    vals = fou_mod.grid_values(ctx)
-    sym = max(abs(vals[a] - vals[-a].conjugate()) for a in range(1, 10 ** 4))
-    checks.append(_check("conjugate symmetry", sym < 1e-6,
-                         f"max |F(Q-a) - conj F(a)| = {sym:.2e}"))
-    theta0 = 0.1234
-    shifted = fou_mod.grid_values(ctx, theta0)
-    grid_err = 0.0
-    for _ in range(40):
-        a = rng.randrange(10 ** 4)
-        v1 = fou_mod.eval_product(ctx, fou_mod.RationalFrequency(a, 10 ** 4))
-        v2 = fou_mod.eval_product_real(
-            ctx, Fraction(theta0) + Fraction(a, 10 ** 4))
-        grid_err = max(grid_err, abs(vals[a] - v1), abs(shifted[a] - v2))
+    half = fou_mod.half_grid_values(ctx)
+    grid_err = max(
+        abs(half[a] - fou_mod.eval_product(
+            ctx, fou_mod.RationalFrequency(a, 10 ** 4)))
+        for a in (rng.randrange(10 ** 4 // 2 + 1) for _ in range(40)))
     grid_err /= 9 ** 4
     checks.append(_check(
-        "grid vs product formula (q=10, k=4, 40 random a, theta0 0 and "
-        f"{theta0})", grid_err < 1e-9, f"max rel err {grid_err:.2e}"))
+        "half grid vs product formula (q=10, k=4, 40 random a <= Q/2)",
+        grid_err < 1e-9, f"max rel err {grid_err:.2e}"))
+    # ||Q/3|| = 1/3 for Q = 10^4 and 5^3, so theta = 1/3 is no grid shift
+    shift = Fraction(1, 3)
+    checks += l1_bound([(ds, 4)], (0, shift))
+    checks += l1_vs_product([(small, 3)], (shift,))
     checks += digit_factor_bound_holds(
         [DigitSet(10, (7,)), DigitSet(10, (3, 4)),
          DigitSet(10, (2, 3, 4, 5, 6))],
         [(i + 0.5) / 2000.0 for i in range(2000)])
+    checks += digit_factor_decay([DigitSet(8, (7,)), DigitSet(10, (9,))],
+                                 [i / 100 for i in range(100)])
     checks += lemma_inequality(i / 10 ** 4 for i in range(10 ** 4))
     rec = fou_mod.linf_decay_report(
         fou_mod.FourierContext(DigitSet(10, (7,)), 9), 1, 3, 0.0)
@@ -276,7 +423,7 @@ def _suite_arcs(seed: int) -> List[dict]:
     ds = DigitSet(10, (7,))
     checks += pipeline_vs_direct([(ds, 3, P, "n^2")])
     rng = random.Random(seed)
-    ok = True
+    ok, worst_d, worst_beta = True, 0.0, 0.0
     for _ in range(2000):
         Q = rng.randrange(2, 10 ** 6)
         a = rng.randrange(Q)
@@ -284,25 +431,24 @@ def _suite_arcs(seed: int) -> List[dict]:
         ap = arcs_mod.dirichlet_approx(a, Q, D0)
         if ap.d > D0 or abs(ap.beta) > 1.0 / (ap.d * D0) + 1e-15:
             ok = False
+        worst_d = max(worst_d, ap.d / D0)
+        worst_beta = max(worst_beta, abs(ap.beta) * ap.d * D0)
     checks.append(_check("dirichlet approx postcondition (2000 random)",
-                         ok, ""))
+                         ok, f"max d/D0 {worst_d:.4f}, "
+                             f"max |beta| d D0 {worst_beta:.4f}"))
     # n^2 has gcd(P'(r), 10) in {2, 10}; the cubic's slopes 3r^2 - 4 mod
     # 10 take gcd 1 and 2.  2,100 contains calls in all.
     checks += pair_count_vs_looped([
         (ds, P, "n^2", 2), (ds, P, "n^2", 3),
         (ds, IntPolynomial((5, -4, 0, 1)), "n^3-4n+5", 3)])
-    sj = arcs_mod.singular_series(P, ds, 1)
-    checks.append(_check("singular series S_1(n^2, q=10, ex 7) = 10/9",
-                         sj == Fraction(10, 9), f"got {sj}"))
+    checks += singular_series_levels([(ds, P, "n^2", Fraction(10, 9), 5)])
     kap = arcs_mod.kappa(ds)
     checks.append(_check("kappa(q=10, ex 7) = 5/6", kap == Fraction(5, 6),
                          f"got {kap}"))
-    total = sum(
-        count_in_ap(ds, 10 ** 4, 4, 10, a)
-        for a in range(10) if math.gcd(a, 10) == 1 and a != 7
-    )
-    checks.append(_check("residue count (phi - s')(q-1)^(k-1)",
-                         total == 3 * 9 ** 3, f"got {total}"))
+    checks += residue_counts([(ds, 4), (DigitSet(10, (0, 7)), 3)])
+    checks += main_term_deviation([
+        (DigitSet(50, (b,)), 3, exp_mod.build_mangoldt(50 ** 3), "mangoldt")
+        for b in (7, 10)])
     return checks
 
 

@@ -363,6 +363,18 @@ class TestCapAboveGridCap:
         assert "cap" in capsys.readouterr().err
 
 
+class TestPolyScanCap:
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
+    def test_long_scan_exits_3(self, command, monkeypatch, capsys):
+        # n - 2000 < 36 for 2036 values of n
+        monkeypatch.setattr(expsums_mod, "POLY_SCAN_CAP", 1000)
+        code = run([command, "--q", "6", "--exclude", "5", "--k", "2",
+                    "--weight", "poly", "--poly-coeffs=-2000,1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "resource cap: polynomial scan of 2036 values exceeds cap 1000\n")
+
+
 class TestCapBelowOne:
     @pytest.mark.parametrize("cap", ["0", "-5"])
     @pytest.mark.parametrize("command", ["count", "arcs", "scan", "constants"])
@@ -392,6 +404,39 @@ class TestNonFiniteAMajor:
         cfgfile.write_text(f"q=10\nexclude=7\nk=2\na_major={value}\n")
         assert run([command, "--config", str(cfgfile)]) == 2
         assert "a-major" in capsys.readouterr().err
+
+
+class TestAMajorOverflow:
+    """(log Q)^A must be a float: the threshold is printed as strict JSON."""
+
+    @pytest.mark.parametrize("k, limit", [(3, "367.2597971253467"),
+                                          (6, "270.3118662908308")])
+    @pytest.mark.parametrize("command", ["arcs", "scan"])
+    def test_rejected_with_the_largest_a(self, command, k, limit, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr(arcs_mod, "pipeline_stages",
+                            refuse("pipeline_stages"))
+        code = run([command, "--q", "10", "--exclude", "7", "--k", str(k),
+                    "--a-major", "400"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: a-major: (log Q)^A overflows at Q = 10^{k}; "
+            f"the largest A accepted is {limit}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["arcs", "scan"])
+    def test_the_largest_a_runs(self, command, tmp_path):
+        limit = arcs_mod.max_a_major(10 ** 3)
+        assert arcs_mod.arc_threshold(10 ** 3, limit) < math.inf
+        with pytest.raises(OverflowError):
+            arcs_mod.arc_threshold(10 ** 3, math.nextafter(limit, math.inf))
+        out = tmp_path / "out"
+        argv = [command, "--q", "10", "--exclude", "7", "--k", "3",
+                "--a-major", repr(limit), "--out", str(out)]
+        assert run(argv) == 0
+        assert run([*argv[:-2], "--a-major",
+                    repr(math.nextafter(limit, math.inf))]) == 2
 
 
 class TestUnwritableOut:
@@ -508,18 +553,31 @@ class TestVerify:
                                   f"(q={q}, k=3, mangoldt{at})"]
 
     def test_grid_oracle_check_can_fail(self, monkeypatch):
-        real = fourier_mod.grid_values
+        real = fourier_mod.half_grid_values
 
         def conjugated(*args, **kwargs):
             return real(*args, **kwargs).conj()
 
-        monkeypatch.setattr(fourier_mod, "grid_values", conjugated)
+        monkeypatch.setattr(fourier_mod, "half_grid_values", conjugated)
         checks = {c["check"]: c["passed"]
                   for c in verify.SUITES["fourier"](1)}
-        assert not checks["grid vs product formula (q=10, k=4, 40 random a, "
-                          "theta0 0 and 0.1234)"]
+        assert not checks["half grid vs product formula (q=10, k=4, "
+                          "40 random a <= Q/2)"]
+        # |F| is unchanged, so Parseval cannot see it
         assert checks["Parseval q=10 k=4"]
-        assert checks["conjugate symmetry"]
+        assert [name for name, ok in checks.items() if not ok] == [
+            "half grid vs product formula (q=10, k=4, 40 random a <= Q/2)"]
+
+    def test_shift_check_can_fail(self, monkeypatch):
+        # an L1 sum that drops theta0 breaks only the shifted comparison;
+        # the bound holds at theta0 = 0 as well
+        real = fourier_mod.l1_grid_sum
+        monkeypatch.setattr(fourier_mod, "l1_grid_sum",
+                            lambda ctx, theta0=0.0: real(ctx, 0.0))
+        checks = {c["check"]: c["passed"]
+                  for c in verify.SUITES["fourier"](1)}
+        assert [name for name, ok in checks.items() if not ok] == [
+            "L1 sum vs product formula (q=5, k=3, theta 1/3)"]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -187,6 +187,37 @@ class TestIntPolynomial:
         P = IntPolynomial((-50, 0, 1))  # n^2 - 50
         assert poly_range(P, 30) == [0, 1, 2, 3, 4, 5, 6, 7, 8]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=4),
+           st.integers(1, 3), st.integers(-100, 3000))
+    def test_increasing_from_and_range_against_brute_force(self, low, lead,
+                                                           x):
+        P = IntPolynomial((*low, lead))
+        N = P.increasing_from()
+        assert all(P(n + 1) > P(n) for n in range(N, N + 60))
+        # every n with P(n) < x here lies below N + 3200
+        assert poly_range(P, x) == [n for n in range(N + 3200) if P(n) < x]
+
+    def test_positive_coefficients_scan_from_zero(self, monkeypatch):
+        # a large positive middle coefficient once set the scan length
+        P = IntPolynomial((0, 10 ** 7, 6))
+        assert P.increasing_from() == 0
+        assert IntPolynomial((5, -4, 0, 1)).increasing_from() == 3
+        calls = []
+        real = IntPolynomial.__call__
+        monkeypatch.setattr(IntPolynomial, "__call__",
+                            lambda self, n: calls.append(n) or real(self, n))
+        assert poly_range(P, 36) == [0]
+        assert len(calls) < 10
+
+    def test_scan_length_is_capped(self, monkeypatch):
+        monkeypatch.setattr(exp_mod, "POLY_SCAN_CAP", 1000)
+        assert poly_range(IntPolynomial((-964, 1)), 36) == list(range(1000))
+        with pytest.raises(CapExceededError,
+                           match="polynomial scan of 1001 values exceeds "
+                                 "cap 1000"):
+            poly_range(IntPolynomial((-965, 1)), 36)
+
 
 class TestPolyExpsum:
     def test_count_at_zero(self):

@@ -1,7 +1,10 @@
-"""Every name a package or test module imports is read in that module, and
-every parameter of a package function is read in its function."""
+"""Every name a package or test module imports is read in that module,
+every parameter of a package function is read in its function, and every
+function the benchmark hooks by name exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,33 @@ def test_scan_sees_a_dead_parameter():
                      "h = lambda y, z: y\n")
     assert dead_parameters(tree) == [
         (1, "f", "b"), (1, "f", "rest"), (3, "g", "x"), (6, "<lambda>", "z")]
+
+
+INPROC = Path(__file__).parents[1] / "perfbench" / "inproc.py"
+
+
+def unresolved_hooks(inproc) -> list:
+    """The dotted names in the hook tables of ``perfbench/inproc.py`` that
+    name no attribute of an importable module."""
+    names = [d for targets in inproc.SPANS.values() for d in targets]
+    names += [*inproc.OBSERVERS, *inproc.CALL_COUNTERS.values(),
+              *inproc.YIELD_COUNTERS.values()]
+    missing = []
+    for dotted in names:
+        modname, _, attr = dotted.rpartition(".")
+        try:
+            getattr(importlib.import_module(modname), attr)
+        except (ImportError, AttributeError):
+            missing.append(dotted)
+    return missing
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark drops a hook whose target is gone and reports its
+    # metrics as missing, so a rename in the package must fail here first
+    spec = importlib.util.spec_from_file_location("perfbench_inproc", INPROC)
+    inproc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inproc)
+    assert unresolved_hooks(inproc) == []
+    monkeypatch.delattr(digitlab.fourier, "grid_values")
+    assert unresolved_hooks(inproc) == ["digitlab.fourier.grid_values"] * 2

@@ -1,9 +1,13 @@
 """Each shared check family of the verify catalogue can fail."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from digitlab import arcs as arcs_mod
+from digitlab import digits as dig_mod
 from digitlab import expsums as exp_mod
 from digitlab import fourier as fou_mod
 from digitlab import verify
@@ -167,3 +171,142 @@ def test_sweep_ratios(ratio, monkeypatch):
     monkeypatch.setattr(exp_mod, "bound_ratio_report", lambda kind, seed: [])
     monkeypatch.setattr(exp_mod, "max_sweep_ratio", lambda rows: ratio)
     assert verdicts(verify.sweep_ratios(1)) == [False] * 3
+
+
+def test_product_vs_direct(monkeypatch):
+    cases = [(DigitSet(5, (2,)), 3), (DS, 3)]
+    [check] = verify.product_vs_direct(cases, 20, random.Random(1))
+    assert check["passed"]
+    assert check["check"] == "product vs direct (40 random frequencies)"
+    # an error of 2e-9 relative to |F|: dividing by (q - s)**k instead of
+    # max(|oracle|, 1) would let it through wherever |F| < (q - s)**k / 2
+    real = fou_mod.eval_product
+    monkeypatch.setattr(fou_mod, "eval_product",
+                        lambda ctx, freq: real(ctx, freq) * (1 + 2e-9))
+    assert verdicts(verify.product_vs_direct(
+        cases, 20, random.Random(1))) == [False]
+
+
+def test_residue_counts(monkeypatch):
+    cases = [(DS, 3), (DigitSet(10, (0, 7)), 3), (DigitSet(12, (5,)), 2)]
+    checks = verify.residue_counts(cases)
+    assert verdicts(checks) == [True] * 3
+    assert checks[1]["detail"] == ("got 192, expected 192; "
+                                   "0 at excluded residues")
+    real = dig_mod.count_in_ap
+    # a member at an excluded residue; the coprime sum is untouched
+    monkeypatch.setattr(dig_mod, "count_in_ap",
+                        lambda ds, x, k, m, a: real(ds, x, k, m, a)
+                        + (a == 0))
+    assert verdicts(verify.residue_counts(cases)) == [True, False, True]
+    # one member too many at a coprime allowed residue
+    monkeypatch.setattr(dig_mod, "count_in_ap",
+                        lambda ds, x, k, m, a: real(ds, x, k, m, a)
+                        + (a == 1 and ds.q == 12))
+    assert verdicts(verify.residue_counts(cases)) == [True, True, False]
+
+
+def test_residue_totient_is_the_familys_own(monkeypatch):
+    # the family's oracle does not read the totient it could check
+    monkeypatch.setattr(arcs_mod, "_totient", lambda n: 0)
+    assert verdicts(verify.residue_counts([(DS, 3)])) == [True]
+
+
+def test_digit_factor_decay(monkeypatch):
+    sets = [DigitSet(8, (7,)), DigitSet(10, (9,))]
+    thetas = [i / 100 for i in range(100)]
+    [check] = verify.digit_factor_decay(sets, thetas)
+    # equality at t = 0
+    assert check["passed"] and check["detail"] == "min margin 0.000e+00"
+    real = fou_mod.digit_factor
+    monkeypatch.setattr(fou_mod, "digit_factor",
+                        lambda ds, t: real(ds, t) * (1 + 1e-9))
+    assert verdicts(verify.digit_factor_decay(sets, thetas)) == [False]
+
+
+L1_CASES = [(DigitSet(5, (2,)), 3), (DS, 3)]
+
+
+def test_l1_bound(monkeypatch):
+    checks = verify.l1_bound(L1_CASES, (0, Fraction(1, 3)))
+    assert verdicts(checks) == [True] * 4
+    assert [c["check"] for c in checks] == [
+        "L1 bound (q=5, k=3, theta 0)", "L1 bound (q=5, k=3, theta 1/3)",
+        "L1 bound (q=10, k=3, theta 0)", "L1 bound (q=10, k=3, theta 1/3)"]
+    real = fou_mod.l1_grid_sum
+    # every root here is below half its bound; the shifted q = 10 sum
+    # breaks it when tripled per digit position
+    monkeypatch.setattr(fou_mod, "l1_grid_sum",
+                        lambda ctx, theta0=0.0: real(ctx, theta0)
+                        * (3.0 ** ctx.k if ctx.ds.q == 10 and theta0 else 1))
+    assert verdicts(verify.l1_bound(L1_CASES, (0, Fraction(1, 3)))) == [
+        True, True, True, False]
+
+
+@pytest.mark.parametrize("theta", [0, Fraction(1, 3)])
+def test_l1_vs_product(theta, monkeypatch):
+    assert verdicts(verify.l1_vs_product(L1_CASES, (theta,))) == [True] * 2
+    real = fou_mod.l1_grid_sum
+    monkeypatch.setattr(fou_mod, "l1_grid_sum",
+                        lambda ctx, theta0=0.0: real(ctx, theta0)
+                        * (1 + 2e-9))
+    assert verdicts(verify.l1_vs_product(L1_CASES, (theta,))) == [False] * 2
+
+
+def test_l1_vs_product_sees_a_dropped_shift(monkeypatch):
+    # ||Q/3|| = 1/3 for Q = 125 and 1000: the shifted grid is no roll of
+    # the unshifted one, so an engine that drops theta0 changes the sum
+    for ds, k in L1_CASES:
+        assert fou_mod.distance_to_integer(ds.q ** k * Fraction(1, 3)) >= 0.25
+    real = fou_mod.l1_grid_sum
+    monkeypatch.setattr(fou_mod, "l1_grid_sum",
+                        lambda ctx, theta0=0.0: real(ctx, 0.0))
+    assert verdicts(verify.l1_vs_product(L1_CASES, (Fraction(1, 3),))) == [
+        False] * 2
+
+
+SERIES_CASES = [(DS, IntPolynomial((0, 0, 1)), "n^2", Fraction(10, 9), 4)]
+
+
+def test_singular_series_levels(monkeypatch):
+    checks = verify.singular_series_levels(SERIES_CASES)
+    assert verdicts(checks) == [True] * 3
+    assert [c["check"] for c in checks] == [
+        "singular series S_1(n^2, q=10, ex 7) = 10/9",
+        "singular series gaps nonincreasing (n^2, q=10, ex 7, J=1..4)",
+        "identity pair counts = (q - s)^J (q=10, ex 7, J=1..4)"]
+    real = arcs_mod.singular_series
+    # S_1 off by one part in 10^12: only the exact level-1 check sees it
+    monkeypatch.setattr(arcs_mod, "singular_series",
+                        lambda P, ds, J: real(P, ds, J)
+                        + Fraction(J == 1, 10 ** 12))
+    assert verdicts(verify.singular_series_levels(SERIES_CASES)) == [
+        False, True, True]
+    # S_4 pushed past S_3 by more than the gap before it
+    monkeypatch.setattr(arcs_mod, "singular_series",
+                        lambda P, ds, J: real(P, ds, J)
+                        + Fraction(J == 4, 10))
+    assert verdicts(verify.singular_series_levels(SERIES_CASES)) == [
+        True, False, True]
+    monkeypatch.setattr(arcs_mod, "singular_series", real)
+    count = arcs_mod.singular_series_pair_count
+    monkeypatch.setattr(arcs_mod, "singular_series_pair_count",
+                        lambda P, ds, J: count(P, ds, J)
+                        + (P.degree == 1 and J == 3))
+    assert verdicts(verify.singular_series_levels(SERIES_CASES)) == [
+        True, True, False]
+
+
+def test_main_term_deviation(monkeypatch):
+    cases = [(DS, 4, build_mangoldt(10 ** 4), "mangoldt")]
+    [check] = verify.main_term_deviation(cases)
+    assert check["passed"]
+    assert check["check"] == ("main term deviation <= 0.2 "
+                              "(q=10, ex 7, k=4, mangoldt)")
+    real = arcs_mod.direct_count
+    monkeypatch.setattr(arcs_mod, "direct_count",
+                        lambda *args: real(*args) * 1.25)
+    assert verdicts(verify.main_term_deviation(cases)) == [False]
+    monkeypatch.setattr(arcs_mod, "kappa", lambda ds: Fraction(0))
+    [check] = verify.main_term_deviation(cases)
+    assert not check["passed"] and check["detail"] == "main term is 0"
