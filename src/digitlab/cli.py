@@ -26,7 +26,9 @@ k; at k = 0 the set is {0} and the direct count is the weight at 0.
 ``verify`` emits the payload of the check catalogue in ``verify.py``,
 which only that command imports.  A ``--config`` file takes only the keys
 of the config flags (``exclude``, ``poly_coeffs``, ``d0``, ...); any
-other key is a config error.
+other key is a config error, and so is a polynomial given, by flag or
+file, with the von Mangoldt weight.  Messages name Q as q^k by q and k,
+since Python will not write an int of more than 4,300 digits.
 """
 
 from __future__ import annotations
@@ -174,10 +176,16 @@ def cmd_count(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _q_to_the_k(cfg: ExperimentConfig) -> str:
+    """"q^k = 10^5000": Q named by q and k, as a str of Q itself fails
+    past 4,300 digits."""
+    return f"q^k = {cfg.q}^{cfg.k}"
+
+
 def _make_weight(cfg: ExperimentConfig, Q: int):
     """The weight on [0, Q), built only once Q = q^k is within the cap."""
     if Q > cfg.cap:
-        raise CapExceededError(f"q^k = {Q} exceeds cap {cfg.cap}")
+        raise CapExceededError(f"{_q_to_the_k(cfg)} exceeds cap {cfg.cap}")
     if cfg.weight == "mangoldt":
         return build_mangoldt(max(Q - 1, 1))
     return IntPolynomial(cfg.poly_coeffs)
@@ -320,7 +328,8 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
     payload = {"schema": SCHEMA, "config": cfg.public(), **asdict(rep)}
     if ctx is None:
         payload["Cq_empirical_reason"] = (
-            f"q^k = {Q} exceeds cap {cfg.cap}, so the L1 grid sum is skipped")
+            f"{_q_to_the_k(cfg)} exceeds cap {cfg.cap}, so the L1 grid sum "
+            "is skipped")
     _emit_json(payload, cfg.out)
     return 0
 
@@ -414,6 +423,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                     (_parse_int_list,) else val)
     if args.exclude is None and "exclude" not in file_vals:
         raise ConfigError("excluded: required")
+    if cfg.weight == "mangoldt" and (args.poly_coeffs is not None
+                                     or "poly_coeffs" in file_vals):
+        raise ConfigError("poly-coeffs: given with weight 'mangoldt', "
+                          "which takes no polynomial")
     return cfg
 
 

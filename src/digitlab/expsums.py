@@ -31,6 +31,8 @@ MANGOLDT_CAP = 10 ** 9
 POLY_SCAN_CAP = 10 ** 8
 # Products n * num below this are exact in int64 (see _residues).
 INT64_LIMIT = 2 ** 63
+# Integers up to this convert to float64 exactly (see _correctly_rounded).
+FLOAT64_EXACT = 2 ** 53
 
 # One-time calibration run (seed below); the sweeps in the verification
 # suites must stay under these max-ratio ceilings.
@@ -119,22 +121,44 @@ def _residues(ns: np.ndarray, num: int, den: int) -> np.ndarray:
     return (ns.astype(object) * num) % den
 
 
+def _rational(alpha: Alpha):
+    """(num, den) of a rational alpha, None for a float."""
+    if isinstance(alpha, RationalFrequency):
+        return alpha.residue, alpha.denominator
+    if isinstance(alpha, Fraction):
+        return alpha.numerator, alpha.denominator
+    return None
+
+
 def _phases_mod1(ns: np.ndarray, alpha: Alpha) -> np.ndarray:
     """(n * alpha) mod 1 for an array of integers n, exactly for rationals."""
-    if isinstance(alpha, RationalFrequency):
-        num, den = alpha.residue, alpha.denominator
-    elif isinstance(alpha, Fraction):
-        num, den = alpha.numerator, alpha.denominator
-    else:
+    rat = _rational(alpha)
+    if rat is None:
         return np.mod(ns.astype(np.float64) * float(alpha), 1.0)
+    num, den = rat
     return _residues(ns, num, den).astype(np.float64) / den
 
 
 def prime_expsum(table: MangoldtTable, x: int, alpha: Alpha) -> complex:
-    """S(alpha) = sum over n < x of Lambda(n) e(n alpha)."""
+    """S(alpha) = sum over n < x of Lambda(n) e(n alpha).
+
+    The literal formula sums log p * np.exp(2j*pi*phase) over the prime
+    powers n < x by ``np.add.reduce``.  At a rational alpha = num/den with
+    den no more than the number of terms, the phases are the r/den with
+    r = n*num mod den, so the den roots e(r/den) are computed once, from
+    the same float r/den and the same np.exp, and indexed by the
+    residues: the terms, and so their sum, have the bits of the literal
+    formula.  A float alpha, or a larger den, takes the formula itself.
+    """
     ns, logs = table.support_below(x)
-    phases = _phases_mod1(ns, alpha)
-    terms = logs * np.exp(2j * np.pi * phases)
+    rat = _rational(alpha)
+    if rat is not None and rat[1] <= ns.size:
+        num, den = rat
+        roots = np.exp(2j * np.pi * (np.arange(den) / den))
+        units = roots[_residues(ns, num, den).astype(np.intp)]
+    else:
+        units = np.exp(2j * np.pi * _phases_mod1(ns, alpha))
+    terms = logs * units
     return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
 
 
@@ -215,13 +239,39 @@ def poly_expsum(P: IntPolynomial, x: int, alpha: Alpha) -> complex:
     return complex(np.add.reduce(terms))
 
 
+def _correctly_rounded(num: np.ndarray, den: int) -> np.ndarray:
+    """num/den as float64 for integers num, each correctly rounded, as
+    float() of the Fraction is: one IEEE division of exact operands, or
+    Python's int division once den is too large for float64."""
+    if den > FLOAT64_EXACT:
+        num = num.astype(object)
+    return np.asarray(num / den, dtype=np.float64)
+
+
 def minsum(N: int, M: float, alpha) -> float:
-    """sum over 1 <= n <= N of min(M, 1/||alpha n||); M when ||..|| = 0."""
-    total = []
-    for n in range(1, N + 1):
-        dist = distance_to_integer(alpha * n)
-        total.append(M if dist == 0.0 else min(M, 1.0 / dist))
-    return float(pairwise_sum(total)) if total else 0.0
+    """sum over 1 <= n <= N of min(M, 1/||alpha n||); M when ||..|| = 0.
+
+    The N distances ||alpha n|| form one array, and ``pairwise_sum`` adds
+    the terms as Python floats, so the sum has the bits of the loop
+    ``min(M, 1/distance_to_integer(alpha*n))``.  A float alpha gives the
+    array form of ``distance_to_integer`` on the products alpha*n; an
+    exact a/d (Fraction or RationalFrequency) gives min(r, d - r)/d with
+    r = n*a mod d, correctly rounded as float() of the exact distance is.
+    ``np.where(inv < M, inv, M)`` picks as ``min(M, inv)`` does, nan
+    included, and inv = 1/0 = inf gives M; 1/dist overflows to inf as in
+    Python.
+    """
+    ns = np.arange(1, N + 1)
+    rat = _rational(alpha)
+    if rat is None:
+        dist = distance_to_integer(float(alpha) * ns)
+    else:
+        num, den = rat
+        r = _residues(ns, num, den)
+        dist = _correctly_rounded(np.minimum(r, den - r), den)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / dist
+    return float(pairwise_sum(np.where(inv < M, inv, M).tolist()))
 
 
 # ----------------------------------------------------------------------

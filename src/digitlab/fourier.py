@@ -124,11 +124,22 @@ def _reduced_power_fracs(theta, q: int, k: int):
     return out
 
 
-def digit_factor(ds: DigitSet, theta: float) -> complex:
-    """The single-digit factor: sum of e(d*theta) over allowed digits d."""
+def digit_factor(ds: DigitSet, theta):
+    """The single-digit factor: sum of e(d*theta) over allowed digits d.
+
+    A float64 array of theta gives the array of factors.  Each allowed
+    digit then gives one column np.exp(2j*pi*((d*theta) % 1.0)), and
+    ``pairwise_sum`` adds the columns with the tree the scalar call uses
+    for its terms; the product, the floor mod, the complex np.exp (equal
+    to cmath.exp) and each addition are the same IEEE operations, so each
+    entry has the bits of the scalar call at its theta.
+    """
+    if np.ndim(theta):
+        theta, exp = np.asarray(theta, dtype=np.float64), np.exp
+    else:
+        theta, exp = float(theta), cmath.exp
     return pairwise_sum(
-        [cmath.exp(2j * math.pi * ((d * float(theta)) % 1.0)) for d in ds.allowed]
-    )
+        [exp(2j * math.pi * ((d * theta) % 1.0)) for d in ds.allowed])
 
 
 def eval_product_real(ctx: FourierContext, theta) -> complex:
@@ -150,23 +161,44 @@ def eval_direct(ds: DigitSet, k: int, freq: RationalFrequency) -> complex:
     return pairwise_sum(terms)
 
 
-def distance_to_integer(x) -> float:
-    """||x||, the distance to the nearest integer; exact for a Fraction."""
+def distance_to_integer(x):
+    """||x||, the distance to the nearest integer; exact for a Fraction.
+
+    A float64 array gives the array of distances, each with the bits of
+    the scalar call: np.mod is Python's floor mod, and no nan or signed
+    zero reaches np.minimum where it would pick otherwise than min().
+    """
     if isinstance(x, Fraction):
         fr = x % 1
         return float(min(fr, 1 - fr))
+    if np.ndim(x):
+        fr = np.mod(np.asarray(x, dtype=np.float64), 1.0)
+        return np.minimum(fr, 1.0 - fr)
     fr = float(x) % 1.0
     return min(fr, 1.0 - fr)
 
 
-def digit_factor_bound(ds: DigitSet, theta: float) -> float:
+def digit_factor_bound(ds: DigitSet, theta):
     """Proven upper bound for |digit_factor(ds, theta)|.
 
     Generic sets get min(q, s + 1/(2*||theta||)); a run of excluded digits
     gets the sharper min(2q, 1/||theta||).  ||theta|| = 0 selects the first
     branch of the min.
+
+    A float64 array of theta gives the array of bounds, each with the bits
+    of the scalar call.  There 1/0 is inf, which ``np.where(rest < cap,
+    rest, cap)`` turns into the cap as ``min(cap, rest)`` would: the
+    first branch at ||theta|| = 0, and the cap at a nan theta.
     """
     q = ds.q
+    if np.ndim(theta):
+        dist = distance_to_integer(theta)
+        with np.errstate(divide="ignore", over="ignore"):
+            if ds.consecutive_flag:
+                cap, rest = 2.0 * q, 1.0 / dist
+            else:
+                cap, rest = float(q), ds.s + 1.0 / (2.0 * dist)
+        return np.where(rest < cap, rest, cap)
     dist = distance_to_integer(float(theta))
     if ds.consecutive_flag:
         if dist == 0.0:

@@ -12,7 +12,12 @@ _BASE = 8
 
 
 def pairwise_sum(values: Sequence):
-    """Sum `values` with a fixed binary tree (ascending index order)."""
+    """Sum `values` with a fixed binary tree (ascending index order).
+
+    The values may be numpy arrays of one shape: they are then summed
+    elementwise, each entry by the same tree and so with the same bits
+    as a sum of that entry's scalars.
+    """
     n = len(values)
     if n == 0:
         return 0.0

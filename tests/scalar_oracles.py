@@ -1,0 +1,70 @@
+"""Scalar oracles of the vectorised measured sides of ``digitlab verify``.
+
+Each is the loop or literal formula its numpy form replaced, kept here so
+that the tests can require the numpy form to give the same bits, which
+``bits`` compares.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from digitlab import expsums as exp_mod
+from digitlab import fourier as fou_mod
+from digitlab import verify
+from digitlab.summation import pairwise_sum
+
+
+def bits(values):
+    """The IEEE bit patterns of floats or complexes, for exact equality
+    that also tells -0.0 from 0.0 and compares nan with nan."""
+    arr = np.atleast_1d(values)
+    return arr.astype(np.complex128 if arr.dtype.kind == "c"
+                      else np.float64).view(np.int64).tolist()
+
+
+def minsum(N, M, alpha):
+    """sum over 1 <= n <= N of min(M, 1/||alpha n||), one n at a time."""
+    total = []
+    for n in range(1, N + 1):
+        dist = fou_mod.distance_to_integer(alpha * n)
+        total.append(M if dist == 0.0 else min(M, 1.0 / dist))
+    return float(pairwise_sum(total)) if total else 0.0
+
+
+def prime_expsum(table, x, alpha):
+    """The literal sum of Lambda(n) e(n alpha), one np.exp per term."""
+    ns, logs = table.support_below(x)
+    terms = logs * np.exp(2j * np.pi * exp_mod._phases_mod1(ns, alpha))
+    return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
+
+
+def digit_factor(ds, theta):
+    """sum of e(d*theta) over the allowed digits, at one theta."""
+    return pairwise_sum([cmath.exp(2j * math.pi * ((d * float(theta)) % 1.0))
+                         for d in ds.allowed])
+
+
+def digit_factor_bound(ds, theta):
+    """The bound on |digit_factor| at one theta, by its two branches."""
+    q = ds.q
+    dist = fou_mod.distance_to_integer(float(theta))
+    if ds.consecutive_flag:
+        if dist == 0.0:
+            return 2.0 * q
+        return min(2.0 * q, 1.0 / dist)
+    if dist == 0.0:
+        return float(q)
+    return min(float(q), ds.s + 1.0 / (2.0 * dist))
+
+
+def digit_factor_bound_holds(sets, thetas):
+    """The family ``verify.digit_factor_bound_holds`` as a loop over the
+    points, with Python's abs() for the modulus."""
+    thetas = list(thetas)
+    margin = verify._min_margin([
+        digit_factor_bound(ds, t) - abs(digit_factor(ds, t))
+        for ds in sets for t in thetas])
+    return [verify._check("digit factor bound dominates on grid",
+                          margin >= -1e-9, f"min margin {margin:.3e}")]

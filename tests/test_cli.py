@@ -641,6 +641,44 @@ class TestConfigFile:
         assert f"config: unknown key {key!r}" in capsys.readouterr().err
 
 
+class TestHugeQ:
+    """Q = 10^5000 has more digits than int-to-str converts; messages name
+    it by q and k."""
+
+    ARGS = ["--q", "10", "--exclude", "7", "--k", "5000"]
+
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
+    def test_over_the_cap(self, command, capsys):
+        assert run([command, *self.ARGS]) == 3
+        assert capsys.readouterr().err == (
+            "resource cap: q^k = 10^5000 exceeds cap 100000000\n")
+
+    def test_constants_skips_the_grid(self, capsys):
+        assert run(["constants", *self.ARGS]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["Cq_empirical"] is None
+        assert payload["Cq_empirical_reason"] == (
+            "q^k = 10^5000 exceeds cap 100000000, so the L1 grid sum is "
+            "skipped")
+
+
+class TestPolyCoeffsNeedPolyWeight:
+    @pytest.mark.parametrize("weight", [[], ["--weight", "mangoldt"]])
+    @pytest.mark.parametrize("command", ["count", "scan", "arcs", "constants"])
+    def test_rejected_with_mangoldt(self, command, weight, capsys):
+        assert run([command, "--q", "10", "--exclude", "7", "--k", "2",
+                    *weight, "--poly-coeffs", "0,0,1"]) == 2
+        assert "poly-coeffs" in capsys.readouterr().err
+
+    def test_rejected_from_a_config_file(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("q=10\nexclude=7\nk=2\npoly_coeffs=0,1\n")
+        assert run(["count", "--config", str(cfgfile)]) == 2
+        # a flag that makes the weight poly takes the file's polynomial
+        assert run(["count", "--config", str(cfgfile), "--weight", "poly",
+                    "--out", str(tmp_path / "o.json")]) == 0
+
+
 class TestRemovedFlags:
     @pytest.mark.parametrize("flag", [["--format", "json"], ["--seed", "1"]])
     @pytest.mark.parametrize("command", ["count", "scan", "arcs", "constants"])

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scalar_oracles as oracle
+from scalar_oracles import bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +119,52 @@ class TestPrimeExpsum:
         t = build_mangoldt(100)
         with pytest.raises(DomainError):
             prime_expsum(t, 200, 0.0)
+
+
+class TestPrimeExpsumMatchesFormula:
+    """The table of roots at a rational alpha gives the bits of the
+    literal formula, one np.exp per term."""
+
+    TABLE = build_mangoldt(2000)
+
+    def size(self, x):
+        return self.TABLE.support_below(x)[0].size
+
+    @pytest.mark.parametrize("x", [2, 3, 100, 2001])
+    def test_fractions_and_frequencies(self, x):
+        for d in range(1, 98):
+            for a in {1, 2 % d, d - 1, -1, -d - 2, 3 * d + 1}:
+                for alpha in (Fraction(a, d), RationalFrequency(a, d)):
+                    assert bits(prime_expsum(self.TABLE, x, alpha)) == bits(
+                        oracle.prime_expsum(self.TABLE, x, alpha)), (a, d)
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_den_at_and_around_the_table_size(self, shift):
+        den = self.size(2001) + shift
+        for a in (1, 2, den - 1, -7):
+            for alpha in (Fraction(a, den), RationalFrequency(a, den)):
+                assert bits(prime_expsum(self.TABLE, 2001, alpha)) == bits(
+                    oracle.prime_expsum(self.TABLE, 2001, alpha))
+
+    def test_empty_table(self):
+        t = build_mangoldt(1)
+        for alpha in (Fraction(1, 3), RationalFrequency(-1, 1), 0.25):
+            assert prime_expsum(t, 2, alpha) == complex(0.0)
+            assert oracle.prime_expsum(t, 2, alpha) == complex(0.0)
+
+    def test_huge_numerator(self):
+        # the residues come from Python ints, then index the roots
+        alpha = Fraction(2 ** 80 + 3, 101)
+        assert bits(prime_expsum(self.TABLE, 2001, alpha)) == bits(
+            oracle.prime_expsum(self.TABLE, 2001, alpha))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 400),
+           st.integers(2, 2001))
+    def test_random_rationals(self, a, d, x):
+        alpha = Fraction(a, d)
+        assert bits(prime_expsum(self.TABLE, x, alpha)) == bits(
+            oracle.prime_expsum(self.TABLE, x, alpha))
 
 
 def object_phases(ns, num, den):
@@ -258,6 +306,43 @@ class TestMinsum:
         alpha = 0.3183
         assert minsum(50, 5.0, alpha) <= minsum(50, 20.0, alpha)
         assert minsum(50, 20.0, alpha) <= minsum(80, 20.0, alpha)
+
+
+class TestMinsumMatchesLoop:
+    """``minsum`` has the bits of the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("N", [0, 1, 1000, -3])
+    @pytest.mark.parametrize("alpha", [
+        0.0, -0.0, 0.5, 1 / 3, 3 / 7, -5 / 11, 22 / 49, 1.0, 17.0,
+        1 / 3 + 1e-12, 3 / 7 - 2.5e-9, 1e-300, 5e-324, 0.3183, 1e6 + 0.1])
+    @pytest.mark.parametrize("M", [1000.0, 5.0])
+    def test_float_alpha(self, N, alpha, M):
+        assert bits(minsum(N, M, alpha)) == bits(oracle.minsum(N, M, alpha))
+
+    @pytest.mark.parametrize("N", [0, 1, 1000])
+    @pytest.mark.parametrize("alpha", [
+        Fraction(0), Fraction(1, 3), Fraction(-5, 11), Fraction(22, 49),
+        Fraction(7, 2 ** 60 + 1), Fraction(3 ** 45, 2 ** 61 - 1),
+        Fraction(2 ** 70 + 1, 97), Fraction(1, 2 ** 53 + 3)])
+    def test_fraction_alpha(self, N, alpha):
+        want = oracle.minsum(N, 1000.0, alpha)
+        assert bits(minsum(N, 1000.0, alpha)) == bits(want)
+        # the same exact frequency as a RationalFrequency
+        freq = RationalFrequency(alpha.numerator, alpha.denominator)
+        assert bits(minsum(N, 1000.0, freq)) == bits(want)
+
+    def test_every_a_over_d_below_60(self):
+        for d in range(1, 60):
+            for a in range(d):
+                assert minsum(200, 1000.0, a / d) == \
+                    oracle.minsum(200, 1000.0, a / d), (a, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e6, 1e6, allow_nan=False),
+           st.floats(0.5, 1e9, allow_nan=False),
+           st.integers(0, 300))
+    def test_random_float_alpha(self, alpha, M, N):
+        assert bits(minsum(N, M, alpha)) == bits(oracle.minsum(N, M, alpha))
 
 
 class TestWeylDifferencing:

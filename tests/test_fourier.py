@@ -5,6 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scalar_oracles as oracle
+from scalar_oracles import bits
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitlab import fourier as fou_mod
 from digitlab.digits import DigitSet, enumerate_members
@@ -140,6 +144,56 @@ class TestDigitFactorBound:
             theta = (i + 0.5) / 1000.0
             assert abs(digit_factor(ds, theta)) <= \
                 digit_factor_bound(ds, theta) + 1e-9
+
+
+ARRAY_SETS = [DigitSet(10, (7,)), DigitSet(10, (3, 7)),
+              DigitSet(10, (1, 3, 4, 6, 9)),            # generic
+              DigitSet(10, (3, 4)), DigitSet(10, (2, 3, 4, 5, 6)),
+              DigitSet(8, (0, 1)), DigitSet(7, (6,))]    # runs
+EDGE_THETAS = [0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 0.5, -0.5, 0.25, 1 / 3,
+               1e-300, -5e-324, 1 - 2 ** -53, 1e6 + 0.125, 2.0 ** 60,
+               float("nan")]
+
+
+class TestArrayForms:
+    """An array of theta gives, entry by entry, the bits of the scalar
+    call at that theta."""
+
+    def check(self, ds, thetas):
+        th = np.array(thetas, dtype=np.float64)
+        f, bound = digit_factor(ds, th), digit_factor_bound(ds, th)
+        want = [oracle.digit_factor(ds, t) for t in thetas]
+        assert bits(f) == bits(want)
+        assert bits(bound) == bits(
+            [oracle.digit_factor_bound(ds, t) for t in thetas])
+        # np.hypot of the parts is Python's abs()
+        assert bits(np.hypot(f.real, f.imag)) == bits([abs(z) for z in want])
+
+    @pytest.mark.parametrize("ds", ARRAY_SETS, ids=str)
+    def test_edges_and_grid(self, ds):
+        self.check(ds, EDGE_THETAS + [(i + 0.5) / 2000 for i in range(2000)])
+
+    def test_distance_to_integer(self):
+        th = np.array(EDGE_THETAS + [i / 97 for i in range(-200, 200)])
+        assert bits(distance_to_integer(th)) == bits(
+            [distance_to_integer(t) for t in th.tolist()])
+
+    def test_scalar_calls_keep_their_types(self):
+        ds = DigitSet(10, (7,))
+        for t in (0.0, 0.3, Fraction(1, 3)):
+            assert type(digit_factor(ds, t)) is complex
+            assert type(digit_factor_bound(ds, t)) is float
+            assert bits(digit_factor(ds, t)) == bits(
+                oracle.digit_factor(ds, t))
+            assert bits(digit_factor_bound(ds, t)) == bits(
+                oracle.digit_factor_bound(ds, t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ARRAY_SETS),
+           st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1,
+                    max_size=40))
+    def test_random_thetas(self, ds, thetas):
+        self.check(ds, thetas)
 
 
 class TestReducedPowerFracs:

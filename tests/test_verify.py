@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scalar_oracles as oracle
 
 from digitlab import arcs as arcs_mod
 from digitlab import digits as dig_mod
@@ -159,10 +160,11 @@ def test_digit_factor_bound_holds(monkeypatch):
                         lambda ds, t: real(ds, t) / 2 if ds.s == 2
                         else real(ds, t))
     assert verdicts(verify.digit_factor_bound_holds(sets, thetas)) == [False]
-    # a nan anywhere fails the check, not only in first place
+    # a nan anywhere fails the check, not only in first place; the family
+    # passes the whole array of thetas, so the plant picks one entry
     monkeypatch.setattr(fou_mod, "digit_factor_bound",
-                        lambda ds, t: float("nan") if t == thetas[50]
-                        else real(ds, t))
+                        lambda ds, t: np.where(t == thetas[50], np.nan,
+                                               real(ds, t)))
     assert verdicts(verify.digit_factor_bound_holds(sets, thetas)) == [False]
 
 
@@ -310,3 +312,32 @@ def test_main_term_deviation(monkeypatch):
     monkeypatch.setattr(arcs_mod, "kappa", lambda ds: Fraction(0))
     [check] = verify.main_term_deviation(cases)
     assert not check["passed"] and check["detail"] == "main term is 0"
+
+
+@pytest.mark.parametrize("seed", [1, exp_mod.CALIBRATION_SEED])
+def test_catalogue_matches_scalar_oracles(seed, monkeypatch):
+    # the whole catalogue with the numpy measured sides, then with the
+    # scalar loops they replaced; the details round, so the sweep rows
+    # and every margin array are compared at full precision too
+    def run():
+        seen = []
+        sweep, margin = exp_mod.bound_ratio_report, verify._min_margin
+        with monkeypatch.context() as m:
+            m.setattr(exp_mod, "bound_ratio_report",
+                      lambda kind, s: seen.append(sweep(kind, s)) or seen[-1])
+            m.setattr(verify, "_min_margin",
+                      lambda ms: seen.append(np.ravel(ms).tolist())
+                      or margin(ms))
+            return verify.report("all", seed), seen
+
+    fast = run()
+    calls = []
+    for mod, name in [(exp_mod, "minsum"), (exp_mod, "prime_expsum"),
+                      (verify, "digit_factor_bound_holds")]:
+        def counted(*args, fn=getattr(oracle, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    assert run() == fast
+    assert set(calls) == {"minsum", "prime_expsum",
+                          "digit_factor_bound_holds"}
