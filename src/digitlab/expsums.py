@@ -31,8 +31,6 @@ MANGOLDT_CAP = 10 ** 9
 POLY_SCAN_CAP = 10 ** 8
 # Products n * num below this are exact in int64 (see _residues).
 INT64_LIMIT = 2 ** 63
-# Integers up to this convert to float64 exactly (see _correctly_rounded).
-FLOAT64_EXACT = 2 ** 53
 
 # One-time calibration run (seed below); the sweeps in the verification
 # suites must stay under these max-ratio ceilings.
@@ -239,36 +237,23 @@ def poly_expsum(P: IntPolynomial, x: int, alpha: Alpha) -> complex:
     return complex(np.add.reduce(terms))
 
 
-def _correctly_rounded(num: np.ndarray, den: int) -> np.ndarray:
-    """num/den as float64 for integers num, each correctly rounded, as
-    float() of the Fraction is: one IEEE division of exact operands, or
-    Python's int division once den is too large for float64."""
-    if den > FLOAT64_EXACT:
-        num = num.astype(object)
-    return np.asarray(num / den, dtype=np.float64)
-
-
 def minsum(N: int, M: float, alpha) -> float:
     """sum over 1 <= n <= N of min(M, 1/||alpha n||); M when ||..|| = 0.
 
     The N distances ||alpha n|| form one array, and ``pairwise_sum`` adds
     the terms as Python floats, so the sum has the bits of the loop
     ``min(M, 1/distance_to_integer(alpha*n))``.  A float alpha gives the
-    array form of ``distance_to_integer`` on the products alpha*n; an
-    exact a/d (Fraction or RationalFrequency) gives min(r, d - r)/d with
-    r = n*a mod d, correctly rounded as float() of the exact distance is.
+    array form of ``distance_to_integer`` on the products alpha*n; a
+    Fraction alpha keeps the exact distance of each alpha*n.
     ``np.where(inv < M, inv, M)`` picks as ``min(M, inv)`` does, nan
     included, and inv = 1/0 = inf gives M; 1/dist overflows to inf as in
     Python.
     """
-    ns = np.arange(1, N + 1)
-    rat = _rational(alpha)
-    if rat is None:
-        dist = distance_to_integer(float(alpha) * ns)
+    if isinstance(alpha, Fraction):
+        dist = np.array([distance_to_integer(alpha * n)
+                         for n in range(1, N + 1)], dtype=np.float64)
     else:
-        num, den = rat
-        r = _residues(ns, num, den)
-        dist = _correctly_rounded(np.minimum(r, den - r), den)
+        dist = distance_to_integer(float(alpha) * np.arange(1, N + 1))
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / dist
     return float(pairwise_sum(np.where(inv < M, inv, M).tolist()))

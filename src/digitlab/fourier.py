@@ -185,28 +185,20 @@ def digit_factor_bound(ds: DigitSet, theta):
     gets the sharper min(2q, 1/||theta||).  ||theta|| = 0 selects the first
     branch of the min.
 
-    A float64 array of theta gives the array of bounds, each with the bits
-    of the scalar call.  There 1/0 is inf, which ``np.where(rest < cap,
-    rest, cap)`` turns into the cap as ``min(cap, rest)`` would: the
-    first branch at ||theta|| = 0, and the cap at a nan theta.
+    A float64 array of theta gives the array of bounds, a scalar theta a
+    float.  1/0 is inf, which ``np.where(rest < cap, rest, cap)`` turns
+    into the cap as ``min(cap, rest)`` would: the first branch at
+    ||theta|| = 0, and the cap at a nan theta.
     """
     q = ds.q
-    if np.ndim(theta):
-        dist = distance_to_integer(theta)
-        with np.errstate(divide="ignore", over="ignore"):
-            if ds.consecutive_flag:
-                cap, rest = 2.0 * q, 1.0 / dist
-            else:
-                cap, rest = float(q), ds.s + 1.0 / (2.0 * dist)
-        return np.where(rest < cap, rest, cap)
-    dist = distance_to_integer(float(theta))
-    if ds.consecutive_flag:
-        if dist == 0.0:
-            return 2.0 * q
-        return min(2.0 * q, 1.0 / dist)
-    if dist == 0.0:
-        return float(q)
-    return min(float(q), ds.s + 1.0 / (2.0 * dist))
+    dist = distance_to_integer(np.atleast_1d(np.asarray(theta, np.float64)))
+    with np.errstate(divide="ignore", over="ignore"):
+        if ds.consecutive_flag:
+            cap, rest = 2.0 * q, 1.0 / dist
+        else:
+            cap, rest = float(q), ds.s + 1.0 / (2.0 * dist)
+    out = np.where(rest < cap, rest, cap)
+    return out if np.ndim(theta) else float(out[0])
 
 
 def _digit_vectors(ctx: FourierContext, theta0) -> list:
