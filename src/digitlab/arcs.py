@@ -30,7 +30,7 @@ denominator <= D0.  When the threshold exceeds D0, or the fractions would
 outnumber the points, every a <= Q/2 goes through the batch Euclid.  The
 proofs are in ``_classification``.  The offset beta is the exact integer
 a*d - ell*Q divided by float(Q*d), which is correctly rounded and so
-equals the scalar ``float(Fraction)`` bit for bit while Q*D0 < 2**53;
+equals the scalar one, an int quotient, bit for bit while Q*D0 < 2**53;
 larger Q*D0 is rejected.  ``dirichlet_approx`` and ``classify`` are the
 scalar oracles for both paths.  The singular-series pair count lifts the
 top digit: for J >= 2, P(r + t*q**(J-1)) == P(r) + t*q**(J-1)*P'(r)
@@ -110,7 +110,8 @@ def dirichlet_approx(a: int, Q: int, D0: int) -> RationalApprox:
         else:
             break
     ell, d = best
-    beta = float(Fraction(a, Q) - Fraction(ell, d))
+    # int / int is correctly rounded: the float nearest a/Q - ell/d
+    beta = (a * d - ell * Q) / (Q * d)
     return RationalApprox(ell=ell, d=d, beta=beta, a=a, Q=Q, D0=D0)
 
 

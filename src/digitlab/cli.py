@@ -101,8 +101,11 @@ class ExperimentConfig:
             raise ConfigError(f"excluded: {exc}") from exc
 
     def public(self) -> dict:
+        """The config echoed in reports; ``excluded`` is the digit set's,
+        sorted and without repeats, so one set gives one report."""
         d = asdict(self)
         d.pop("out")
+        d["excluded"] = self.digit_set().excluded
         return d
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -206,20 +206,29 @@ def count_in_ap(ds: DigitSet, x: int, k: int, modulus: int, residue: int) -> int
 
 
 def enumerate_members(ds: DigitSet, k: int) -> Iterator[int]:
-    """Yield the members of the set in [0, q**k) in increasing order."""
+    """Yield the members of the set in [0, q**k) in increasing order.
+
+    Two ascending blocks are built digit by digit: the members below
+    q**(k//2) (the low k//2 digits) and those of the high k - k//2 digits.
+    Each high value h, in order, is followed by every low value m, giving
+    h*q**(k//2) + m, so the order is increasing and memory is
+    O((q - s)**ceil(k/2)).  The cap is checked before the first item.
+    """
     full = ds.q - ds.s
     if full ** k > ENUMERATION_CAP:
         raise CapExceededError(
             f"enumeration of {full}^{k} members exceeds cap {ENUMERATION_CAP}"
         )
-    allowed = ds.allowed
-    q = ds.q
+    q, allowed, half = ds.q, ds.allowed, k // 2
 
-    def rec(prefix_value: int, remaining: int) -> Iterable[int]:
-        if remaining == 0:
-            yield prefix_value
-            return
-        for d in allowed:
-            yield from rec(prefix_value * q + d, remaining - 1)
+    def block(width: int) -> list:
+        values = [0]
+        for _ in range(width):
+            values = [v * q + d for v in values for d in allowed]
+        return values
 
-    yield from rec(0, k)
+    low, shift = block(half), q ** half
+    for h in block(k - half):
+        base = h * shift
+        for m in low:
+            yield base + m

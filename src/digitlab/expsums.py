@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -55,21 +56,35 @@ class MangoldtTable:
     """The support of von Mangoldt's Lambda up to ``limit``.
 
     ``entries_n`` holds the prime powers n <= limit in increasing order and
-    ``entries_p`` the corresponding primes p (so Lambda(n) = log p).
+    ``entries_p`` the corresponding primes p (so Lambda(n) = log p).  The
+    weights log p are computed once per table, on first use, and held
+    read-only for the table's lifetime.
     """
 
     limit: int
     entries_n: np.ndarray
     entries_p: np.ndarray
 
+    @cached_property
+    def _logs(self) -> np.ndarray:
+        logs = np.log(self.entries_p.astype(np.float64))
+        logs.flags.writeable = False
+        return logs
+
     def support_below(self, x: int):
-        """The prime powers n < x and their weights Lambda(n) = log p."""
+        """The prime powers n < x and their weights Lambda(n) = log p.
+
+        ``entries_n`` is ascending, so both are prefixes: read-only views
+        of ``entries_n`` and of the cached logs, which no caller can write
+        into.
+        """
         if x > self.limit + 1:
             raise DomainError(f"sieve limit {self.limit} does not cover "
                               f"n < {x}")
-        sel = self.entries_n < x
-        return (self.entries_n[sel],
-                np.log(self.entries_p[sel].astype(np.float64)))
+        stop = int(np.searchsorted(self.entries_n, x))
+        ns = self.entries_n[:stop]
+        ns.flags.writeable = False
+        return ns, self._logs[:stop]
 
 
 def build_mangoldt(X: int) -> MangoldtTable:

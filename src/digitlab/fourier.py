@@ -168,12 +168,13 @@ def distance_to_integer(x):
     the scalar call: np.mod is Python's floor mod, and no nan or signed
     zero reaches np.minimum where it would pick otherwise than min().
     """
-    if isinstance(x, Fraction):
-        fr = x % 1
-        return float(min(fr, 1 - fr))
-    if np.ndim(x):
-        fr = np.mod(np.asarray(x, dtype=np.float64), 1.0)
-        return np.minimum(fr, 1.0 - fr)
+    if not isinstance(x, float):  # a float, np.float64 too, is scalar
+        if isinstance(x, Fraction):
+            fr = x % 1
+            return float(min(fr, 1 - fr))
+        if np.ndim(x):
+            fr = np.mod(np.asarray(x, dtype=np.float64), 1.0)
+            return np.minimum(fr, 1.0 - fr)
     fr = float(x) % 1.0
     return min(fr, 1.0 - fr)
 

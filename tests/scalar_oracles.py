@@ -6,13 +6,18 @@ that the tests can require the numpy form to give the same bits, which
 """
 
 import cmath
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from digitlab import arcs as arcs_mod
+from digitlab import digits as digits_mod
 from digitlab import expsums as exp_mod
 from digitlab import fourier as fou_mod
 from digitlab import verify
+from digitlab.errors import CapExceededError, DomainError
 from digitlab.summation import pairwise_sum
 
 
@@ -22,6 +27,47 @@ def bits(values):
     arr = np.atleast_1d(values)
     return arr.astype(np.complex128 if arr.dtype.kind == "c"
                       else np.float64).view(np.int64).tolist()
+
+
+def support_below(table, x):
+    """``MangoldtTable.support_below`` by a mask over the whole table and
+    one np.log of the selected primes per call."""
+    if x > table.limit + 1:
+        raise DomainError(f"sieve limit {table.limit} does not cover "
+                          f"n < {x}")
+    sel = table.entries_n < x
+    return (table.entries_n[sel],
+            np.log(table.entries_p[sel].astype(np.float64)))
+
+
+def enumerate_members(ds, k):
+    """The members of [0, q**k) in increasing order, one recursive
+    generator per digit."""
+    full = ds.q - ds.s
+    cap = digits_mod.ENUMERATION_CAP
+    if full ** k > cap:
+        raise CapExceededError(
+            f"enumeration of {full}^{k} members exceeds cap {cap}")
+
+    def rec(prefix_value, remaining):
+        if remaining == 0:
+            yield prefix_value
+            return
+        for d in ds.allowed:
+            yield from rec(prefix_value * ds.q + d, remaining - 1)
+
+    yield from rec(0, k)
+
+
+_dirichlet_approx = arcs_mod.dirichlet_approx
+
+
+def dirichlet_approx(a, Q, D0):
+    """``arcs.dirichlet_approx`` with beta as the float of the exact
+    Fraction a/Q - ell/d."""
+    approx = _dirichlet_approx(a, Q, D0)
+    return dataclasses.replace(
+        approx, beta=float(Fraction(a, Q) - Fraction(approx.ell, approx.d)))
 
 
 def minsum(N, M, alpha):

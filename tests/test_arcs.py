@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scalar_oracles as oracle
+from scalar_oracles import bits
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +66,15 @@ class TestDirichletApprox:
             exact = Fraction(a, Q) - Fraction(r.ell, r.d)
             assert abs(exact) <= Fraction(1, r.d * D0)
             assert r.beta == pytest.approx(float(exact), abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10 ** 18), st.integers(0, 10 ** 18),
+           st.integers(1, 10 ** 18))
+    def test_beta_matches_fraction(self, Q, a, D0):
+        # Q*d passes 2**53, where the float product would not be exact
+        a %= Q
+        assert bits(dirichlet_approx(a, Q, D0).beta) == bits(
+            oracle.dirichlet_approx(a, Q, D0).beta)
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -504,6 +515,14 @@ class TestDirectCount:
     def test_unknown_weight(self):
         with pytest.raises(DomainError):
             direct_count(DigitSet(10, (7,)), 2, "squarefree")
+
+    def test_second_call_on_one_table_same_bits(self):
+        # the table's logs are cached, so no reader may write into them
+        table, ds = build_mangoldt(10 ** 4), DigitSet(10, (7,))
+        for call in (lambda: prime_expsum(table, 10 ** 4, Fraction(3, 7)),
+                     lambda: arcs_mod._weight_vector(table, 10 ** 4),
+                     lambda: direct_count(ds, 4, table)):
+            assert bits(call()) == bits(call())
 
 
 class TestKappa:

@@ -516,6 +516,24 @@ class TestGoldenReports:
         assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+class TestOneReportPerDigitSet:
+    """``config.excluded`` echoes the digit set: sorted, without repeats."""
+
+    @pytest.mark.parametrize("spelling, canonical", [
+        ("7,7", "7"), ("7,3", "3,7"), ("3,7,3,7", "3,7")])
+    @pytest.mark.parametrize("command", ["count", "arcs", "constants"])
+    def test_byte_identical_reports(self, command, spelling, canonical,
+                                    capsys):
+        reports = []
+        for exclude in (spelling, canonical):
+            assert run([command, "--q", "10", "--exclude", exclude,
+                        "--k", "2"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["excluded"] == [
+            int(d) for d in canonical.split(",")]
+
+
 class TestD0BelowOne:
     @pytest.mark.parametrize("d0", ["0", "-1"])
     @pytest.mark.parametrize("command", ["count", "arcs", "scan"])

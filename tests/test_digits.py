@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scalar_oracles as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -250,6 +251,14 @@ class TestEnumerate:
             assert got == brute_members(q, excl, k)
             assert got == sorted(got)
             assert len(got) == (q - len(excl)) ** k
+
+    @pytest.mark.parametrize("q, excl", [(10, (7,)), (10, (0,)), (5, (4,)),
+                                         (10, (3, 4, 5)), (7, (0, 1))])
+    def test_matches_recursive_oracle(self, q, excl):
+        ds = DigitSet(q, excl)
+        for k in range(6):
+            assert list(enumerate_members(ds, k)) == \
+                list(oracle.enumerate_members(ds, k))
 
     def test_cap(self):
         # 9**9 members exceed ENUMERATION_CAP, checked before the first

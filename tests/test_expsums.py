@@ -121,6 +121,35 @@ class TestPrimeExpsum:
             prime_expsum(t, 200, 0.0)
 
 
+class TestSupportBelowMatchesMask:
+    """The prefix views of the table and its cached logs give the bits of
+    a mask over the table and one np.log per call."""
+
+    TABLE = build_mangoldt(100)
+    POWERS = TABLE.entries_n.tolist()
+    XS = sorted({0, 1, 2, 3, 100, 101, *POWERS, *(n + 1 for n in POWERS)})
+
+    @pytest.mark.parametrize("x", XS)
+    def test_same_bits(self, x):
+        ns, logs = self.TABLE.support_below(x)
+        want_ns, want_logs = oracle.support_below(self.TABLE, x)
+        assert ns.dtype == want_ns.dtype
+        assert ns.tolist() == want_ns.tolist()
+        assert bits(logs) == bits(want_logs)
+
+    def test_every_tail_length(self):
+        # np.log may take a SIMD path whose tail depends on the length
+        sizes = {self.TABLE.support_below(x)[0].size for x in self.XS}
+        assert set(range(1, 18)) <= sizes
+
+    def test_views_are_read_only(self):
+        ns, logs = build_mangoldt(100).support_below(50)
+        with pytest.raises(ValueError):
+            ns[0] = 1
+        with pytest.raises(ValueError):
+            logs[0] = 0.0
+
+
 class TestPrimeExpsumMatchesFormula:
     """The table of roots at a rational alpha gives the bits of the
     literal formula, one np.exp per term."""

@@ -5,6 +5,7 @@ function the benchmark hooks by name exists."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -116,12 +117,26 @@ def unresolved_hooks(inproc) -> list:
     return missing
 
 
-def test_benchmark_hooks_resolve(monkeypatch):
-    # the benchmark drops a hook whose target is gone and reports its
-    # metrics as missing, so a rename in the package must fail here first
+def load_inproc():
     spec = importlib.util.spec_from_file_location("perfbench_inproc", INPROC)
     inproc = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inproc)
+    return inproc
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark drops a hook whose target is gone and reports its
+    # metrics as missing, so a rename in the package must fail here first
+    inproc = load_inproc()
     assert unresolved_hooks(inproc) == []
     monkeypatch.delattr(digitlab.fourier, "grid_values")
     assert unresolved_hooks(inproc) == ["digitlab.fourier.grid_values"] * 2
+
+
+def test_yield_counters_wrap_generators():
+    # a yield counter hands callers a generator and counts its items; a
+    # target that returned a list would change the count's meaning
+    for dotted in load_inproc().YIELD_COUNTERS.values():
+        modname, _, attr = dotted.rpartition(".")
+        fn = getattr(importlib.import_module(modname), attr)
+        assert inspect.isgeneratorfunction(fn), dotted

@@ -332,12 +332,15 @@ def test_catalogue_matches_scalar_oracles(seed, monkeypatch):
 
     fast = run()
     calls = []
-    for mod, name in [(exp_mod, "minsum"), (exp_mod, "prime_expsum"),
-                      (verify, "digit_factor_bound_holds")]:
+    replaced = [(exp_mod, "minsum"), (exp_mod, "prime_expsum"),
+                (verify, "digit_factor_bound_holds"),
+                (exp_mod.MangoldtTable, "support_below"),
+                (fou_mod, "enumerate_members"),
+                (arcs_mod, "dirichlet_approx")]
+    for owner, name in replaced:
         def counted(*args, fn=getattr(oracle, name), name=name):
             calls.append(name)
             return fn(*args)
-        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     assert run() == fast
-    assert set(calls) == {"minsum", "prime_expsum",
-                          "digit_factor_bound_holds"}
+    assert set(calls) == {name for _, name in replaced}
