@@ -6,7 +6,10 @@ sum; every a/q**k is Dirichlet-approximated, classified major/minor and
 accumulated per class.  Class totals sum to the pipeline total by
 construction (one shared accumulation tree).  The per-point stages (half
 grid, weight spectrum, class codes) come from ``pipeline_stages``, which
-the ``arcs`` ledger and the ``scan`` CSV both read.
+the ``arcs`` ledger and the ``scan`` CSV both read.  Both weights list
+their support below Q through ``expsums.weight_support``, so the weight
+vector (one ``np.bincount``) and the direct count have one body each;
+only the main term of ``theorem_comparison`` tells the weights apart.
 
 The stages hold a <= Q/2 only.  The digit indicator and the weight are
 real, so F(-theta) = conj F(theta) and S(-theta) = conj S(theta); the half
@@ -47,14 +50,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
 from .digits import DigitSet, contains_mask
 from .errors import CapExceededError, DomainError
-from .expsums import IntPolynomial, MangoldtTable, poly_range
-from .fourier import (FourierContext, GRID_CAP, half_grid_values,
+from .expsums import IntPolynomial, MangoldtTable, Weight, weight_support
+from .fourier import (FourierContext, check_grid_size, half_grid_values,
                       mirror_paired)
 
 # Bounds q**J in the pair count.  Its Horner values stay below
@@ -170,23 +173,11 @@ def classify(approx: RationalApprox, A_major: float) -> ArcClass:
     return ArcClass.MAJOR
 
 
-Weight = Union[MangoldtTable, IntPolynomial]
-
-
 def _weight_vector(weight: Weight, Q: int) -> np.ndarray:
-    if isinstance(weight, MangoldtTable):
-        ns, logs = weight.support_below(Q)
-        w = np.zeros(Q, dtype=np.float64)
-        w[ns] = logs
-        return w
-    if isinstance(weight, IntPolynomial):
-        w = np.zeros(Q, dtype=np.float64)
-        for n in poly_range(weight, Q):
-            v = weight(n)
-            if v >= 0:
-                w[v] += 1.0
-        return w
-    raise DomainError(f"unsupported weight: {weight!r}")
+    """w(n) for n < Q, exactly: distinct prime powers get 0.0 + log p, and
+    a polynomial value the count of its n, a small integer."""
+    points, weights = weight_support(weight, Q)
+    return np.bincount(points, weights=weights, minlength=Q)
 
 
 @dataclass
@@ -443,19 +434,9 @@ def circle_pipeline(
 
 def direct_count(ds: DigitSet, k: int, weight: Weight) -> float:
     """Literal weighted count: the oracle side of every pipeline test."""
-    Q = ds.q ** k
-    if Q > GRID_CAP:
-        raise CapExceededError(
-            f"direct count over {Q} exceeds cap {GRID_CAP}")
-    if isinstance(weight, MangoldtTable):
-        ns, logs = weight.support_below(Q)
-        picked = logs[contains_mask(ds, ns, k)]
-        return float(np.add.reduce(picked)) if picked.size else 0.0
-    if isinstance(weight, IntPolynomial):
-        values = [v for v in map(weight, poly_range(weight, Q)) if v >= 0]
-        hits = contains_mask(ds, np.array(values, dtype=np.int64), k)
-        return float(np.count_nonzero(hits))
-    raise DomainError(f"unsupported weight: {weight!r}")
+    check_grid_size(ds.q, k)
+    points, weights = weight_support(weight, ds.q ** k)
+    return float(np.add.reduce(weights[contains_mask(ds, points, k)]))
 
 
 def _totient(n: int) -> int:
@@ -520,7 +501,7 @@ def singular_series_pair_count(P: IntPolynomial, ds: DigitSet,
     QJ = q ** J
     if QJ > PAIR_COUNT_CAP:
         raise CapExceededError(
-            f"pair counting over {QJ} exceeds cap {PAIR_COUNT_CAP}")
+            f"pair counting over q^J = {q}^{J} exceeds cap {PAIR_COUNT_CAP}")
     if J < 2:
         m = _horner_mod(P.coeffs, np.arange(QJ, dtype=np.int64), QJ)
         return int(np.count_nonzero(contains_mask(ds, m, J)))
@@ -580,8 +561,9 @@ class MainTermReport:
 def theorem_comparison(ds: DigitSet, k: int, weight: Weight) -> MainTermReport:
     """Main term vs direct count, prime or polynomial flavour.
 
-    The polynomial main term takes the singular series at the largest
-    J <= 4 with q**J within ``PAIR_COUNT_CAP``.
+    The prime main term is kappa times the member count.  The polynomial
+    main term takes the singular series at the largest J <= 4 with q**J
+    within ``PAIR_COUNT_CAP``.
     """
     q = ds.q
     members = (q - ds.s) ** k
@@ -589,10 +571,8 @@ def theorem_comparison(ds: DigitSet, k: int, weight: Weight) -> MainTermReport:
     if isinstance(weight, MangoldtTable):
         kap = kappa(ds)
         main = float(kap) * members
-        dev = abs(direct - main) / main if main else None
-        return MainTermReport(main_term=main, direct=direct, deviation=dev,
-                              kappa=kap)
-    if isinstance(weight, IntPolynomial):
+        extra = {"kappa": kap}
+    else:
         r = weight.degree
         J = 1
         while q ** (J + 1) <= PAIR_COUNT_CAP and J < 4:
@@ -600,7 +580,7 @@ def theorem_comparison(ds: DigitSet, k: int, weight: Weight) -> MainTermReport:
         sj = singular_series(weight, ds, J)
         main = (weight.lead ** (1.0 / r) * float(sj)
                 * q ** (k / r) * members / q ** k)
-        dev = abs(direct - main) / main if main else None
-        return MainTermReport(main_term=main, direct=direct, deviation=dev,
-                              singular_series_J=J, singular_series_value=sj)
-    raise DomainError(f"unsupported weight: {weight!r}")
+        extra = {"singular_series_J": J, "singular_series_value": sj}
+    dev = abs(direct - main) / main if main else None
+    return MainTermReport(main_term=main, direct=direct, deviation=dev,
+                          **extra)

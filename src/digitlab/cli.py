@@ -421,9 +421,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     for key, attr, conv in mapping:
         val = getattr(args, key, None)
         if val is not None:
-            setattr(cfg, attr,
-                    conv(val) if isinstance(val, str) and conv in
-                    (_parse_int_list,) else val)
+            setattr(cfg, attr, conv(val))
     if args.exclude is None and "exclude" not in file_vals:
         raise ConfigError("excluded: required")
     if cfg.weight == "mangoldt" and (args.poly_coeffs is not None

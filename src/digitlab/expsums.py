@@ -1,13 +1,16 @@
 """Exponential sums over primes and polynomial values, with bound ratios.
 
-Provides the von Mangoldt sum, the polynomial Weyl sum and the
-equidistribution min-sum as literal summations, plus the three bound-ratio
-sweeps that compare each against its analytic right-hand side.  The implied
-constants of the bounds carry no numeric content, so sweeps only record
-ratios.  Each sweep's ceiling in ``CALIBRATED_MAX_RATIO`` was fixed by a
-one-time run with the recorded seed and holds only at the configuration it
-was run at, so those configurations are constants beside it, not options;
-the seed alone picks the random draws.
+Both weights, Lambda (``MangoldtTable``) and the values of an integer
+polynomial (``IntPolynomial``), list the points n < x they charge and the
+weights there by ``support_below(x)``, and ``expsum`` is the one sum of
+w(n) e(n alpha) over that support.  The equidistribution min-sum is a
+literal summation too, and three bound-ratio sweeps compare the sums
+against their analytic right-hand sides.  The implied constants of the
+bounds carry no numeric content, so sweeps only record ratios.  Each
+sweep's ceiling in ``CALIBRATED_MAX_RATIO`` was fixed by a one-time run
+with the recorded seed and holds only at the configuration it was run at,
+so those configurations are constants beside it, not options; the seed
+alone picks the random draws.
 """
 
 from __future__ import annotations
@@ -152,29 +155,6 @@ def _phases_mod1(ns: np.ndarray, alpha: Alpha) -> np.ndarray:
     return _residues(ns, num, den).astype(np.float64) / den
 
 
-def prime_expsum(table: MangoldtTable, x: int, alpha: Alpha) -> complex:
-    """S(alpha) = sum over n < x of Lambda(n) e(n alpha).
-
-    The literal formula sums log p * np.exp(2j*pi*phase) over the prime
-    powers n < x by ``np.add.reduce``.  At a rational alpha = num/den with
-    den no more than the number of terms, the phases are the r/den with
-    r = n*num mod den, so the den roots e(r/den) are computed once, from
-    the same float r/den and the same np.exp, and indexed by the
-    residues: the terms, and so their sum, have the bits of the literal
-    formula.  A float alpha, or a larger den, takes the formula itself.
-    """
-    ns, logs = table.support_below(x)
-    rat = _rational(alpha)
-    if rat is not None and rat[1] <= ns.size:
-        num, den = rat
-        roots = np.exp(2j * np.pi * (np.arange(den) / den))
-        units = roots[_residues(ns, num, den).astype(np.intp)]
-    else:
-        units = np.exp(2j * np.pi * _phases_mod1(ns, alpha))
-    terms = logs * units
-    return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial, coefficients constant-first; positive lead."""
@@ -222,6 +202,15 @@ class IntPolynomial:
         negative = [-i * cs[i] for i in range(1, r) if cs[i] < 0]
         return 2 + max(negative) // (r * cs[-1]) if negative else 0
 
+    def support_below(self, x: int):
+        """The values 0 <= P(n) < x over n in ``poly_range(self, x)``, in
+        the order of n (a value once per n), each of weight 1.0; int64
+        while x <= 2**63, Python ints above."""
+        values = [v for v in map(self, poly_range(self, x)) if v >= 0]
+        points = np.array(values,
+                          dtype=np.int64 if x <= INT64_LIMIT else object)
+        return points, np.ones(points.size)
+
 
 def poly_range(P: IntPolynomial, x: int) -> List[int]:
     """All n >= 0 with P(n) < x, ascending.
@@ -242,14 +231,38 @@ def poly_range(P: IntPolynomial, x: int) -> List[int]:
     return [n for n in range(end) if P(n) < x]
 
 
-def poly_expsum(P: IntPolynomial, x: int, alpha: Alpha) -> complex:
-    """S(alpha) = sum of e(alpha P(n)) over n >= 0 with P(n) < x."""
-    ns = poly_range(P, x)
-    values = np.array([P(n) for n in ns], dtype=object)
-    if len(ns) == 0:
-        return complex(0.0)
-    terms = np.exp(2j * np.pi * _phases_mod1(values, alpha))
-    return complex(np.add.reduce(terms))
+Weight = Union[MangoldtTable, IntPolynomial]
+
+
+def weight_support(weight: Weight, x: int):
+    """``weight.support_below(x)``; any other weight raises DomainError."""
+    if not isinstance(weight, (MangoldtTable, IntPolynomial)):
+        raise DomainError(f"unsupported weight: {weight!r}")
+    return weight.support_below(x)
+
+
+def expsum(weight: Weight, x: int, alpha: Alpha) -> complex:
+    """S_w(alpha) = sum over the points n < x of w(n) e(n alpha).
+
+    The literal formula sums w(n) * np.exp(2j*pi*phase) over
+    ``weight_support(weight, x)`` by ``np.add.reduce``.  At a rational
+    alpha = num/den with den no more than the number of terms, the phases
+    are the r/den with r = n*num mod den, so the den roots e(r/den) are
+    computed once, from the same float r/den and the same np.exp, and
+    indexed by the residues: the terms, and so their sum, have the bits
+    of the literal formula.  A float alpha, or a larger den, takes the
+    formula itself.
+    """
+    ns, ws = weight_support(weight, x)
+    rat = _rational(alpha)
+    if rat is not None and rat[1] <= ns.size:
+        num, den = rat
+        roots = np.exp(2j * np.pi * (np.arange(den) / den))
+        units = roots[_residues(ns, num, den).astype(np.intp)]
+    else:
+        units = np.exp(2j * np.pi * _phases_mod1(ns, alpha))
+    terms = ws * units
+    return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
 
 
 def minsum(N: int, M: float, alpha) -> float:
@@ -349,7 +362,7 @@ def _prime_sweep() -> List[dict]:
     rows = []
     for d in PRIME_D_VALUES:
         a = next(c for c in range(1, d) if math.gcd(c, d) == 1)
-        lhs = abs(prime_expsum(table, x, Fraction(a, d)))
+        lhs = abs(expsum(table, x, Fraction(a, d)))
         rhs = prime_rhs(x, d, 0.0)
         rows.append({
             "x": x, "a": a, "d": d, "beta": 0.0,
@@ -368,7 +381,7 @@ def _polynomial_sweep(rng: random.Random) -> List[dict]:
         a, d, beta = _draw_near_rational(rng, POLYNOMIAL_DMAX)
         # frequencies are measured in the lemma's normalization:
         # lead * r! * alpha = a/d + beta
-        lhs = abs(poly_expsum(P, x, (a / d + beta) / norm))
+        lhs = abs(expsum(P, x, (a / d + beta) / norm))
         rhs = poly_rhs(x, r, d, beta)
         rows.append({
             "coeffs": P.coeffs, "x": x, "a": a, "d": d, "beta": beta,

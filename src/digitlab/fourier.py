@@ -256,6 +256,14 @@ def _transform_blocks(ctx: FourierContext, theta0, stop=None):
         yield cols, block
 
 
+def check_grid_size(q: int, k: int) -> None:
+    """Reject q**k > ``GRID_CAP``, naming Q as ``q^k = {q}^{k}``: a str of
+    Q itself fails past 4,300 digits."""
+    if q ** k > GRID_CAP:
+        raise CapExceededError(
+            f"grid of q^k = {q}^{k} points exceeds cap {GRID_CAP}")
+
+
 def grid_values(ctx: FourierContext, theta0=0.0) -> np.ndarray:
     """All q**k transform values F(theta0 + a/q**k), a = 0..q**k-1.
 
@@ -268,9 +276,7 @@ def grid_values(ctx: FourierContext, theta0=0.0) -> np.ndarray:
     Memory: the q**k-point result, the q**(k-1)-point high grid and one
     BLOCK-point block.
     """
-    if ctx.Q > GRID_CAP:
-        raise CapExceededError(
-            f"grid of {ctx.Q} points exceeds cap {GRID_CAP}")
+    check_grid_size(ctx.ds.q, ctx.k)
     out = np.empty(ctx.Q, dtype=np.complex128)
     for cols, block in _transform_blocks(ctx, theta0):
         out.reshape(len(block), -1)[:, cols] = block
@@ -290,9 +296,7 @@ def half_grid_values(ctx: FourierContext) -> np.ndarray:
     and ((q-1)/2)*W + W//2 + 1 for odd Q.  Memory: the Q//2 + 1 points of
     the result, the high grid and one block.
     """
-    if ctx.Q > GRID_CAP:
-        raise CapExceededError(
-            f"grid of {ctx.Q} points exceeds cap {GRID_CAP}")
+    check_grid_size(ctx.ds.q, ctx.k)
     width = ctx.Q // ctx.ds.q if ctx.k else 1
     paired = mirror_paired(width)
     out = np.empty(ctx.Q // 2 + 1, dtype=np.complex128)
@@ -324,9 +328,7 @@ def l1_grid_sum(ctx: FourierContext, theta0=0.0) -> float:
     W columns once.  Either sum may differ from np.abs(grid_values).sum()
     in the last bits, by the summation order.
     """
-    if ctx.Q > GRID_CAP:
-        raise CapExceededError(
-            f"grid of {ctx.Q} points exceeds cap {GRID_CAP}")
+    check_grid_size(ctx.ds.q, ctx.k)
     width = ctx.Q // ctx.ds.q if ctx.k else 1
     if theta0 == 0:
         stop, paired = width // 2 + 1, mirror_paired(width)

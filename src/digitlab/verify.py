@@ -72,15 +72,11 @@ def pipeline_vs_direct(cases: Iterable[tuple]) -> List[dict]:
 
 def _scalar_terms(ds: DigitSet, k: int, weight) -> list:
     """F(a/Q) S_w(-a/Q) / Q for every a < Q from the scalar oracles:
-    ``eval_product`` at a/Q, and ``prime_expsum`` or ``poly_expsum`` at
-    the exact frequency -a/Q."""
+    ``eval_product`` at a/Q, and ``expsum`` at the exact frequency -a/Q."""
     Q = ds.q ** k
     ctx = fou_mod.FourierContext(ds, k)
-    expsum = (exp_mod.prime_expsum
-              if isinstance(weight, exp_mod.MangoldtTable)
-              else exp_mod.poly_expsum)
     return [fou_mod.eval_product(ctx, fou_mod.RationalFrequency(a, Q))
-            * expsum(weight, Q, fou_mod.RationalFrequency(-a, Q)) / Q
+            * exp_mod.expsum(weight, Q, fou_mod.RationalFrequency(-a, Q)) / Q
             for a in range(Q)]
 
 
@@ -417,7 +413,7 @@ def _suite_fourier(seed: int) -> List[dict]:
 def _suite_expsums(seed: int) -> List[dict]:
     table = exp_mod.build_mangoldt(100)
     expected = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
-    got = exp_mod.prime_expsum(table, 11, 0.0).real
+    got = exp_mod.expsum(table, 11, 0.0).real
     nonzero = int(np.sum(table.entries_n <= 100))
     ms = exp_mod.minsum(4, 10.0, 0.5)
     return [

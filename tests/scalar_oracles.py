@@ -79,10 +79,11 @@ def minsum(N, M, alpha):
     return float(pairwise_sum(total)) if total else 0.0
 
 
-def prime_expsum(table, x, alpha):
-    """The literal sum of Lambda(n) e(n alpha), one np.exp per term."""
-    ns, logs = table.support_below(x)
-    terms = logs * np.exp(2j * np.pi * exp_mod._phases_mod1(ns, alpha))
+def prime_expsum(weight, x, alpha):
+    """``expsums.expsum`` as the literal sum of w(n) e(n alpha), one np.exp
+    per term; for Lambda, the von Mangoldt sum."""
+    ns, ws = weight.support_below(x)
+    terms = ws * np.exp(2j * np.pi * exp_mod._phases_mod1(ns, alpha))
     return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
 
 

@@ -29,8 +29,7 @@ from digitlab.errors import CapExceededError, DomainError
 from digitlab.expsums import (
     IntPolynomial,
     build_mangoldt,
-    poly_expsum,
-    prime_expsum,
+    expsum,
 )
 from digitlab.fourier import FourierContext, RationalFrequency, grid_values
 
@@ -444,14 +443,12 @@ class TestHalfSpectrum:
     """The stages hold a <= Q//2; the ledger weighs their mirror."""
 
     @pytest.mark.parametrize("q, excluded, k", HALF_CASES)
-    @pytest.mark.parametrize("weight", ["mangoldt", "n^2"])
+    @pytest.mark.parametrize("weight", ["mangoldt", "n^2", "n^2-3n+1"])
     def test_rfft_half_matches_exact_expsums(self, q, excluded, k, weight):
+        # n^2 - 3n + 1 is -1 at n = 1 and 2; neither side counts it
         Q = q ** k
-        if weight == "mangoldt":
-            w = build_mangoldt(Q)
-            expsum = prime_expsum
-        else:
-            w, expsum = SQUARE, poly_expsum
+        w = {"mangoldt": build_mangoldt(Q), "n^2": SQUARE,
+             "n^2-3n+1": IntPolynomial((1, -3, 1))}[weight]
         st = arcs_mod.pipeline_stages(DigitSet(q, excluded), k, w)
         assert st.s_vals.shape == st.fhat.shape == st.codes.shape == \
             (Q // 2 + 1,)
@@ -516,10 +513,33 @@ class TestDirectCount:
         with pytest.raises(DomainError):
             direct_count(DigitSet(10, (7,)), 2, "squarefree")
 
+    def test_cap(self):
+        # the message names Q by q and k, as a str of 10**5000 would fail
+        # past 4,300 digits
+        for k in (9, 5000):
+            with pytest.raises(CapExceededError,
+                               match=rf"^grid of q\^k = 10\^{k} points "
+                                     r"exceeds cap 100000000$"):
+                direct_count(DigitSet(10, (7,)), k, build_mangoldt(100))
+
+    def test_weight_vector_is_the_literal_count(self):
+        # prime powers below 30 with their primes; n^2 - 4n + 5 takes
+        # 5, 2, 1, 2, 5, 10, 17, 26 at n = 0..7
+        powers = {2: 2, 3: 3, 4: 2, 5: 5, 7: 7, 8: 2, 9: 3, 11: 11, 13: 13,
+                  16: 2, 17: 17, 19: 19, 23: 23, 25: 5, 27: 3, 29: 29}
+        want = [math.log(powers[n]) if n in powers else 0.0
+                for n in range(30)]
+        assert bits(arcs_mod._weight_vector(build_mangoldt(29), 30)) == \
+            bits(want)
+        counts = {1: 1.0, 2: 2.0, 5: 2.0, 10: 1.0, 17: 1.0, 26: 1.0}
+        want = [counts.get(n, 0.0) for n in range(30)]
+        assert bits(arcs_mod._weight_vector(IntPolynomial((5, -4, 1)), 30)) \
+            == bits(want)
+
     def test_second_call_on_one_table_same_bits(self):
         # the table's logs are cached, so no reader may write into them
         table, ds = build_mangoldt(10 ** 4), DigitSet(10, (7,))
-        for call in (lambda: prime_expsum(table, 10 ** 4, Fraction(3, 7)),
+        for call in (lambda: expsum(table, 10 ** 4, Fraction(3, 7)),
                      lambda: arcs_mod._weight_vector(table, 10 ** 4),
                      lambda: direct_count(ds, 4, table)):
             assert bits(call()) == bits(call())
@@ -576,8 +596,12 @@ class TestSingularSeries:
 
     def test_cap(self):
         # q**J = 10**8 exceeds PAIR_COUNT_CAP
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match=r"^pair counting over q\^J = 10\^8 "
+                                 r"exceeds cap 10000000$"):
             singular_series_pair_count(SQUARE, DigitSet(10, (7,)), 8)
+        with pytest.raises(CapExceededError, match=r"q\^J = 10\^5000 "):
+            singular_series_pair_count(SQUARE, DigitSet(10, (7,)), 5000)
 
 
 def looped_pair_count(P, ds, J):

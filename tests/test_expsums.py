@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +22,9 @@ from digitlab.expsums import (
     bound_ratio_report,
     build_mangoldt,
     max_sweep_ratio,
+    expsum,
     minsum,
-    poly_expsum,
     poly_range,
-    prime_expsum,
 )
 from digitlab.fourier import RationalFrequency
 
@@ -61,7 +61,7 @@ class TestMangoldt:
 
     def test_chebyshev_sum_to_ten(self):
         t = build_mangoldt(10)
-        total = prime_expsum(t, 11, 0.0).real
+        total = expsum(t, 11, 0.0).real
         assert total == pytest.approx(3 * LOG2 + 2 * LOG3 + LOG5 + LOG7)
 
     def test_35_prime_powers_below_100(self):
@@ -71,7 +71,7 @@ class TestMangoldt:
     def test_chebyshev_sanity_window(self):
         for X in (100, 1000, 10 ** 5):
             t = build_mangoldt(X)
-            total = prime_expsum(t, X + 1, 0.0).real
+            total = expsum(t, X + 1, 0.0).real
             assert abs(total - X) <= 3 * math.sqrt(X) * math.log(X) ** 2
 
     @pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 5, 50, 97, 100, 101])
@@ -96,29 +96,29 @@ class TestMangoldt:
 class TestPrimeExpsum:
     def test_alternating_signs_at_half(self):
         t = build_mangoldt(10)
-        val = prime_expsum(t, 10, Fraction(1, 2))
+        val = expsum(t, 10, Fraction(1, 2))
         assert val.real == pytest.approx(3 * LOG2 - 2 * LOG3 - LOG5 - LOG7)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_periodicity_bit_for_bit(self):
         t = build_mangoldt(500)
-        a, b = prime_expsum(t, 500, Fraction(3, 7)), \
-            prime_expsum(t, 500, Fraction(10, 7))
+        a, b = expsum(t, 500, Fraction(3, 7)), \
+            expsum(t, 500, Fraction(10, 7))
         assert a == b
 
     def test_trivial_bound_and_conjugation(self):
         t = build_mangoldt(2000)
-        peak = prime_expsum(t, 2000, 0.0).real
+        peak = expsum(t, 2000, 0.0).real
         for alpha in (0.1234, Fraction(5, 17)):
-            v = prime_expsum(t, 2000, alpha)
+            v = expsum(t, 2000, alpha)
             assert abs(v) <= peak + 1e-9
-            w = prime_expsum(t, 2000, -float(alpha))
+            w = expsum(t, 2000, -float(alpha))
             assert abs(w - v.conjugate()) < 1e-7
 
     def test_beyond_table_rejected(self):
         t = build_mangoldt(100)
         with pytest.raises(DomainError):
-            prime_expsum(t, 200, 0.0)
+            expsum(t, 200, 0.0)
 
 
 class TestSupportBelowMatchesMask:
@@ -164,7 +164,7 @@ class TestPrimeExpsumMatchesFormula:
         for d in range(1, 98):
             for a in {1, 2 % d, d - 1, -1, -d - 2, 3 * d + 1}:
                 for alpha in (Fraction(a, d), RationalFrequency(a, d)):
-                    assert bits(prime_expsum(self.TABLE, x, alpha)) == bits(
+                    assert bits(expsum(self.TABLE, x, alpha)) == bits(
                         oracle.prime_expsum(self.TABLE, x, alpha)), (a, d)
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -172,19 +172,19 @@ class TestPrimeExpsumMatchesFormula:
         den = self.size(2001) + shift
         for a in (1, 2, den - 1, -7):
             for alpha in (Fraction(a, den), RationalFrequency(a, den)):
-                assert bits(prime_expsum(self.TABLE, 2001, alpha)) == bits(
+                assert bits(expsum(self.TABLE, 2001, alpha)) == bits(
                     oracle.prime_expsum(self.TABLE, 2001, alpha))
 
     def test_empty_table(self):
         t = build_mangoldt(1)
         for alpha in (Fraction(1, 3), RationalFrequency(-1, 1), 0.25):
-            assert prime_expsum(t, 2, alpha) == complex(0.0)
+            assert expsum(t, 2, alpha) == complex(0.0)
             assert oracle.prime_expsum(t, 2, alpha) == complex(0.0)
 
     def test_huge_numerator(self):
         # the residues come from Python ints, then index the roots
         alpha = Fraction(2 ** 80 + 3, 101)
-        assert bits(prime_expsum(self.TABLE, 2001, alpha)) == bits(
+        assert bits(expsum(self.TABLE, 2001, alpha)) == bits(
             oracle.prime_expsum(self.TABLE, 2001, alpha))
 
     @settings(max_examples=200, deadline=None)
@@ -192,7 +192,7 @@ class TestPrimeExpsumMatchesFormula:
            st.integers(2, 2001))
     def test_random_rationals(self, a, d, x):
         alpha = Fraction(a, d)
-        assert bits(prime_expsum(self.TABLE, x, alpha)) == bits(
+        assert bits(expsum(self.TABLE, x, alpha)) == bits(
             oracle.prime_expsum(self.TABLE, x, alpha))
 
 
@@ -296,28 +296,68 @@ class TestIntPolynomial:
             poly_range(IntPolynomial((-965, 1)), 36)
 
 
+class TestPolySupport:
+    """The values 0 <= P(n) < x over n >= 0, in the order of n."""
+
+    @pytest.mark.parametrize("coeffs, x, want", [
+        ((5, -4, 1), 10, [5, 2, 1, 2, 5]),  # P(0) = P(4) = 5 listed twice
+        ((5, -4, 1), 3, [2, 1, 2]),         # P(0) = P(4) = 5 >= x dropped
+        ((1, -3, 1), 10, [1, 1, 5]),        # P(1) = P(2) = -1 dropped
+        ((-50, 0, 1), 30, [14]),            # n = 0..7 negative
+        ((0, 0, 1), 1, [0]),
+        ((5, -4, 1), 1, []),
+        ((1, -3, 1), 1, []),
+    ])
+    def test_literal_values(self, coeffs, x, want):
+        points, weights = IntPolynomial(coeffs).support_below(x)
+        assert points.dtype == np.int64 and weights.dtype == np.float64
+        assert points.tolist() == want
+        assert weights.tolist() == [1.0] * len(want)
+
+    def test_object_values_above_int64(self):
+        P = IntPolynomial((0, 0, 0, 0, 0, 1))
+        assert P.support_below(INT64_LIMIT)[0].dtype == np.int64
+        points, _ = P.support_below(10 ** 20)
+        assert points.dtype == object
+        assert points.tolist() == [n ** 5 for n in range(10 ** 4)]
+
+
 class TestPolyExpsum:
     def test_count_at_zero(self):
         P = IntPolynomial((0, 0, 1))
-        assert poly_expsum(P, 101, 0.0) == pytest.approx(11.0)
+        assert expsum(P, 101, 0.0) == pytest.approx(11.0)
 
     def test_parity_at_half(self):
         P = IntPolynomial((0, 0, 1))
-        val = poly_expsum(P, 101, Fraction(1, 2))
+        val = expsum(P, 101, Fraction(1, 2))
         assert val.real == pytest.approx(1.0)
 
     def test_cubic_against_term_by_term(self):
         P = IntPolynomial((0, 0, 0, 1))
-        val = poly_expsum(P, 1000, Fraction(1, 9))
+        val = expsum(P, 1000, Fraction(1, 9))
         expect = 0.0 + 0.0j
         for n in range(9, -1, -1):  # independent (descending) order
             expect += cmath.exp(2j * math.pi * (n ** 3) / 9)
         assert abs(val - expect) < 1e-12
 
+    def test_negative_values_left_out(self):
+        # n^2 - 3n + 1 takes 1, -1, -1, 1, 5 below 10: three terms
+        assert expsum(IntPolynomial((1, -3, 1)), 10, 0.0) == 3.0
+
+    def test_fifth_powers_past_int64(self):
+        # 10**4 values n**5 < 10**20 as Python ints; with Fraction phases
+        # n**5/3 mod 1 the sum is 3334 + 3333*(e(1/3) + e(2/3))
+        val = expsum(IntPolynomial((0, 0, 0, 0, 0, 1)), 10 ** 20,
+                     Fraction(1, 3))
+        phases = Counter(Fraction(n ** 5, 3) % 1 for n in range(10 ** 4))
+        want = sum(c * cmath.exp(2j * math.pi * t) for t, c in phases.items())
+        assert phases == {0: 3334, Fraction(1, 3): 3333, Fraction(2, 3): 3333}
+        assert abs(val - want) < 1e-9
+
     def test_periodicity_bit_for_bit(self):
         P = IntPolynomial((1, 2, 3))
-        a = poly_expsum(P, 5000, Fraction(4, 11))
-        b = poly_expsum(P, 5000, Fraction(15, 11))
+        a = expsum(P, 5000, Fraction(4, 11))
+        b = expsum(P, 5000, Fraction(15, 11))
         assert a == b
 
 

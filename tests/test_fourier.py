@@ -239,9 +239,13 @@ class TestGridValues:
     @pytest.mark.parametrize("transform",
                              [grid_values, l1_grid_sum, half_grid_values])
     def test_cap(self, transform):
-        # 10**9 points exceed GRID_CAP
-        with pytest.raises(CapExceededError):
-            transform(FourierContext(DigitSet(10, (7,)), 9))
+        # 10**9 points exceed GRID_CAP; the message names Q by q and k, as
+        # a str of 10**5000 would fail past 4,300 digits
+        for k in (9, 5000):
+            with pytest.raises(CapExceededError,
+                               match=rf"^grid of q\^k = 10\^{k} points "
+                                     r"exceeds cap 100000000$"):
+                transform(FourierContext(DigitSet(10, (7,)), k))
 
 
 class TestL1GridSum:

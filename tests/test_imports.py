@@ -140,3 +140,39 @@ def test_yield_counters_wrap_generators():
         modname, _, attr = dotted.rpartition(".")
         fn = getattr(importlib.import_module(modname), attr)
         assert inspect.isgeneratorfunction(fn), dotted
+
+
+def unbound_observer_args(inproc) -> list:
+    """(dotted hook, name) for each ``args["name"]`` an observer in
+    ``perfbench/inproc.py`` reads that its hooked function's signature
+    lacks.  The benchmark binds the hook's arguments by name, and a failed
+    observer only leaves a note, so a renamed parameter would lose a
+    count without failing the run."""
+    tree = ast.parse(INPROC.read_text(), filename=str(INPROC))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    missing = []
+    for dotted, (observer, _) in inproc.OBSERVERS.items():
+        if observer is None:
+            continue
+        node = defs[observer.__name__]
+        args_name = node.args.args[1].arg
+        read = {n.slice.value for n in ast.walk(node)
+                if isinstance(n, ast.Subscript)
+                and isinstance(n.value, ast.Name) and n.value.id == args_name
+                and isinstance(n.slice, ast.Constant)}
+        modname, _, attr = dotted.rpartition(".")
+        params = inspect.signature(
+            getattr(importlib.import_module(modname), attr)).parameters
+        missing += [(dotted, name) for name in sorted(read)
+                    if name not in params]
+    return missing
+
+
+def test_observer_arguments_bind(monkeypatch):
+    inproc = load_inproc()
+    assert unbound_observer_args(inproc) == []
+    monkeypatch.setattr(digitlab.arcs, "direct_count",
+                        lambda digits, k, weight: 0.0)
+    assert unbound_observer_args(inproc) == [
+        ("digitlab.arcs.direct_count", "ds")]

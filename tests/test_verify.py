@@ -63,7 +63,9 @@ def test_ledger_class_counts_sees_minor_arcs(monkeypatch):
 
 LEDGER_CASES = [(DigitSet(6, (3,)), 3, build_mangoldt(216), "mangoldt"),
                 (DS, 3, build_mangoldt(1000), "mangoldt"),
-                (DS, 3, IntPolynomial((0, 0, 1)), "n^2")]
+                (DS, 3, IntPolynomial((0, 0, 1)), "n^2"),
+                # -1 at n = 1 and 2: the pipeline and the oracle drop it
+                (DS, 3, IntPolynomial((1, -3, 1)), "n^2-3n+1")]
 
 
 def plant_ledger(monkeypatch, roll=0, paired=fou_mod.mirror_paired):
@@ -93,27 +95,28 @@ def sum_verdicts(A):
 @pytest.mark.parametrize("A", [0.5, 1.0, 3.0])
 def test_class_sums_pass_on_the_planted_harness(A, monkeypatch):
     plant_ledger(monkeypatch)
-    assert sum_verdicts(A) == ([True] * 3, [True] * 3)
+    assert sum_verdicts(A) == ([True] * 4, [True] * 4)
 
 
 @pytest.mark.parametrize("A", [0.5, 1.0])
 def test_class_sums_see_rolled_masks(A, monkeypatch):
     # the counts stay right: only the sum check can see it
     plant_ledger(monkeypatch, roll=1)
-    assert sum_verdicts(A) == ([True] * 3, [False] * 3)
+    assert sum_verdicts(A) == ([True] * 4, [False] * 4)
 
 
 @pytest.mark.parametrize("paired, sums", [
     # a = 0 counted twice
-    (lambda Q: slice(0, Q - Q // 2), [False] * 3),
+    (lambda Q: slice(0, Q - Q // 2), [False] * 4),
     # a = Q/2 counted twice (every Q here is even); for n^2 with
-    # n = 0..31 the term is 0, as S(1/2) = #even n - #odd n = 0
-    (lambda Q: slice(1, Q // 2 + 1), [False, False, True]),
+    # n = 0..31 the term is 0, as S(1/2) = #even n - #odd n = 0, while
+    # n^2 - 3n + 1 is always odd
+    (lambda Q: slice(1, Q // 2 + 1), [False, False, True, False]),
 ], ids=["zero", "half"])
 @pytest.mark.parametrize("A", [1.0, 3.0])
 def test_class_sums_see_a_self_mirror_doubled(paired, sums, A, monkeypatch):
     plant_ledger(monkeypatch, paired=paired)
-    assert sum_verdicts(A) == ([True] * 3, sums)
+    assert sum_verdicts(A) == ([True] * 4, sums)
 
 
 def test_pair_count_vs_looped(monkeypatch):
@@ -332,15 +335,18 @@ def test_catalogue_matches_scalar_oracles(seed, monkeypatch):
 
     fast = run()
     calls = []
-    replaced = [(exp_mod, "minsum"), (exp_mod, "prime_expsum"),
-                (verify, "digit_factor_bound_holds"),
-                (exp_mod.MangoldtTable, "support_below"),
-                (fou_mod, "enumerate_members"),
-                (arcs_mod, "dirichlet_approx")]
-    for owner, name in replaced:
-        def counted(*args, fn=getattr(oracle, name), name=name):
+    replaced = [(exp_mod, "minsum", oracle.minsum),
+                (exp_mod, "expsum", oracle.prime_expsum),
+                (verify, "digit_factor_bound_holds",
+                 oracle.digit_factor_bound_holds),
+                (exp_mod.MangoldtTable, "support_below",
+                 oracle.support_below),
+                (fou_mod, "enumerate_members", oracle.enumerate_members),
+                (arcs_mod, "dirichlet_approx", oracle.dirichlet_approx)]
+    for owner, name, fn in replaced:
+        def counted(*args, fn=fn, name=name):
             calls.append(name)
             return fn(*args)
         monkeypatch.setattr(owner, name, counted)
     assert run() == fast
-    assert set(calls) == {name for _, name in replaced}
+    assert set(calls) == {name for _, name, _ in replaced}
