@@ -563,11 +563,12 @@ def theorem_comparison(ds: DigitSet, k: int, weight: Weight) -> MainTermReport:
 
     The prime main term is kappa times the member count.  The polynomial
     main term takes the singular series at the largest J <= 4 with q**J
-    within ``PAIR_COUNT_CAP``.
+    within ``PAIR_COUNT_CAP``.  A main term that is not a finite float
+    (a lead coefficient past the float range) raises DomainError before
+    the direct count.
     """
     q = ds.q
     members = (q - ds.s) ** k
-    direct = direct_count(ds, k, weight)
     if isinstance(weight, MangoldtTable):
         kap = kappa(ds)
         main = float(kap) * members
@@ -578,9 +579,16 @@ def theorem_comparison(ds: DigitSet, k: int, weight: Weight) -> MainTermReport:
         while q ** (J + 1) <= PAIR_COUNT_CAP and J < 4:
             J += 1
         sj = singular_series(weight, ds, J)
-        main = (weight.lead ** (1.0 / r) * float(sj)
-                * q ** (k / r) * members / q ** k)
+        try:
+            main = (weight.lead ** (1.0 / r) * float(sj)
+                    * q ** (k / r) * members / q ** k)
+        except OverflowError:
+            main = math.inf
         extra = {"singular_series_J": J, "singular_series_value": sj}
+    if not math.isfinite(main):
+        raise DomainError("main term is not a finite float: the lead "
+                          "coefficient is too large")
+    direct = direct_count(ds, k, weight)
     dev = abs(direct - main) / main if main else None
     return MainTermReport(main_term=main, direct=direct, deviation=dev,
                           **extra)

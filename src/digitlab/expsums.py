@@ -3,14 +3,15 @@
 Both weights, Lambda (``MangoldtTable``) and the values of an integer
 polynomial (``IntPolynomial``), list the points n < x they charge and the
 weights there by ``support_below(x)``, and ``expsum`` is the one sum of
-w(n) e(n alpha) over that support.  The equidistribution min-sum is a
-literal summation too, and three bound-ratio sweeps compare the sums
-against their analytic right-hand sides.  The implied constants of the
-bounds carry no numeric content, so sweeps only record ratios.  Each
-sweep's ceiling in ``CALIBRATED_MAX_RATIO`` was fixed by a one-time run
-with the recorded seed and holds only at the configuration it was run at,
-so those configurations are constants beside it, not options; the seed
-alone picks the random draws.
+w(n) e(n alpha) over that support; a polynomial's support costs one
+bisection and one evaluation of P on an array.  The equidistribution
+min-sum is a literal summation too, and three bound-ratio sweeps compare
+the sums against their analytic right-hand sides.  The implied constants
+of the bounds carry no numeric content, so sweeps only record ratios.
+Each sweep's ceiling in ``CALIBRATED_MAX_RATIO`` was fixed by a one-time
+run with the recorded seed and holds only at the configuration it was
+run at, so those configurations are constants beside it, not options;
+the seed alone picks the random draws.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .fourier import RationalFrequency, distance_to_integer
 from .summation import pairwise_sum
 
 MANGOLDT_CAP = 10 ** 9
-# Values n tested by poly_range; as fourier.GRID_CAP, since the identity
-# polynomial at the largest grid tests every n < Q.
+# Values n at which IntPolynomial.support_below evaluates P; as
+# fourier.GRID_CAP, since the identity polynomial at the largest grid
+# evaluates every n < Q.
 POLY_SCAN_CAP = 10 ** 8
 # Products n * num below this are exact in int64 (see _residues).
 INT64_LIMIT = 2 ** 63
@@ -203,32 +205,33 @@ class IntPolynomial:
         return 2 + max(negative) // (r * cs[-1]) if negative else 0
 
     def support_below(self, x: int):
-        """The values 0 <= P(n) < x over n in ``poly_range(self, x)``, in
-        the order of n (a value once per n), each of weight 1.0; int64
-        while x <= 2**63, Python ints above."""
-        values = [v for v in map(self, poly_range(self, x)) if v >= 0]
-        points = np.array(values,
-                          dtype=np.int64 if x <= INT64_LIMIT else object)
-        return points, np.ones(points.size)
+        """The values 0 <= P(n) < x over n >= 0, in the order of n (a value
+        once per n), each of weight 1.0; int64 while x <= 2**63, Python
+        ints above.
 
-
-def poly_range(P: IntPolynomial, x: int) -> List[int]:
-    """All n >= 0 with P(n) < x, ascending.
-
-    Past N = ``P.increasing_from()`` they are the n < end, where end is
-    the first n > N with P(n) >= x, found by doubling and bisection.  The
-    scan tests every n < end, so end is checked against
-    ``POLY_SCAN_CAP`` before it starts.
-    """
-    start = P.increasing_from()
-    hi = start + 1
-    while P(hi) < x:
-        hi *= 2
-    end = bisect.bisect_left(range(hi + 1), x, lo=start + 1, key=P)
-    if end > POLY_SCAN_CAP:
-        raise CapExceededError(
-            f"polynomial scan of {end} values exceeds cap {POLY_SCAN_CAP}")
-    return [n for n in range(end) if P(n) < x]
+        Past N = ``increasing_from()`` those n are the n < end, where end
+        is the first n > N with P(n) >= x, found by doubling and bisection
+        that both stop at ``POLY_SCAN_CAP + 1``; one check of end enforces
+        the cap.  P is evaluated once, on the array of all n < end: in
+        int64 when sum |c_i| * max(end - 1, 1)**i < 2**63, which bounds
+        every partial Horner value, in Python ints otherwise.
+        """
+        stop = POLY_SCAN_CAP + 1
+        start = min(self.increasing_from(), stop)
+        hi = start + 1
+        while hi < stop and self(hi) < x:
+            hi = min(2 * hi, stop)
+        end = bisect.bisect_left(range(hi + 1), x, lo=start + 1, key=self)
+        if end > POLY_SCAN_CAP:
+            raise CapExceededError(
+                f"polynomial scan exceeds cap of {POLY_SCAN_CAP} values")
+        m = max(end - 1, 1)
+        bound = sum(abs(c) * m ** i for i, c in enumerate(self.coeffs))
+        values = self(np.arange(
+            end, dtype=np.int64 if bound < INT64_LIMIT else object))
+        points = values[(values >= 0) & (values < x)]
+        return (points.astype(np.int64 if x <= INT64_LIMIT else object),
+                np.ones(points.size))
 
 
 Weight = Union[MangoldtTable, IntPolynomial]

@@ -41,8 +41,6 @@ GRID_CAP = 10 ** 8
 # Points per block of the transform engine (_transform_blocks).
 BLOCK = 2 ** 14
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class RationalFrequency:

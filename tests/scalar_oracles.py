@@ -5,6 +5,7 @@ that the tests can require the numpy form to give the same bits, which
 ``bits`` compares.
 """
 
+import bisect
 import cmath
 import dataclasses
 import math
@@ -38,6 +39,31 @@ def support_below(table, x):
     sel = table.entries_n < x
     return (table.entries_n[sel],
             np.log(table.entries_p[sel].astype(np.float64)))
+
+
+def poly_range(P, x):
+    """All n >= 0 with P(n) < x, ascending: doubling and bisection find
+    end, the first n past ``P.increasing_from()`` with P(n) >= x, and every
+    n < end is tested, one scalar P(n) each."""
+    start = P.increasing_from()
+    hi = start + 1
+    while P(hi) < x:
+        hi *= 2
+    end = bisect.bisect_left(range(hi + 1), x, lo=start + 1, key=P)
+    cap = exp_mod.POLY_SCAN_CAP
+    if end > cap:
+        raise CapExceededError(
+            f"polynomial scan of {end} values exceeds cap {cap}")
+    return [n for n in range(end) if P(n) < x]
+
+
+def poly_support_below(P, x):
+    """``IntPolynomial.support_below`` as P evaluated again at each n of
+    ``poly_range``, keeping the values >= 0."""
+    values = [v for v in map(P, poly_range(P, x)) if v >= 0]
+    points = np.array(values,
+                      dtype=np.int64 if x <= exp_mod.INT64_LIMIT else object)
+    return points, np.ones(points.size)
 
 
 def enumerate_members(ds, k):

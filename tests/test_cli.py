@@ -96,6 +96,20 @@ class TestCount:
         assert payload["deviation"] is None
         assert "main term is 0" in payload["deviation_reason"]
 
+    @pytest.mark.parametrize("coeffs", [
+        f"0,0,{10 ** 400}",  # lead ** (1/2) is past the float range
+        f"0,{10 ** 308}",    # main term inf, deviation nan
+    ], ids=["lead-1e400", "lead-1e308"])
+    @pytest.mark.parametrize("command", ["count", "arcs"])
+    def test_non_finite_main_term_exits_2(self, command, coeffs, capsys):
+        code = run([command, "--q", "10", "--exclude", "7", "--k", "3",
+                    "--weight", "poly", f"--poly-coeffs={coeffs}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("domain error: main term is not a finite float: "
+                       "the lead coefficient is too large\n")
+
     def test_nonzero_main_term_has_no_reason(self, capsys):
         code = run(["count", "--q", "10", "--exclude", "7", "--k", "3"])
         assert code == 0
@@ -372,7 +386,17 @@ class TestPolyScanCap:
                     "--weight", "poly", "--poly-coeffs=-2000,1"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "resource cap: polynomial scan of 2036 values exceeds cap 1000\n")
+            "resource cap: polynomial scan exceeds cap of 1000 values\n")
+
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
+    def test_scan_past_ssize_t_exits_3(self, command, capsys):
+        # P increases only from n = 5 * 10**21 + 2, past a C ssize_t
+        code = run([command, "--q", "10", "--exclude", "7", "--k", "3",
+                    "--weight", "poly",
+                    "--poly-coeffs=0,-10000000000000000000000,1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "resource cap: polynomial scan exceeds cap of 100000000 values\n")
 
 
 class TestCapBelowOne:
@@ -504,6 +528,8 @@ GOLDEN = [
       "--poly-coeffs", "0,0,1"], "count_q50_k3_poly.json"),
     (["constants", "--q", "31", "--exclude", "7", "--k", "4"],
      "constants_q31_k4.json"),
+    (["arcs", "--q", "10", "--exclude", "7", "--k", "4", "--weight", "poly",
+      "--poly-coeffs", "1,-3,1", "--a-major", "1.0"], "arcs_q10_k4_poly.json"),
 ]
 
 

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from digitlab.expsums import (
     max_sweep_ratio,
     expsum,
     minsum,
-    poly_range,
 )
 from digitlab.fourier import RationalFrequency
 
@@ -260,40 +260,74 @@ class TestIntPolynomial:
         P = IntPolynomial((3, -2, 1))
         assert P(10 ** 10) == 10 ** 20 - 2 * 10 ** 10 + 3
 
-    def test_range_with_negative_dip(self):
-        P = IntPolynomial((-50, 0, 1))  # n^2 - 50
-        assert poly_range(P, 30) == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+    def test_support_through_a_negative_dip(self):
+        # P decreases to 4 at n = 4 before N = 6; every n < 10 is listed
+        P = IntPolynomial((20, -8, 1))
+        assert P.increasing_from() == 6
+        assert P.support_below(30)[0].tolist() == [
+            20, 13, 8, 5, 4, 5, 8, 13, 20, 29]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-60, 60), min_size=1, max_size=4),
            st.integers(1, 3), st.integers(-100, 3000))
-    def test_increasing_from_and_range_against_brute_force(self, low, lead,
-                                                           x):
+    def test_increasing_from_and_support_against_brute_force(self, low,
+                                                             lead, x):
         P = IntPolynomial((*low, lead))
         N = P.increasing_from()
         assert all(P(n + 1) > P(n) for n in range(N, N + 60))
         # every n with P(n) < x here lies below N + 3200
-        assert poly_range(P, x) == [n for n in range(N + 3200) if P(n) < x]
+        assert P.support_below(x)[0].tolist() == [
+            P(n) for n in range(N + 3200) if 0 <= P(n) < x]
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """The arguments of every later ``IntPolynomial.__call__``."""
+        calls = []
+        real = IntPolynomial.__call__
+        monkeypatch.setattr(IntPolynomial, "__call__",
+                            lambda self, n: calls.append(n) or real(self, n))
+        return calls
 
     def test_positive_coefficients_scan_from_zero(self, monkeypatch):
         # a large positive middle coefficient once set the scan length
         P = IntPolynomial((0, 10 ** 7, 6))
         assert P.increasing_from() == 0
         assert IntPolynomial((5, -4, 0, 1)).increasing_from() == 3
-        calls = []
-        real = IntPolynomial.__call__
-        monkeypatch.setattr(IntPolynomial, "__call__",
-                            lambda self, n: calls.append(n) or real(self, n))
-        assert poly_range(P, 36) == [0]
+        calls = self.count_calls(monkeypatch)
+        assert P.support_below(36)[0].tolist() == [0]
         assert len(calls) < 10
+
+    def test_one_array_evaluation(self, monkeypatch):
+        # the bisection makes O(log end) scalar calls, and P is evaluated
+        # on the n < end in one array, not once per n
+        calls = self.count_calls(monkeypatch)
+        points, _ = IntPolynomial((0, 1)).support_below(10 ** 5)
+        assert points.tolist() == list(range(10 ** 5))
+        arrays = [n for n in calls if isinstance(n, np.ndarray)]
+        assert [a.size for a in arrays] == [10 ** 5]
+        assert len(calls) - len(arrays) < 64
 
     def test_scan_length_is_capped(self, monkeypatch):
         monkeypatch.setattr(exp_mod, "POLY_SCAN_CAP", 1000)
-        assert poly_range(IntPolynomial((-964, 1)), 36) == list(range(1000))
+        points, _ = IntPolynomial((-964, 1)).support_below(36)
+        assert points.tolist() == list(range(36))
         with pytest.raises(CapExceededError,
-                           match="polynomial scan of 1001 values exceeds "
-                                 "cap 1000"):
-            poly_range(IntPolynomial((-965, 1)), 36)
+                           match="polynomial scan exceeds cap of 1000 "
+                                 "values"):
+            IntPolynomial((-965, 1)).support_below(36)
+
+    @pytest.mark.parametrize("coeffs, x", [
+        ((0, -10 ** 22, 1), 36),  # N = 5 * 10**21 + 2
+        ((0, 1), 10 ** 400),      # end = 10**400
+    ], ids=["start-past-cap", "end-past-cap"])
+    def test_cap_before_any_index_past_it(self, coeffs, x, monkeypatch):
+        # no index past the cap reaches bisect, whose indices must fit a
+        # C ssize_t
+        calls = self.count_calls(monkeypatch)
+        with pytest.raises(CapExceededError):
+            expsum(IntPolynomial(coeffs), x, Fraction(1, 3))
+        assert max(calls) <= exp_mod.POLY_SCAN_CAP + 2
+        assert len(calls) < 64
 
 
 class TestPolySupport:
@@ -320,6 +354,30 @@ class TestPolySupport:
         points, _ = P.support_below(10 ** 20)
         assert points.dtype == object
         assert points.tolist() == [n ** 5 for n in range(10 ** 4)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-100, 100),
+                              st.integers(-2 ** 70, 2 ** 70)),
+                    min_size=1, max_size=5),
+           st.one_of(st.integers(1, 100), st.integers(1, 2 ** 70)),
+           st.one_of(st.integers(0, 10 ** 4), st.integers(0, 10 ** 20),
+                     st.integers(INT64_LIMIT - 10 ** 4, 10 ** 20)))
+    def test_against_two_pass_oracle(self, low, lead, x):
+        # the same values and dtype as P evaluated at each n of the old
+        # scan; a small cap keeps that scan short
+        P = IntPolynomial((*low, lead))
+        with mock.patch.object(exp_mod, "POLY_SCAN_CAP", 3000):
+            try:
+                want, want_weights = oracle.poly_support_below(P, x)
+            except (CapExceededError, OverflowError):
+                # OverflowError: the old bisection past a C ssize_t
+                with pytest.raises(CapExceededError):
+                    P.support_below(x)
+                return
+            points, weights = P.support_below(x)
+        assert points.dtype == want.dtype
+        assert points.tolist() == want.tolist()
+        assert bits(weights) == bits(want_weights)
 
 
 class TestPolyExpsum:

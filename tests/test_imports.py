@@ -1,6 +1,7 @@
 """Every name a package or test module imports is read in that module,
-every parameter of a package function is read in its function, and every
-function the benchmark hooks by name exists."""
+every module-level name of the package is read by some package or test
+module, every parameter of a package function is read in its function, and
+every function the benchmark hooks by name exists."""
 
 import ast
 import importlib
@@ -18,6 +19,9 @@ MODULES = (sorted(PACKAGE.glob("*.py"))
 # (module, function, parameter) left unread on purpose: every suite in
 # verify.SUITES takes the seed, and the constants suite draws nothing.
 UNREAD_PARAMETERS = {("verify.py", "_suite_constants", "seed")}
+# (module, name) defined and left unread on purpose: the import system
+# reads __all__, and __version__ is for the package's users.
+UNREAD_NAMES = {("__init__.py", "__all__"), ("__init__.py", "__version__")}
 
 
 def dead_imports(tree: ast.Module, exported=()) -> list:
@@ -57,6 +61,57 @@ def test_scan_sees_a_dead_import():
                      "import math\nfrom os import path, sep\n"
                      "print(path.join(sep))\n")
     assert dead_imports(tree) == [(2, "math")]
+
+
+def defined_names(tree: ast.Module) -> dict:
+    """The module-level functions, classes and constants of a module, by
+    name, with the line that binds each."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update((n.id, node.lineno) for t in targets
+                         for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def read_names(tree: ast.Module) -> set:
+    """The names a module loads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def dead_names(tree: ast.Module, readers) -> list:
+    """(line, name) for each module-level name of ``tree`` that no module
+    in ``readers`` loads."""
+    read = set().union(*map(read_names, readers))
+    return sorted((line, name) for name, line in defined_names(tree).items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_names(path):
+    readers = [ast.parse(p.read_text(), filename=str(p)) for p in MODULES]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [(line, name) for line, name in dead_names(tree, readers)
+            if (path.name, name) not in UNREAD_NAMES] == []
+
+
+def test_scan_sees_a_dead_name():
+    tree = ast.parse("import math\nLIMIT: int = 3\nA, (B, C) = 1, (2, 3)\n"
+                     "def used():\n    return LIMIT + math.pi\n"
+                     "def unused():\n    pass\n"
+                     "class Box:\n    pass\n")
+    reader = ast.parse("import m\nm.used()\nprint(A, m.C)\n")
+    assert dead_names(tree, [tree, reader]) == [
+        (3, "B"), (6, "unused"), (8, "Box")]
 
 
 def dead_parameters(tree: ast.Module) -> list:
