@@ -4,7 +4,7 @@ restricted base-q digits via the circle method."""
 from .digits import DigitSet, contains, count_below, count_in_ap, enumerate_members
 from .errors import CapExceededError, ConfigError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, build_mangoldt
-from .fourier import FourierContext, RationalFrequency
+from .fourier import FourierContext
 
 __all__ = [
     "CapExceededError",
@@ -14,7 +14,6 @@ __all__ = [
     "FourierContext",
     "IntPolynomial",
     "MangoldtTable",
-    "RationalFrequency",
     "build_mangoldt",
     "contains",
     "count_below",

@@ -4,12 +4,14 @@ The counting sum over a digit-restricted set equals (1/q**k) times the
 grid sum of the set's Fourier transform against the weight's exponential
 sum; every a/q**k is Dirichlet-approximated, classified major/minor and
 accumulated per class.  Class totals sum to the pipeline total by
-construction (one shared accumulation tree).  The per-point stages (half
-grid, weight spectrum, class codes) come from ``pipeline_stages``, which
-the ``arcs`` ledger and the ``scan`` CSV both read.  Both weights list
-their support below Q through ``expsums.weight_support``, so the weight
-vector (one ``np.bincount``) and the direct count have one body each;
-only the main term of ``theorem_comparison`` tells the weights apart.
+construction (one shared accumulation tree).  The per-point stages
+(weight spectrum, half grid, class codes, made in that order so that the
+weight vector is freed before the grid exists) come from
+``pipeline_stages``, which the ``arcs`` ledger and the ``scan`` CSV both
+read.  Both weights list their support below Q through
+``expsums.weight_support``, so the weight vector (one ``np.bincount``)
+and the direct count have one body each; only the main term of
+``theorem_comparison`` tells the weights apart.
 
 The stages hold a <= Q/2 only.  The digit indicator and the weight are
 real, so F(-theta) = conj F(theta) and S(-theta) = conj S(theta); the half
@@ -390,13 +392,19 @@ def pipeline_stages(
     D0: Optional[int] = None,
     A_major: float = 3.0,
 ) -> PipelineStages:
-    """Half grid, weight spectrum and class codes; D0 defaults to isqrt(Q)."""
+    """Weight spectrum, half grid and class codes; D0 defaults to isqrt(Q).
+
+    The Q-point weight vector lives only through its ``rfft``, so it is
+    freed before the half grid exists and the peaks of the two stages do
+    not overlap; the grid size is checked before either allocates.
+    """
     Q = ds.q ** k
     if D0 is None:
         D0 = max(1, math.isqrt(Q))
-    fhat = half_grid_values(FourierContext(ds, k))
+    check_grid_size(ds.q, k)
     # forward real DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q), a <= Q//2
     s_vals = np.fft.rfft(_weight_vector(weight, Q))
+    fhat = half_grid_values(FourierContext(ds, k))
     codes = _classification(Q, D0, A_major)
     return PipelineStages(Q=Q, D0=D0, fhat=fhat, s_vals=s_vals, codes=codes)
 

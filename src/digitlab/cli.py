@@ -286,10 +286,12 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
     ds = cfg.digit_set()
     Q = cfg.q ** cfg.k
     weight = _make_weight(cfg, Q)
+    # first, so that a main term that is not finite exits before any
+    # pipeline stage allocates
+    comparison = arcs_mod.theorem_comparison(ds, cfg.k, weight)
     ledger = arcs_mod.circle_pipeline(
         ds, cfg.k, weight, D0=cfg.D0, A_major=cfg.A_major
     )
-    comparison = arcs_mod.theorem_comparison(ds, cfg.k, weight)
     payload = {
         "schema": SCHEMA,
         "config": cfg.public(),
@@ -324,12 +326,18 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
     cfg.validate()
     ds = cfg.digit_set()
     Q = cfg.q ** cfg.k
-    ctx = FourierContext(ds, cfg.k) if Q <= cfg.cap else None
-    rep = fou_mod.constants_report(
-        cfg.q, ds.s, ds.consecutive_flag, ctx=ctx
-    )
-    payload = {"schema": SCHEMA, "config": cfg.public(), **asdict(rep)}
-    if ctx is None:
+    q, s, run = cfg.q, ds.s, ds.consecutive_flag
+    skipped = Q > cfg.cap
+    payload = {
+        "schema": SCHEMA, "config": cfg.public(),
+        "q": q, "s": s, "consecutive": run,
+        "Cq_analytic": fou_mod.analytic_Cq(q, s, run),
+        "alpha": fou_mod.alpha(q, s, run),
+        "Cq_empirical": (None if skipped else
+                         fou_mod.empirical_Cq(FourierContext(ds, cfg.k))),
+        "k": None if skipped else cfg.k,
+    }
+    if skipped:
         payload["Cq_empirical_reason"] = (
             f"{_q_to_the_k(cfg)} exceeds cap {cfg.cap}, so the L1 grid sum "
             "is skipped")

@@ -136,25 +136,8 @@ def _msb_digits(x: int, q: int, k: int):
 
 
 def count_below(ds: DigitSet, x: int, k: int) -> int:
-    """#{n < x : contains(ds, n, k)} by digit DP, O(k*q)."""
-    q = ds.q
-    if x < 0 or x > q ** k:
-        raise DomainError(f"x={x} not in [0, {q}^{k}]")
-    full = q - ds.s
-    if x == q ** k:
-        return full ** k
-    exc = ds._excluded_set
-    # allowed_below[d] = number of allowed digits strictly less than d
-    allowed_below = [0] * (q + 1)
-    for d in range(q):
-        allowed_below[d + 1] = allowed_below[d] + (0 if d in exc else 1)
-    total = 0
-    for i, xd in enumerate(_msb_digits(x, q, k)):
-        rem = k - i - 1
-        total += allowed_below[xd] * full ** rem
-        if xd in exc:
-            break
-    return total
+    """#{n < x : contains(ds, n, k)}: ``count_in_ap`` at modulus 1."""
+    return count_in_ap(ds, x, k, 1, 0)
 
 
 def count_in_ap(ds: DigitSet, x: int, k: int, modulus: int, residue: int) -> int:

@@ -4,14 +4,18 @@ Both weights, Lambda (``MangoldtTable``) and the values of an integer
 polynomial (``IntPolynomial``), list the points n < x they charge and the
 weights there by ``support_below(x)``, and ``expsum`` is the one sum of
 w(n) e(n alpha) over that support; a polynomial's support costs one
-bisection and one evaluation of P on an array.  The equidistribution
-min-sum is a literal summation too, and three bound-ratio sweeps compare
-the sums against their analytic right-hand sides.  The implied constants
-of the bounds carry no numeric content, so sweeps only record ratios.
-Each sweep's ceiling in ``CALIBRATED_MAX_RATIO`` was fixed by a one-time
-run with the recorded seed and holds only at the configuration it was
-run at, so those configurations are constants beside it, not options;
-the seed alone picks the random draws.
+bisection and one evaluation of P on an array.  A frequency alpha is a
+float or a ``Fraction``.  A Fraction is held in lowest terms, and its
+phases are the exact residues r/den of that form: the same correctly
+rounded floats as any unreduced form of alpha gives.  The
+equidistribution min-sum is a literal summation too, and three
+bound-ratio sweeps compare the sums against their analytic right-hand
+sides.  The implied constants of the bounds carry no numeric content, so
+sweeps only record ratios.  Each sweep's ceiling in
+``CALIBRATED_MAX_RATIO`` was fixed by a one-time run with the recorded
+seed and holds only at the configuration it was run at, so those
+configurations are constants beside it, not options; the seed alone
+picks the random draws.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .fourier import RationalFrequency, distance_to_integer
+from .fourier import distance_to_integer
 from .summation import pairwise_sum
 
 MANGOLDT_CAP = 10 ** 9
@@ -124,7 +128,7 @@ def build_mangoldt(X: int) -> MangoldtTable:
     return MangoldtTable(limit=X, entries_n=ns[order], entries_p=ps[order])
 
 
-Alpha = Union[float, Fraction, RationalFrequency]
+Alpha = Union[float, Fraction]
 
 
 def _residues(ns: np.ndarray, num: int, den: int) -> np.ndarray:
@@ -139,21 +143,11 @@ def _residues(ns: np.ndarray, num: int, den: int) -> np.ndarray:
     return (ns.astype(object) * num) % den
 
 
-def _rational(alpha: Alpha):
-    """(num, den) of a rational alpha, None for a float."""
-    if isinstance(alpha, RationalFrequency):
-        return alpha.residue, alpha.denominator
-    if isinstance(alpha, Fraction):
-        return alpha.numerator, alpha.denominator
-    return None
-
-
 def _phases_mod1(ns: np.ndarray, alpha: Alpha) -> np.ndarray:
     """(n * alpha) mod 1 for an array of integers n, exactly for rationals."""
-    rat = _rational(alpha)
-    if rat is None:
+    if not isinstance(alpha, Fraction):
         return np.mod(ns.astype(np.float64) * float(alpha), 1.0)
-    num, den = rat
+    num, den = alpha.as_integer_ratio()
     return _residues(ns, num, den).astype(np.float64) / den
 
 
@@ -257,9 +251,8 @@ def expsum(weight: Weight, x: int, alpha: Alpha) -> complex:
     formula itself.
     """
     ns, ws = weight_support(weight, x)
-    rat = _rational(alpha)
-    if rat is not None and rat[1] <= ns.size:
-        num, den = rat
+    if isinstance(alpha, Fraction) and alpha.denominator <= ns.size:
+        num, den = alpha.as_integer_ratio()
         roots = np.exp(2j * np.pi * (np.arange(den) / den))
         units = roots[_residues(ns, num, den).astype(np.intp)]
     else:

@@ -1,10 +1,13 @@
 """Fourier transform of a digit-restricted set and its bound constants.
 
 The transform of the set truncated to [0, q**k) factorizes as a product of
-k single-digit factors.  Rational frequencies a/q**k are evaluated with all
-phases reduced mod q**k in exact integers; real frequencies are reduced
-mod 1 exactly, as Fractions (a float is a dyadic rational), before any
-floating evaluation.
+k single-digit factors.  A rational frequency a/q**k is named by its
+integer numerator a, as grid_values and half_grid_values index their
+points, and evaluated with all phases reduced mod q**k in exact integers;
+real frequencies are reduced mod 1 exactly, as Fractions (a float is a
+dyadic rational), before any floating evaluation.  The constants C_q and
+alpha are plain functions of (q, s, consecutive); ``digitlab constants``
+reports them beside empirical_Cq.
 
 Full grids F(theta0 + a/q**k), a < q**k, come from one transform engine, a
 blocked four-step FFT of the digit indicator (modulated by e(n*theta0)):
@@ -29,7 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -40,25 +42,6 @@ from .summation import pairwise_sum
 GRID_CAP = 10 ** 8
 # Points per block of the transform engine (_transform_blocks).
 BLOCK = 2 ** 14
-
-
-@dataclass(frozen=True)
-class RationalFrequency:
-    """An exact frequency a/Q; the numerator is normalized into [0, Q)."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator <= 0:
-            raise DomainError("denominator must be positive")
-        object.__setattr__(
-            self, "numerator", self.numerator % self.denominator
-        )
-
-    @property
-    def residue(self) -> int:
-        return self.numerator
 
 
 @dataclass(frozen=True)
@@ -85,15 +68,11 @@ class FourierContext:
         return tuple(tables)
 
 
-def eval_product(ctx: FourierContext, freq: RationalFrequency) -> complex:
-    """Product-formula evaluation at an exact rational frequency a/q**k."""
-    if freq.denominator != ctx.Q:
-        raise DomainError(
-            f"denominator {freq.denominator} != q^k = {ctx.Q}; "
-            "use eval_product_real for other frequencies"
-        )
+def eval_product(ctx: FourierContext, a: int) -> complex:
+    """Product-formula evaluation at the rational frequency a/q**k; a is
+    reduced mod q**k, so any integer numerator names its frequency."""
     Q = ctx.Q
-    a = freq.residue
+    a %= Q
     result = complex(1.0)
     for table in ctx.phase_tables:
         fac = pairwise_sum(
@@ -148,10 +127,11 @@ def eval_product_real(ctx: FourierContext, theta) -> complex:
     return result
 
 
-def eval_direct(ds: DigitSet, k: int, freq: RationalFrequency) -> complex:
-    """Oracle: literal sum of e(n * a/Q) over the enumerated members."""
-    Q = freq.denominator
-    a = freq.residue
+def eval_direct(ds: DigitSet, k: int, a: int) -> complex:
+    """Oracle: literal sum of e(n * a/Q) over the enumerated members,
+    Q = q**k, with a reduced mod Q."""
+    Q = ds.q ** k
+    a %= Q
     terms = [
         cmath.exp(2j * math.pi * ((n * a) % Q) / Q)
         for n in enumerate_members(ds, k)
@@ -387,37 +367,6 @@ def consecutive_alpha_limit(q: int, s: int) -> float:
     if not 0 < s < q:
         raise DomainError("need 0 < s < q")
     return math.log(q / (q - s)) / math.log(q)
-
-
-@dataclass
-class ConstantsReport:
-    q: int
-    s: int
-    consecutive: bool
-    Cq_analytic: float
-    alpha: float
-    Cq_empirical: Optional[float] = None
-    k: Optional[int] = None
-
-
-def constants_report(
-    q: int,
-    s: int = 1,
-    consecutive: bool = False,
-    ctx: Optional[FourierContext] = None,
-) -> ConstantsReport:
-    """The analytic constants, and C_q measured at theta = 0 given a ctx."""
-    rep = ConstantsReport(
-        q=q,
-        s=s,
-        consecutive=consecutive,
-        Cq_analytic=analytic_Cq(q, s, consecutive),
-        alpha=alpha(q, s, consecutive),
-    )
-    if ctx is not None:
-        rep.Cq_empirical = empirical_Cq(ctx)
-        rep.k = ctx.k
-    return rep
 
 
 # ----------------------------------------------------------------------

@@ -75,8 +75,8 @@ def _scalar_terms(ds: DigitSet, k: int, weight) -> list:
     ``eval_product`` at a/Q, and ``expsum`` at the exact frequency -a/Q."""
     Q = ds.q ** k
     ctx = fou_mod.FourierContext(ds, k)
-    return [fou_mod.eval_product(ctx, fou_mod.RationalFrequency(a, Q))
-            * exp_mod.expsum(weight, Q, fou_mod.RationalFrequency(-a, Q)) / Q
+    return [fou_mod.eval_product(ctx, a)
+            * exp_mod.expsum(weight, Q, Fraction(-a, Q)) / Q
             for a in range(Q)]
 
 
@@ -228,9 +228,9 @@ def product_vs_direct(cases: Iterable[tuple], draws: int,
         ctx = fou_mod.FourierContext(ds, k)
         Q = ds.q ** k
         for _ in range(draws):
-            freq = fou_mod.RationalFrequency(rng.randrange(Q), Q)
-            oracle = fou_mod.eval_direct(ds, k, freq)
-            err = abs(fou_mod.eval_product(ctx, freq) - oracle)
+            a = rng.randrange(Q)
+            oracle = fou_mod.eval_direct(ds, k, a)
+            err = abs(fou_mod.eval_product(ctx, a) - oracle)
             worst = max(worst, err / max(abs(oracle), 1.0))
             n += 1
     return [_check(f"product vs direct ({n} random frequencies)",
@@ -384,8 +384,7 @@ def _suite_fourier(seed: int) -> List[dict]:
     ctx = fou_mod.FourierContext(ds, 4)
     half = fou_mod.half_grid_values(ctx)
     grid_err = max(
-        abs(half[a] - fou_mod.eval_product(
-            ctx, fou_mod.RationalFrequency(a, 10 ** 4)))
+        abs(half[a] - fou_mod.eval_product(ctx, a))
         for a in (rng.randrange(10 ** 4 // 2 + 1) for _ in range(40)))
     grid_err /= 9 ** 4
     checks.append(_check(

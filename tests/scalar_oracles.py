@@ -2,7 +2,8 @@
 
 Each is the loop or literal formula its numpy form replaced, kept here so
 that the tests can require the numpy form to give the same bits, which
-``bits`` compares.
+``bits`` compares.  ``count_below`` is the prefix digit DP that
+``digits.count_below`` gave up for ``count_in_ap`` at modulus 1.
 """
 
 import bisect
@@ -85,6 +86,29 @@ def enumerate_members(ds, k):
     yield from rec(0, k)
 
 
+def count_below(ds, x, k):
+    """#{n < x : contains(ds, n, k)} by its own digit DP, O(k*q): a count
+    of the allowed digits below each digit of x, most significant first."""
+    q = ds.q
+    if x < 0 or x > q ** k:
+        raise DomainError(f"x={x} not in [0, {q}^{k}]")
+    full = q - ds.s
+    if x == q ** k:
+        return full ** k
+    exc = set(ds.excluded)
+    # allowed_below[d] = number of allowed digits strictly less than d
+    allowed_below = [0] * (q + 1)
+    for d in range(q):
+        allowed_below[d + 1] = allowed_below[d] + (0 if d in exc else 1)
+    total = 0
+    for i, xd in enumerate(digits_mod._msb_digits(x, q, k)):
+        rem = k - i - 1
+        total += allowed_below[xd] * full ** rem
+        if xd in exc:
+            break
+    return total
+
+
 _dirichlet_approx = arcs_mod.dirichlet_approx
 
 
@@ -107,9 +131,21 @@ def minsum(N, M, alpha):
 
 def prime_expsum(weight, x, alpha):
     """``expsums.expsum`` as the literal sum of w(n) e(n alpha), one np.exp
-    per term; for Lambda, the von Mangoldt sum."""
+    per term; for Lambda, the von Mangoldt sum.
+
+    alpha is a float, a Fraction, or a pair (num, den) taken as it stands,
+    unreduced: a rational alpha has the phases (n*num % den)/den, reduced
+    in Python ints.
+    """
     ns, ws = weight.support_below(x)
-    terms = ws * np.exp(2j * np.pi * exp_mod._phases_mod1(ns, alpha))
+    if isinstance(alpha, float):
+        phases = np.mod(ns.astype(np.float64) * alpha, 1.0)
+    else:
+        num, den = (alpha.as_integer_ratio() if isinstance(alpha, Fraction)
+                    else alpha)
+        phases = np.array([n * num % den for n in ns.tolist()],
+                          dtype=np.float64) / den
+    terms = ws * np.exp(2j * np.pi * phases)
     return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
 
 

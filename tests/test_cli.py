@@ -101,7 +101,11 @@ class TestCount:
         f"0,{10 ** 308}",    # main term inf, deviation nan
     ], ids=["lead-1e400", "lead-1e308"])
     @pytest.mark.parametrize("command", ["count", "arcs"])
-    def test_non_finite_main_term_exits_2(self, command, coeffs, capsys):
+    def test_non_finite_main_term_exits_2(self, command, coeffs, capsys,
+                                          monkeypatch):
+        # the main term is checked before any pipeline stage allocates
+        monkeypatch.setattr(arcs_mod, "pipeline_stages",
+                            refuse("pipeline_stages"))
         code = run([command, "--q", "10", "--exclude", "7", "--k", "3",
                     "--weight", "poly", f"--poly-coeffs={coeffs}"])
         assert code == 2
@@ -480,8 +484,8 @@ class TestUnwritableOut:
         for name in ("pipeline_stages", "circle_pipeline",
                      "theorem_comparison"):
             monkeypatch.setattr(arcs_mod, name, refuse(name))
-        monkeypatch.setattr(fourier_mod, "constants_report",
-                            refuse("constants_report"))
+        monkeypatch.setattr(fourier_mod, "empirical_Cq",
+                            refuse("empirical_Cq"))
         monkeypatch.setattr(verify, "report", refuse("verify.report"))
         out = tmp_path / "missing" / "x.json"
         assert run([*argv, "--out", str(out)]) == 2

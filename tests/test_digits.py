@@ -188,6 +188,36 @@ class TestCountBelow:
             count_below(DigitSet(10, (7,)), 1001, 3)
 
 
+@st.composite
+def run_digit_sets(draw):
+    """q <= 12 with one excluded digit or a run of them."""
+    q = draw(st.integers(3, 12))
+    start = draw(st.integers(0, q - 1))
+    stop = draw(st.integers(start + 1, q))
+    try:
+        return DigitSet(q, tuple(range(start, stop)))
+    except DomainError:
+        assume(False)
+
+
+class TestCountBelowMatchesItsOracle:
+    """``count_below`` is ``count_in_ap`` at modulus 1; the prefix DP it
+    replaced is kept as ``scalar_oracles.count_below``."""
+
+    @given(ds=run_digit_sets(), k=st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_every_x(self, ds, k):
+        Q = ds.q ** k
+        assert [count_below(ds, x, k) for x in range(Q + 1)] == [
+            oracle.count_below(ds, x, k) for x in range(Q + 1)]
+        for x in (-1, Q + 1):
+            with pytest.raises(DomainError) as want:
+                oracle.count_below(ds, x, k)
+            with pytest.raises(DomainError) as got:
+                count_below(ds, x, k)
+            assert str(got.value) == str(want.value)
+
+
 class TestCountInAp:
     def test_base_ten_residue_examples(self):
         ds = DigitSet(10, (7,))

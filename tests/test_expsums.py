@@ -26,7 +26,6 @@ from digitlab.expsums import (
     expsum,
     minsum,
 )
-from digitlab.fourier import RationalFrequency
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(p) for p in (2, 3, 5, 7))
 
@@ -161,25 +160,38 @@ class TestPrimeExpsumMatchesFormula:
 
     @pytest.mark.parametrize("x", [2, 3, 100, 2001])
     def test_fractions_and_frequencies(self, x):
+        # the oracle takes a/d unreduced, the sum its Fraction
         for d in range(1, 98):
-            for a in {1, 2 % d, d - 1, -1, -d - 2, 3 * d + 1}:
-                for alpha in (Fraction(a, d), RationalFrequency(a, d)):
-                    assert bits(expsum(self.TABLE, x, alpha)) == bits(
-                        oracle.prime_expsum(self.TABLE, x, alpha)), (a, d)
+            for a in {1, 2 % d, d - 1, -1, -d - 2, 3 * d + 1, 6 * d - 4}:
+                want = bits(oracle.prime_expsum(self.TABLE, x, (a, d)))
+                assert bits(expsum(self.TABLE, x, Fraction(a, d))) == want, \
+                    (a, d)
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_den_at_and_around_the_table_size(self, shift):
         den = self.size(2001) + shift
-        for a in (1, 2, den - 1, -7):
-            for alpha in (Fraction(a, den), RationalFrequency(a, den)):
-                assert bits(expsum(self.TABLE, 2001, alpha)) == bits(
-                    oracle.prime_expsum(self.TABLE, 2001, alpha))
+        for a in (1, 2, den - 1, -7, 2 * den - 6):
+            assert bits(expsum(self.TABLE, 2001, Fraction(a, den))) == bits(
+                oracle.prime_expsum(self.TABLE, 2001, (a, den)))
+
+    @pytest.mark.parametrize("weight", ["mangoldt", "n^2"])
+    def test_scalar_terms_frequencies(self, weight):
+        # the 1,216 frequencies -a/Q of verify's scalar ledger oracle, at
+        # Q = 6**3 and 10**3: as Fractions they reduce, the oracle's pair
+        # -a/Q does not
+        for Q in (216, 1000):
+            w = build_mangoldt(Q) if weight == "mangoldt" \
+                else IntPolynomial((0, 0, 1))
+            for a in range(Q):
+                assert bits(expsum(w, Q, Fraction(-a, Q))) == bits(
+                    oracle.prime_expsum(w, Q, (-a, Q))), (Q, a)
 
     def test_empty_table(self):
         t = build_mangoldt(1)
-        for alpha in (Fraction(1, 3), RationalFrequency(-1, 1), 0.25):
+        for alpha in (Fraction(1, 3), Fraction(-1, 1), 0.25):
             assert expsum(t, 2, alpha) == complex(0.0)
             assert oracle.prime_expsum(t, 2, alpha) == complex(0.0)
+        assert oracle.prime_expsum(t, 2, (-1, 1)) == complex(0.0)
 
     def test_huge_numerator(self):
         # the residues come from Python ints, then index the roots
@@ -227,9 +239,9 @@ class TestPhasesMod1:
         got = exp_mod._phases_mod1(ns, frac)
         assert np.array_equal(
             got, object_phases(ns, frac.numerator, frac.denominator))
-        got = exp_mod._phases_mod1(ns.astype(object),
-                                   RationalFrequency(num, den))
+        got = exp_mod._phases_mod1(ns.astype(object), frac)
         assert np.array_equal(got, object_phases(ns, num % den, den))
+        assert bits(got) == bits(object_phases(ns, num, den))
 
     @settings(max_examples=200, deadline=None)
     @given(case=edge_reductions())

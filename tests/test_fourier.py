@@ -15,7 +15,6 @@ from digitlab.digits import DigitSet, enumerate_members
 from digitlab.errors import CapExceededError, DomainError
 from digitlab.fourier import (
     FourierContext,
-    RationalFrequency,
     alpha,
     analytic_Cq,
     consecutive_alpha_limit,
@@ -33,12 +32,6 @@ from digitlab.fourier import (
 )
 
 
-def test_rational_frequency_normalizes():
-    f = RationalFrequency(-3, 10)
-    assert f.residue == 7
-    assert RationalFrequency(13, 10).residue == 3
-
-
 def test_phase_tables_rebuild_identically():
     ds = DigitSet(7, (4,))
     assert FourierContext(ds, 3).phase_tables == \
@@ -51,13 +44,13 @@ class TestEvalProduct:
     def test_zero_frequency(self):
         for q, excl, k in [(10, (7,), 3), (5, (0, 1), 4)]:
             ctx = FourierContext(DigitSet(q, excl), k)
-            val = eval_product(ctx, RationalFrequency(0, q ** k))
+            val = eval_product(ctx, 0)
             assert val == pytest.approx((q - len(excl)) ** k)
 
     def test_half_frequency_k1(self):
         # five allowed even digits minus four allowed odd digits
         ctx = FourierContext(DigitSet(10, (7,)), 1)
-        val = eval_product(ctx, RationalFrequency(5, 10))
+        val = eval_product(ctx, 5)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_oracle_q8_k3(self):
@@ -65,28 +58,29 @@ class TestEvalProduct:
         ctx = FourierContext(ds, 3)
         rng = random.Random(42)
         for _ in range(30):
-            freq = RationalFrequency(rng.randrange(512), 512)
-            v1 = eval_product(ctx, freq)
-            v2 = eval_direct(ds, 3, freq)
+            a = rng.randrange(512)
+            v1 = eval_product(ctx, a)
+            v2 = eval_direct(ds, 3, a)
             assert abs(v1 - v2) <= 1e-9 * 7 ** 3
 
-    def test_wrong_denominator_rejected(self):
-        ctx = FourierContext(DigitSet(10, (7,)), 2)
-        with pytest.raises(DomainError):
-            eval_product(ctx, RationalFrequency(1, 99))
-
     def test_periodicity_bit_for_bit(self):
-        ctx = FourierContext(DigitSet(9, (4,)), 3)
+        # a, a + Q, a - Q and a + 5Q all name the frequency a/Q
+        ds = DigitSet(9, (4,))
+        ctx = FourierContext(ds, 3)
         Q = 9 ** 3
-        for a in (1, 17, 500):
-            assert eval_product(ctx, RationalFrequency(a, Q)) == \
-                eval_product(ctx, RationalFrequency(a + Q, Q))
+        for a in (0, 1, 17, 500, Q - 1):
+            want = bits(eval_product(ctx, a))
+            for b in (a + Q, a - Q, a + 5 * Q, -Q * 10 ** 30 + a):
+                assert bits(eval_product(ctx, b)) == want, (a, b)
+            assert bits(eval_direct(ds, 3, a - Q)) == bits(
+                eval_direct(ds, 3, a))
+        assert bits(eval_product(ctx, -3)) == bits(eval_product(ctx, Q - 3))
 
     def test_real_entry_point_agrees(self):
         ds = DigitSet(10, (7,))
         ctx = FourierContext(ds, 3)
         for a in (1, 123, 999):
-            v1 = eval_product(ctx, RationalFrequency(a, 1000))
+            v1 = eval_product(ctx, a)
             v2 = eval_product_real(ctx, Fraction(a, 1000))
             v3 = eval_product_real(ctx, a / 1000)
             assert abs(v1 - v2) < 1e-10
@@ -95,13 +89,12 @@ class TestEvalProduct:
 
 class TestEvalDirect:
     def test_zero_frequency(self):
-        assert eval_direct(DigitSet(6, (5,)), 2, RationalFrequency(0, 36)) \
-            == pytest.approx(25.0)
+        assert eval_direct(DigitSet(6, (5,)), 2, 0) == pytest.approx(25.0)
 
     def test_literal_four_term_sum(self):
         # members of {digits 0,1} base 3, k=2 are 0,1,3,4
         ds = DigitSet(3, (2,))
-        val = eval_direct(ds, 2, RationalFrequency(1, 9))
+        val = eval_direct(ds, 2, 1)
         expect = sum(cmath.exp(2j * math.pi * n / 9) for n in (0, 1, 3, 4))
         assert abs(val - expect) < 1e-12
 
@@ -109,14 +102,14 @@ class TestEvalDirect:
         ds = DigitSet(7, (2,))
         Q = 7 ** 2
         for a in range(1, Q):
-            va = eval_direct(ds, 2, RationalFrequency(a, Q))
-            vb = eval_direct(ds, 2, RationalFrequency(Q - a, Q))
+            va = eval_direct(ds, 2, a)
+            vb = eval_direct(ds, 2, Q - a)
             assert abs(vb - va.conjugate()) < 1e-10
 
     def test_cap(self):
         # 9**9 members exceed ENUMERATION_CAP
         with pytest.raises(CapExceededError):
-            eval_direct(DigitSet(10, (7,)), 9, RationalFrequency(1, 10 ** 9))
+            eval_direct(DigitSet(10, (7,)), 9, 1)
 
 
 class TestDigitFactorBound:
@@ -220,7 +213,7 @@ class TestGridValues:
         ctx = FourierContext(ds, 3)
         vals = grid_values(ctx)
         for a in (0, 1, 77, 215):
-            expect = eval_product(ctx, RationalFrequency(a, 216))
+            expect = eval_product(ctx, a)
             assert abs(vals[a] - expect) < 1e-9
 
     def test_parseval(self):
@@ -310,7 +303,7 @@ class TestTransformEngine:
         assert vals.shape == (Q,) and vals.dtype == np.complex128
         scale = (q - len(excl)) ** k
         for a in range(Q):
-            expect = eval_product(ctx, RationalFrequency(a, Q))
+            expect = eval_product(ctx, a)
             assert abs(vals[a] - expect) <= 1e-12 * scale, a
 
     @pytest.mark.parametrize("q, excl, k", ENGINE_CASES)
@@ -531,7 +524,7 @@ class TestOracleBattery:
             ctx = FourierContext(ds, 3)
             Q = q ** 3
             for _ in range(50):
-                freq = RationalFrequency(rng.randrange(Q), Q)
-                v1 = eval_product(ctx, freq)
-                v2 = eval_direct(ds, 3, freq)
+                a = rng.randrange(Q)
+                v1 = eval_product(ctx, a)
+                v2 = eval_direct(ds, 3, a)
                 assert abs(v1 - v2) <= 1e-9 * len(members)

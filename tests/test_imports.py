@@ -1,12 +1,14 @@
 """Every name a package or test module imports is read in that module,
 every module-level name of the package is read by some package or test
-module, every parameter of a package function is read in its function, and
+module, every parameter of a package function is read in its function,
+the package's ``__all__`` lists exactly what its ``__init__`` imports, and
 every function the benchmark hooks by name exists."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,34 @@ def test_scan_sees_a_dead_import():
                      "import math\nfrom os import path, sep\n"
                      "print(path.join(sep))\n")
     assert dead_imports(tree) == [(2, "math")]
+
+
+def api_gaps(tree: ast.Module, module) -> tuple:
+    """The names a package's ``__init__`` imports from its modules but
+    leaves out of ``__all__``, and the names of ``__all__`` that the
+    imported ``module`` lacks, each sorted."""
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and node.module != "__future__" for alias in node.names}
+    exported = exported_names(tree)
+    return (sorted(imported - exported),
+            sorted(n for n in exported if not hasattr(module, n)))
+
+
+def test_api_lists_what_it_imports():
+    init = PACKAGE / "__init__.py"
+    tree = ast.parse(init.read_text(), filename=str(init))
+    assert api_gaps(tree, digitlab) == ([], [])
+
+
+def test_scan_sees_an_api_gap():
+    source = ("from __future__ import annotations\n"
+              "from os import path, sep\n"
+              "__all__ = ['path', 'RationalFrequency']\n")
+    module = types.ModuleType("synthetic")
+    exec(compile(source, "synthetic", "exec"), module.__dict__)
+    assert api_gaps(ast.parse(source), module) == (
+        ["sep"], ["RationalFrequency"])
 
 
 def defined_names(tree: ast.Module) -> dict:
