@@ -335,7 +335,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
         "alpha": fou_mod.alpha(q, s, run),
         "Cq_empirical": (None if skipped else
                          fou_mod.empirical_Cq(FourierContext(ds, cfg.k))),
-        "k": None if skipped else cfg.k,
+        "k": cfg.k,
     }
     if skipped:
         payload["Cq_empirical_reason"] = (

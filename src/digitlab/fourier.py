@@ -1,13 +1,14 @@
 """Fourier transform of a digit-restricted set and its bound constants.
 
 The transform of the set truncated to [0, q**k) factorizes as a product of
-k single-digit factors.  A rational frequency a/q**k is named by its
-integer numerator a, as grid_values and half_grid_values index their
-points, and evaluated with all phases reduced mod q**k in exact integers;
-real frequencies are reduced mod 1 exactly, as Fractions (a float is a
-dyadic rational), before any floating evaluation.  The constants C_q and
-alpha are plain functions of (q, s, consecutive); ``digitlab constants``
-reports them beside empirical_Cq.
+k single-digit factors.  One rule reduces every frequency: theta is an
+exact num/den (a/q**k for the grid's point a, a dyadic rational for a
+finite float), position i has the residue p_i = num*q**i mod den, and
+digit d there has the phase (d*p_i mod den)/den, a correctly rounded
+float, before e() is applied; the product formula and the engine's digit
+vectors both take it.  The constants C_q and alpha are plain functions
+of (q, s, consecutive); ``digitlab constants`` reports them beside
+empirical_Cq.
 
 Full grids F(theta0 + a/q**k), a < q**k, come from one transform engine, a
 blocked four-step FFT of the digit indicator (modulated by e(n*theta0)):
@@ -18,8 +19,9 @@ high grid plus one block.  At theta0 = 0 the indicator is real, so
 F(-a/Q) = conj F(a/Q): in the (q, W = q**(k-1)) view of the grid, column
 W - m holds the conjugates of column m with the rows reversed.  So
 half_grid_values, the circle pipeline's grid, holds a <= q**k//2 only,
-and both it and the theta0 = 0 L1 sum transform just the columns
-m <= W//2; mirror_paired names the indices whose mirror is another index,
+and both it and the theta0 = 0 L1 sum ask the engine for the half
+spectrum: the columns m <= W//2, each block with the slice of its
+columns in mirror_paired (the indices whose mirror is another index),
 which count twice.  The product formula (eval_product, eval_product_real)
 stays the scalar oracle of the engine.
 """
@@ -31,7 +33,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,7 @@ BLOCK = 2 ** 14
 
 @dataclass(frozen=True)
 class FourierContext:
-    """Precomputed per-position phase residues for one (digit set, k)."""
+    """A digit set and the number k of digit positions."""
 
     ds: DigitSet
     k: int
@@ -55,50 +56,41 @@ class FourierContext:
     def Q(self) -> int:
         return self.ds.q ** self.k
 
-    @cached_property
-    def phase_tables(self) -> tuple:
-        """phase_tables[i][j] = allowed[j] * q**i mod q**k, exact integers."""
-        Q = self.Q
-        q = self.ds.q
-        tables = []
-        p = 1
-        for _ in range(self.k):
-            tables.append(tuple((d * p) % Q for d in self.ds.allowed))
-            p *= q
-        return tuple(tables)
+
+def _ratio(theta) -> tuple:
+    """theta as an exact (num, den); a finite float is a dyadic rational."""
+    if not isinstance(theta, Fraction) and not math.isfinite(theta):
+        raise DomainError(f"theta={theta} is not finite")
+    return Fraction(theta).as_integer_ratio()
 
 
-def eval_product(ctx: FourierContext, a: int) -> complex:
-    """Product-formula evaluation at the rational frequency a/q**k; a is
-    reduced mod q**k, so any integer numerator names its frequency."""
-    Q = ctx.Q
-    a %= Q
+def _residues(q: int, k: int, num: int, den: int) -> list:
+    """p_i = num * q**i mod den for i < k, by an integer recursion."""
+    out, r = [], num % den
+    for _ in range(k):
+        out.append(r)
+        r = r * q % den
+    return out
+
+
+def _roots(ds: DigitSet, p: int, den: int) -> list:
+    """e(d*p/den) over the allowed digits d, each phase the correctly
+    rounded float (d*p mod den)/den."""
+    return [cmath.exp(2j * math.pi * (d * p % den / den)) for d in ds.allowed]
+
+
+def _product(ds: DigitSet, k: int, num: int, den: int) -> complex:
+    """The product formula at num/den, one pairwise sum per position."""
     result = complex(1.0)
-    for table in ctx.phase_tables:
-        fac = pairwise_sum(
-            [cmath.exp(2j * math.pi * ((r * a) % Q) / Q) for r in table]
-        )
-        result *= fac
+    for p in _residues(ds.q, k, num, den):
+        result *= pairwise_sum(_roots(ds, p, den))
     return result
 
 
-def _reduced_power_fracs(theta, q: int, k: int):
-    """(q**i * theta) mod 1 for i < k, reduced exactly, then as floats.
-
-    A finite float is an exact dyadic rational, so it is converted to a
-    Fraction without loss; every reduction is then exact and each output
-    is the correctly rounded float of the exact residue.
-    """
-    if not isinstance(theta, Fraction):
-        if not math.isfinite(theta):
-            raise DomainError(f"theta={theta} is not finite")
-        theta = Fraction(theta)
-    out = []
-    t = theta % 1
-    for _ in range(k):
-        out.append(float(t))
-        t = (t * q) % 1
-    return out
+def eval_product(ctx: FourierContext, a: int) -> complex:
+    """Product-formula evaluation at the rational frequency a/q**k; any
+    integer numerator names its frequency."""
+    return _product(ctx.ds, ctx.k, a, ctx.Q)
 
 
 def digit_factor(ds: DigitSet, theta):
@@ -121,10 +113,7 @@ def digit_factor(ds: DigitSet, theta):
 
 def eval_product_real(ctx: FourierContext, theta) -> complex:
     """Product-formula evaluation at a real (or Fraction) frequency."""
-    result = complex(1.0)
-    for fr in _reduced_power_fracs(theta, ctx.ds.q, ctx.k):
-        result *= digit_factor(ctx.ds, fr)
-    return result
+    return _product(ctx.ds, ctx.k, *_ratio(theta))
 
 
 def eval_direct(ds: DigitSet, k: int, a: int) -> complex:
@@ -181,14 +170,12 @@ def digit_factor_bound(ds: DigitSet, theta):
 
 
 def _digit_vectors(ctx: FourierContext, theta0) -> list:
-    """v_i[d] = e(d * {q**i theta0}) at allowed digits d, 0 elsewhere, i < k."""
-    q = ctx.ds.q
-    allowed = list(ctx.ds.allowed)
+    """v_i[d] = e(d * {q**i theta0}) at allowed digits d, else 0, i < k."""
+    num, den = _ratio(theta0)
     vecs = []
-    for fr in _reduced_power_fracs(theta0, q, ctx.k):
-        v = np.zeros(q, dtype=np.complex128)
-        v[allowed] = [cmath.exp(2j * math.pi * ((d * fr) % 1.0))
-                      for d in allowed]
+    for p in _residues(ctx.ds.q, ctx.k, num, den):
+        v = np.zeros(ctx.ds.q, dtype=np.complex128)
+        v[list(ctx.ds.allowed)] = _roots(ctx.ds, p, den)
         vecs.append(v)
     return vecs
 
@@ -199,10 +186,13 @@ def mirror_paired(n: int) -> slice:
     return slice(1, n - n // 2)
 
 
-def _transform_blocks(ctx: FourierContext, theta0, stop=None):
-    """Yield (cols, block) with block[t, j] = F(theta0 + (t*Q/q + m)/Q),
-    m = cols.start + j: the columns m < stop (default all Q/q) of the
-    grid, column block by column block.
+def _transform_blocks(ctx: FourierContext, theta0, half=False):
+    """Yield (cols, block, twice), block[t, j] = F(theta0 + (t*Q/q + m)/Q)
+    at m = cols.start + j: the grid's columns, block by block.  All
+    W = Q/q columns by default.  ``half`` (for theta0 = 0 only) stops at
+    the columns m <= W//2, and then ``twice`` slices the block's columns
+    in mirror_paired(W), whose mirror W - m is a column not transformed;
+    without ``half`` every ``twice`` is empty.
 
     Four-step FFT (Cooley-Tukey, in Bailey's blocked layout).  Positions
     1..k-1 contribute G[m] = sum_n kron(v_{k-1}, ..., v_1)[n] e(n*m/(Q/q)),
@@ -223,7 +213,8 @@ def _transform_blocks(ctx: FourierContext, theta0, stop=None):
     )
     d = np.arange(len(low), dtype=np.int64)[:, None]
     step = max(1, BLOCK // len(low))
-    stop = width if stop is None else stop
+    stop, paired = ((width // 2 + 1, mirror_paired(width)) if half
+                    else (width, slice(0, 0)))
     for start in range(0, stop, step):
         cols = slice(start, min(start + step, stop))
         m = np.arange(cols.start, cols.stop, dtype=np.int64)
@@ -231,7 +222,9 @@ def _transform_blocks(ctx: FourierContext, theta0, stop=None):
         twiddle = np.exp((2j * np.pi / Q) * (d * m))
         block = np.fft.ifft(low * twiddle, axis=0, norm="forward")
         block *= high[cols]
-        yield cols, block
+        lo = max(start, paired.start)
+        hi = max(lo, min(cols.stop, paired.stop))
+        yield cols, block, slice(lo - start, hi - start)
 
 
 def check_grid_size(q: int, k: int) -> None:
@@ -256,7 +249,7 @@ def grid_values(ctx: FourierContext, theta0=0.0) -> np.ndarray:
     """
     check_grid_size(ctx.ds.q, ctx.k)
     out = np.empty(ctx.Q, dtype=np.complex128)
-    for cols, block in _transform_blocks(ctx, theta0):
+    for cols, block, _ in _transform_blocks(ctx, theta0):
         out.reshape(len(block), -1)[:, cols] = block
     return out
 
@@ -276,21 +269,19 @@ def half_grid_values(ctx: FourierContext) -> np.ndarray:
     """
     check_grid_size(ctx.ds.q, ctx.k)
     width = ctx.Q // ctx.ds.q if ctx.k else 1
-    paired = mirror_paired(width)
     out = np.empty(ctx.Q // 2 + 1, dtype=np.complex128)
     rows, rem = divmod(out.size, width)
     body = out[:rows * width].reshape(rows, width)
     tail = out[rows * width:]
-    for cols, block in _transform_blocks(ctx, 0.0, stop=width // 2 + 1):
+    for cols, block, twice in _transform_blocks(ctx, 0.0, half=True):
         start = cols.start
         body[:, cols] = block[:rows]
         if start < rem:
             tail[start:cols.stop] = block[rows, :rem - start]
         # mirrored columns W - m for m in [lo, hi), from rows q-1, q-2, ...
-        lo, hi = max(start, paired.start), min(cols.stop, paired.stop)
-        if lo < hi:
-            np.conjugate(block[::-1][:rows, lo - start:hi - start][:, ::-1],
-                         out=body[:, width - hi + 1:width - lo + 1])
+        lo, hi = start + twice.start, start + twice.stop
+        np.conjugate(block[::-1][:rows, twice][:, ::-1],
+                     out=body[:, width - hi + 1:width - lo + 1])
     return out
 
 
@@ -307,17 +298,10 @@ def l1_grid_sum(ctx: FourierContext, theta0=0.0) -> float:
     in the last bits, by the summation order.
     """
     check_grid_size(ctx.ds.q, ctx.k)
-    width = ctx.Q // ctx.ds.q if ctx.k else 1
-    if theta0 == 0:
-        stop, paired = width // 2 + 1, mirror_paired(width)
-    else:
-        stop, paired = width, slice(0, 0)
     total = 0.0
-    for cols, block in _transform_blocks(ctx, theta0, stop):
+    for _, block, twice in _transform_blocks(ctx, theta0, half=theta0 == 0):
         sums = np.abs(block).sum(axis=0)
-        lo, hi = max(cols.start, paired.start), min(cols.stop, paired.stop)
-        if lo < hi:
-            sums[lo - cols.start:hi - cols.start] *= 2.0
+        sums[twice] *= 2.0
         total += float(sums.sum())
     return total
 
@@ -377,22 +361,14 @@ def consecutive_alpha_limit(q: int, s: int) -> float:
 class LinfDecayRecord:
     lhs: float        # |F(l/d + eps)| / (q-s)**k
     rhs_shape: float  # exp(-(1/q) * sum_i ||q**i (l/d + eps)||**2)
-    ell: int
-    d: int
-    eps: float
-    k: int
 
 
 def _has_prime_factor_coprime_to(d: int, q: int) -> bool:
-    m = d
-    for p in range(2, m + 1):
-        if p * p > m:
-            break
-        while m % p == 0:
-            if q % p != 0:
-                return True
-            m //= p
-    return m > 1 and q % m != 0
+    """Whether d >= 1 has a prime factor not dividing q: strip the
+    factors d shares with q and see what is left."""
+    while (g := math.gcd(d, q)) > 1:
+        d //= g
+    return d > 1
 
 
 def linf_decay_report(
@@ -413,14 +389,12 @@ def linf_decay_report(
         raise DomainError(f"d={d} is not < q^(k/3)")
     if not _has_prime_factor_coprime_to(d, q):
         raise DomainError(f"d={d} has no prime factor coprime to q={q}")
-    if abs(eps) >= 0.5 * q ** (-2.0 * k / 3.0):
+    if not abs(eps) < 0.5 * q ** (-2.0 * k / 3.0):  # nan fails too
         raise DomainError(f"|eps|={abs(eps)} is not < 1/(2 q^(2k/3))")
     theta = Fraction(ell, d) + Fraction(eps)
-    val = eval_product_real(ctx, theta)
-    lhs = abs(val) / (q - ctx.ds.s) ** k
+    lhs = abs(eval_product_real(ctx, theta)) / (q - ctx.ds.s) ** k
+    num, den = _ratio(theta)
     sq_sum = 0.0
-    for fr in _reduced_power_fracs(theta, q, k):
-        sq_sum += min(fr, 1.0 - fr) ** 2
-    rhs_shape = math.exp(-sq_sum / q)
-    return LinfDecayRecord(lhs=lhs, rhs_shape=rhs_shape, ell=ell, d=d,
-                           eps=eps, k=k)
+    for p in _residues(q, k, num, den):
+        sq_sum += min(p / den, 1.0 - p / den) ** 2
+    return LinfDecayRecord(lhs=lhs, rhs_shape=math.exp(-sq_sum / q))

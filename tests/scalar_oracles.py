@@ -177,3 +177,33 @@ def digit_factor_bound_holds(sets, thetas):
         for ds in sets for t in thetas])
     return [verify._check("digit factor bound dominates on grid",
                           margin >= -1e-9, f"min margin {margin:.3e}")]
+
+
+def reduced_power_fracs(theta, q, k):
+    """(q**i * theta) mod 1 for i < k, reduced exactly as Fractions, then
+    as floats: the reduction the integer residues of ``fourier._residues``
+    replaced.  A finite float converts to a Fraction without loss, so each
+    output is the correctly rounded float of the exact residue."""
+    if not isinstance(theta, Fraction):
+        if not math.isfinite(theta):
+            raise DomainError(f"theta={theta} is not finite")
+        theta = Fraction(theta)
+    out = []
+    t = theta % 1
+    for _ in range(k):
+        out.append(float(t))
+        t = (t * q) % 1
+    return out
+
+
+def has_prime_factor_coprime_to(d, q):
+    """Whether d has a prime factor not dividing q, by trial division."""
+    m = d
+    for p in range(2, m + 1):
+        if p * p > m:
+            break
+        while m % p == 0:
+            if q % p != 0:
+                return True
+            m //= p
+    return m > 1 and q % m != 0

@@ -343,12 +343,15 @@ class TestConstants:
         assert payload["k"] == 7
         assert "Cq_empirical_reason" not in payload
 
-    def test_empirical_constant_above_the_cap(self, capsys):
-        code = run(["constants", "--q", "10", "--exclude", "7", "--k", "4",
+    @pytest.mark.parametrize("q", ["10", "31"])
+    def test_empirical_constant_above_the_cap(self, q, capsys):
+        code = run(["constants", "--q", q, "--exclude", "7", "--k", "4",
                     "--cap", "1000"])
         assert code == 0
         payload = strict_json(capsys.readouterr().out)
         assert payload["Cq_empirical"] is None
+        # the skip leaves the configured k in the report
+        assert payload["k"] == 4
         assert "exceeds cap 1000" in payload["Cq_empirical_reason"]
 
 

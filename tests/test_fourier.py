@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scalar_oracles as oracle
 from scalar_oracles import bits
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digitlab import fourier as fou_mod
@@ -30,14 +30,6 @@ from digitlab.fourier import (
     l1_grid_sum,
     linf_decay_report,
 )
-
-
-def test_phase_tables_rebuild_identically():
-    ds = DigitSet(7, (4,))
-    assert FourierContext(ds, 3).phase_tables == \
-        FourierContext(ds, 3).phase_tables
-    for table in FourierContext(ds, 3).phase_tables:
-        assert all(0 <= r < 7 ** 3 for r in table)
 
 
 class TestEvalProduct:
@@ -189,22 +181,68 @@ class TestArrayForms:
         self.check(ds, thetas)
 
 
-class TestReducedPowerFracs:
+# (q, excluded, k) at which the two entry points are compared at every a.
+IDENTITY_SETS = [(10, (7,), 3), (7, (3,), 4), (5, (2,), 3), (8, (7,), 3)]
+
+
+class TestOneReduction:
+    """Every frequency is an exact num/den with the residues
+    p_i = num*q**i mod den, and every phase is (d*p_i mod den)/den."""
+
+    @pytest.mark.parametrize("q, excl, k", IDENTITY_SETS)
+    def test_integer_and_fraction_entry_points_agree(self, q, excl, k):
+        # a/Q and the reduced Fraction(a, Q) name one rational, whose
+        # phases are the same correctly rounded floats
+        ctx = FourierContext(DigitSet(q, excl), k)
+        Q = q ** k
+        for a in range(Q):
+            assert bits(eval_product(ctx, a)) == bits(
+                eval_product_real(ctx, Fraction(a, Q))), a
+
     def test_float_is_reduced_exactly(self):
         # 1e15 + 0.3 is the float 10**15 + 1/4; float products would lose
         # the 1/2 of 10 * theta (its ulp is 2) and report 0.0
-        assert fou_mod._reduced_power_fracs(1e15 + 0.3, 10, 4) == [
-            0.25, 0.5, 0.0, 0.0]
-        assert fou_mod._reduced_power_fracs(1 - 2 ** -53, 3, 3) == [
-            1 - 2 ** -53, 1 - 3 * 2 ** -53, 1 - 9 * 2 ** -53]
-        assert fou_mod._reduced_power_fracs(-0.75, 7, 2) == [0.25, 0.75]
+        for theta, q, k, want in [
+                (1e15 + 0.3, 10, 4, [0.25, 0.5, 0.0, 0.0]),
+                (1 - 2 ** -53, 3, 3,
+                 [1 - 2 ** -53, 1 - 3 * 2 ** -53, 1 - 9 * 2 ** -53]),
+                (-0.75, 7, 2, [0.25, 0.75])]:
+            num, den = fou_mod._ratio(theta)
+            assert [p / den for p in fou_mod._residues(q, k, num, den)] \
+                == want
+            assert oracle.reduced_power_fracs(theta, q, k) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.fractions()),
+           st.integers(3, 60), st.integers(0, 12))
+    @example(1e15 + 0.3, 10, 4)
+    @example(1 - 2 ** -53, 3, 3)
+    @example(-0.75, 7, 2)
+    @example(5e-324, 10, 5)
+    @example(-2.2250738585072e-308, 7, 4)
+    def test_residues_are_the_fraction_reduction(self, theta, q, k):
+        num, den = fou_mod._ratio(theta)
+        assert bits([p / den for p in fou_mod._residues(q, k, num, den)]) \
+            == bits(oracle.reduced_power_fracs(theta, q, k))
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, theta):
-        with pytest.raises(DomainError):
-            fou_mod._reduced_power_fracs(theta, 10, 3)
-        with pytest.raises(DomainError):
-            eval_product_real(FourierContext(DigitSet(10, (7,)), 3), theta)
+        ctx = FourierContext(DigitSet(10, (7,)), 9)
+        with pytest.raises(DomainError, match="not finite"):
+            eval_product_real(ctx, theta)
+        for k in (0, 3):
+            with pytest.raises(DomainError, match="not finite"):
+                l1_grid_sum(FourierContext(DigitSet(10, (7,)), k), theta)
+        # theta = 1/3 + eps
+        with pytest.raises(DomainError, match="eps"):
+            linf_decay_report(ctx, 1, 3, theta)
+
+    def test_prime_factor_rule_matches_trial_division(self):
+        for d in range(1, 2000):
+            for q in range(3, 60):
+                assert fou_mod._has_prime_factor_coprime_to(d, q) == \
+                    oracle.has_prime_factor_coprime_to(d, q), (d, q)
 
 
 class TestGridValues:
@@ -340,9 +378,10 @@ class TestTransformEngine:
                                                 q, excl, k):
         ctx = FourierContext(DigitSet(q, excl), k)
         seen = []
-        for cols, block in fou_mod._transform_blocks(ctx, 0.0):
+        for cols, block, twice in fou_mod._transform_blocks(ctx, 0.0):
             assert block.shape == (q, cols.stop - cols.start)
             assert block.size <= max(fou_mod.BLOCK, q)
+            assert range(block.shape[1])[twice] == range(0)
             seen.extend(range(cols.start, cols.stop))
         assert seen == list(range(q ** (k - 1)))
 
@@ -379,18 +418,21 @@ class TestHalfSpectrumL1:
         (0.0, True), (0, True), (Fraction(0), True), (0.3217, False)])
     def test_transforms_the_half_columns_at_zero_only(
             self, engine_block, monkeypatch, q, excl, k, theta0, half):
-        seen = []
+        seen, paired = [], []
         real = fou_mod._transform_blocks
 
         def recording(*args, **kwargs):
-            for cols, block in real(*args, **kwargs):
+            for cols, block, twice in real(*args, **kwargs):
                 seen.extend(range(cols.start, cols.stop))
-                yield cols, block
+                paired.extend(range(cols.start, cols.stop)[twice])
+                yield cols, block, twice
 
         monkeypatch.setattr(fou_mod, "_transform_blocks", recording)
         l1_grid_sum(FourierContext(DigitSet(q, excl), k), theta0)
         width = q ** (k - 1) if k else 1
         assert seen == list(range(width // 2 + 1 if half else width))
+        assert paired == (list(range(width))[fou_mod.mirror_paired(width)]
+                          if half else [])
 
     @pytest.mark.parametrize("n, paired", [
         (0, []), (1, []), (2, []), (3, [1]), (4, [1]), (5, [1, 2]),
@@ -428,11 +470,19 @@ class TestHalfGrid:
     @pytest.mark.parametrize("q, excl, k", ENGINE_CASES)
     def test_column_bound_tiles_the_columns_below_it(self, engine_block,
                                                      q, excl, k):
+        # the half spectrum: the columns m <= W//2 within the block budget,
+        # and the twice slices tile mirror_paired(W) exactly once
         ctx = FourierContext(DigitSet(q, excl), k)
-        stop = q ** (k - 1) // 2 + 1
-        seen = [m for cols, _ in fou_mod._transform_blocks(ctx, 0.0, stop)
-                for m in range(cols.start, cols.stop)]
-        assert seen == list(range(stop))
+        width = q ** (k - 1)
+        seen, paired = [], []
+        for cols, block, twice in fou_mod._transform_blocks(ctx, 0.0,
+                                                             half=True):
+            assert block.shape == (q, cols.stop - cols.start)
+            assert block.size <= max(fou_mod.BLOCK, q)
+            seen.extend(range(cols.start, cols.stop))
+            paired.extend(range(cols.start, cols.stop)[twice])
+        assert seen == list(range(width // 2 + 1))
+        assert paired == list(range(width))[fou_mod.mirror_paired(width)]
 
 
 class TestEmpiricalCq:
