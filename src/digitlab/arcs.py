@@ -20,13 +20,16 @@ a real FFT.  The term at Q - a is the conjugate of the term at a, in the
 same class, so the ledger sums Re(F*S)/Q, twice for 0 < a < Q/2, and its
 imaginary parts are exactly 0.0.
 
-Each point gets an int8 class code (``ARC_CLASSES[code]`` is its
-``ArcClass``), computed for a <= Q/2 only: 1 - x = [0; 1, a1 - 1, a2, ...]
-when x = [0; a1, a2, ...], so a/Q and (Q - a)/Q share d and have opposite
-beta, and the code of Q - a is the code of a.  A point that is
-not minor_denominator lies near a reduced ell/d <= 1/2 with d below the
-threshold, |a*d - ell*Q| <= Q//(D0 + 1), so codes start as
-minor_denominator and only those neighbourhoods are visited.  Where
+An arc class is its int8 code, 0 major, 1 minor_denominator or 2
+minor_offset, and ``ARC_CLASSES[code]`` is the class's name in the
+reports.  ``classify`` returns the code of one point, and
+``_classification`` the codes of the grid for a <= Q/2 only:
+1 - x = [0; 1, a1 - 1, a2, ...] when x = [0; a1, a2, ...], so a/Q and
+(Q - a)/Q share d and have opposite beta, and the code of Q - a is the
+code of a.  A point that is not minor_denominator lies near a reduced
+ell/d <= 1/2 with d below the threshold, |a*d - ell*Q| <= Q//(D0 + 1), so
+codes start as minor_denominator and only those neighbourhoods are
+visited.  Where
 |a*d - ell*Q|*(D0 + d) < Q, Legendre's criterion makes ell/d the Dirichlet
 approximation and the code is set directly; the thin shell left over goes
 through a batch Euclid, which steps the continued-fraction state of a
@@ -47,16 +50,15 @@ the allowed top digits t < q in closed form from gcd(P'(r), q).
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .digits import DigitSet, contains_mask
+from .digits import DigitSet, bounded_power, contains_mask
 from .errors import CapExceededError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, Weight, weight_support
 from .fourier import (FourierContext, check_grid_size, half_grid_values,
@@ -87,9 +89,7 @@ class RationalApprox:
     ell: int
     d: int
     beta: float
-    a: int
     Q: int
-    D0: int
 
 
 def dirichlet_approx(a: int, Q: int, D0: int) -> RationalApprox:
@@ -117,32 +117,26 @@ def dirichlet_approx(a: int, Q: int, D0: int) -> RationalApprox:
     ell, d = best
     # int / int is correctly rounded: the float nearest a/Q - ell/d
     beta = (a * d - ell * Q) / (Q * d)
-    return RationalApprox(ell=ell, d=d, beta=beta, a=a, Q=Q, D0=D0)
+    return RationalApprox(ell=ell, d=d, beta=beta, Q=Q)
 
 
-class ArcClass(enum.Enum):
-    MAJOR = "major"
-    MINOR_DENOMINATOR = "minor_denominator"
-    MINOR_OFFSET = "minor_offset"
-
-
-# int8 class code -> ArcClass, for the code arrays of _classification.
-ARC_CLASSES = (ArcClass.MAJOR, ArcClass.MINOR_DENOMINATOR,
-               ArcClass.MINOR_OFFSET)
+# The report name of each class code.
+ARC_CLASSES = ("major", "minor_denominator", "minor_offset")
 
 
 def arc_threshold(Q: int, A_major: float) -> float:
     return math.log(Q) ** A_major
 
 
-def max_a_major(Q: int) -> float:
-    """The largest float A for which ``arc_threshold(Q, A)`` is finite.
+def max_a_major(lg: float) -> float:
+    """The largest float A for which ``lg**A`` is finite, lg = log Q.
 
-    (log Q)**A overflows once A*log(log Q) passes the log of the largest
-    float; that quotient lies within a few ulps of the boundary, and the
-    steps below find it exactly.  log Q <= 1 (Q = 1) never overflows.
+    With lg = math.log(Q) that is the largest A at which
+    ``arc_threshold(Q, A)`` is finite.  lg**A overflows once
+    A*log(lg) passes the log of the largest float; that quotient lies
+    within a few ulps of the boundary, and the steps below find it
+    exactly.  lg <= 1 (Q <= e) never overflows.
     """
-    lg = math.log(Q)
     if lg <= 1.0:
         return math.inf
 
@@ -160,8 +154,10 @@ def max_a_major(Q: int) -> float:
     return a
 
 
-def classify(approx: RationalApprox, A_major: float) -> ArcClass:
-    """Major iff max(d, Q |beta|) is strictly below (log Q)**A.
+def classify(approx: RationalApprox, A_major: float) -> int:
+    """The class code: 0 (major) iff max(d, Q |beta|) is strictly below
+    (log Q)**A, else 1 (minor_denominator) if d is not, else 2
+    (minor_offset).
 
     Q = q**k is the grid size ``approx.Q``, so the approximation carries
     all the class depends on besides A.  Boundary points are minor; the
@@ -169,10 +165,10 @@ def classify(approx: RationalApprox, A_major: float) -> ArcClass:
     """
     thr = arc_threshold(approx.Q, A_major)
     if approx.d >= thr:
-        return ArcClass.MINOR_DENOMINATOR
+        return 1
     if approx.Q * abs(approx.beta) >= thr:
-        return ArcClass.MINOR_OFFSET
-    return ArcClass.MAJOR
+        return 2
+    return 0
 
 
 def _weight_vector(weight: Weight, Q: int) -> np.ndarray:
@@ -184,23 +180,18 @@ def _weight_vector(weight: Weight, Q: int) -> np.ndarray:
 
 @dataclass
 class ArcLedger:
-    """Per-arc-class accumulators; their sum is the pipeline total."""
+    """Per-class sums and point counts, each a list indexed by class code
+    (see ``ARC_CLASSES``); the sums add up to the pipeline total."""
 
-    sums: Dict[ArcClass, complex] = field(
-        default_factory=lambda: {c: complex(0.0) for c in ArcClass}
-    )
-    counts: Dict[ArcClass, int] = field(
-        default_factory=lambda: {c: 0 for c in ArcClass}
-    )
-    D0: int = 0
-    A_major: float = 0.0
-    threshold: float = 0.0
+    sums: List[complex]
+    counts: List[int]
+    D0: int
+    A_major: float
+    threshold: float
 
     @property
     def total(self) -> complex:
-        return (self.sums[ArcClass.MAJOR]
-                + self.sums[ArcClass.MINOR_DENOMINATOR]
-                + self.sums[ArcClass.MINOR_OFFSET])
+        return self.sums[0] + self.sums[1] + self.sums[2]
 
 
 def _check_d0(Q: int, D0: int) -> None:
@@ -398,10 +389,10 @@ def pipeline_stages(
     freed before the half grid exists and the peaks of the two stages do
     not overlap; the grid size is checked before either allocates.
     """
+    check_grid_size(ds.q, k)
     Q = ds.q ** k
     if D0 is None:
         D0 = max(1, math.isqrt(Q))
-    check_grid_size(ds.q, k)
     # forward real DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q), a <= Q//2
     s_vals = np.fft.rfft(_weight_vector(weight, Q))
     fhat = half_grid_values(FourierContext(ds, k))
@@ -429,15 +420,14 @@ def circle_pipeline(
     terms -= st.fhat.imag * st.s_vals.imag
     terms /= st.Q
     terms[paired] *= 2.0
-    ledger = ArcLedger(D0=st.D0, A_major=A_major,
-                       threshold=arc_threshold(st.Q, A_major))
-    for code, cls in enumerate(ARC_CLASSES):
+    sums, counts = [], []
+    for code in range(len(ARC_CLASSES)):
         mask = st.codes == code
-        ledger.counts[cls] = (int(np.count_nonzero(mask))
-                              + int(np.count_nonzero(mask[paired])))
-        if ledger.counts[cls]:
-            ledger.sums[cls] = complex(np.add.reduce(terms[mask]))
-    return ledger
+        counts.append(int(np.count_nonzero(mask))
+                      + int(np.count_nonzero(mask[paired])))
+        sums.append(complex(np.add.reduce(terms[mask])))
+    return ArcLedger(sums=sums, counts=counts, D0=st.D0, A_major=A_major,
+                     threshold=arc_threshold(st.Q, A_major))
 
 
 def direct_count(ds: DigitSet, k: int, weight: Weight) -> float:
@@ -506,7 +496,7 @@ def singular_series_pair_count(P: IntPolynomial, ds: DigitSet,
     not hold, so the count is direct over n < q**J.
     """
     q = ds.q
-    QJ = q ** J
+    QJ = bounded_power(q, J, PAIR_COUNT_CAP)
     if QJ > PAIR_COUNT_CAP:
         raise CapExceededError(
             f"pair counting over q^J = {q}^{J} exceeds cap {PAIR_COUNT_CAP}")

@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 assertion failure, 2 config error, 3 resource cap.
 Reports are JSON (schema 1) with the generating config inline; grids are
 CSV with a fixed header, so every number is reproducible from its file.
 
-``--cap`` limits q^k and is checked once, by ``_make_weight`` (and by
+``main`` validates the config once, before any command runs.  ``--cap``
+limits q^k and is checked once, by ``_make_weight`` (and by
 ``cmd_constants``), before any stage allocates.  The library checks only
 its fixed caps: ``fourier.GRID_CAP``, ``expsums.MANGOLDT_CAP``,
 ``expsums.POLY_SCAN_CAP``, ``digits.ENUMERATION_CAP``, ``digits.BASE_CAP``
-(when the ``DigitSet`` is made) and ``arcs.PAIR_COUNT_CAP``.  The
-directory of ``--out`` must exist before any stage runs (``validate`` and
+(when the ``DigitSet`` is made) and ``arcs.PAIR_COUNT_CAP``.  Every cap on
+a power is checked by ``digits.bounded_power``, without building the
+power, so a k of ten million is rejected at once.  The directory of
+``--out`` must exist before any stage runs (``validate`` and
 ``cmd_verify``), and ``validate`` rejects an ``--a-major`` whose threshold
 (log Q)^A would overflow, naming the largest A it accepts.
 
@@ -48,7 +51,7 @@ import numpy as np
 from . import arcs as arcs_mod
 from . import expsums as exp_mod
 from . import fourier as fou_mod
-from .digits import DigitSet, count_below
+from .digits import DigitSet, bounded_power, count_below
 from .errors import CapExceededError, ConfigError, DomainError
 from .expsums import IntPolynomial, build_mangoldt
 from .fourier import FourierContext
@@ -85,7 +88,11 @@ class ExperimentConfig:
             raise ConfigError("d0: must be positive")
         if not 0 < self.A_major < math.inf:
             raise ConfigError("a-major: must be positive and finite")
-        limit = arcs_mod.max_a_major(self.q ** self.k)
+        # log Q as arc_threshold takes it, where a command evaluates it
+        Q = bounded_power(self.q, self.k, fou_mod.GRID_CAP)
+        lg = (math.log(Q) if Q <= fou_mod.GRID_CAP
+              else self.k * math.log(self.q))
+        limit = arcs_mod.max_a_major(lg)
         if self.A_major > limit:
             raise ConfigError(
                 f"a-major: (log Q)^A overflows at Q = {self.q}^{self.k}; "
@@ -159,15 +166,13 @@ def _deviation_fields(report: arcs_mod.MainTermReport) -> dict:
 # ----------------------------------------------------------------------
 
 def cmd_count(cfg: ExperimentConfig) -> int:
-    cfg.validate()
     ds = cfg.digit_set()
-    Q = cfg.q ** cfg.k
-    weight = _make_weight(cfg, Q)
+    weight = _make_weight(cfg)
     report = arcs_mod.theorem_comparison(ds, cfg.k, weight)
     payload = {
         "schema": SCHEMA,
         "config": cfg.public(),
-        "members": count_below(ds, Q, cfg.k),
+        "members": count_below(ds, cfg.q ** cfg.k, cfg.k),
         "direct": report.direct,
         "main_term": report.main_term,
         **_deviation_fields(report),
@@ -185,8 +190,9 @@ def _q_to_the_k(cfg: ExperimentConfig) -> str:
     return f"q^k = {cfg.q}^{cfg.k}"
 
 
-def _make_weight(cfg: ExperimentConfig, Q: int):
+def _make_weight(cfg: ExperimentConfig):
     """The weight on [0, Q), built only once Q = q^k is within the cap."""
+    Q = bounded_power(cfg.q, cfg.k, cfg.cap)
     if Q > cfg.cap:
         raise CapExceededError(f"{_q_to_the_k(cfg)} exceeds cap {cfg.cap}")
     if cfg.weight == "mangoldt":
@@ -206,9 +212,8 @@ CSV_BLOCK = 1 << 12
 
 
 def cmd_scan(cfg: ExperimentConfig) -> int:
-    cfg.validate()
     st = arcs_mod.pipeline_stages(
-        cfg.digit_set(), cfg.k, _make_weight(cfg, cfg.q ** cfg.k),
+        cfg.digit_set(), cfg.k, _make_weight(cfg),
         D0=cfg.D0, A_major=cfg.A_major
     )
     with _spill_file() as spill:
@@ -246,7 +251,7 @@ def _scan_csv_blocks(st: arcs_mod.PipelineStages,
     failed ``--out`` write does; either leaves a partial ``--out``.
     """
     yield "a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"
-    names = [cls.value for cls in arcs_mod.ARC_CLASSES]
+    names = arcs_mod.ARC_CLASSES
     Q, stored = st.Q, st.codes.size  # rows a < stored = Q//2 + 1 are held
     paired = fou_mod.mirror_paired(Q)  # the m whose row Q - m is mirrored
     sizes = []
@@ -282,10 +287,8 @@ def _scan_csv_blocks(st: arcs_mod.PipelineStages,
 # ----------------------------------------------------------------------
 
 def cmd_arcs(cfg: ExperimentConfig) -> int:
-    cfg.validate()
     ds = cfg.digit_set()
-    Q = cfg.q ** cfg.k
-    weight = _make_weight(cfg, Q)
+    weight = _make_weight(cfg)
     # first, so that a main term that is not finite exits before any
     # pipeline stage allocates
     comparison = arcs_mod.theorem_comparison(ds, cfg.k, weight)
@@ -298,11 +301,8 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
         "total": ledger.total.real,
         "imag": ledger.total.imag,
         "per_class": {
-            cls.value: {
-                "sum": ledger.sums[cls],
-                "count": ledger.counts[cls],
-            }
-            for cls in arcs_mod.ArcClass
+            name: {"sum": ledger.sums[code], "count": ledger.counts[code]}
+            for code, name in enumerate(arcs_mod.ARC_CLASSES)
         },
         "thresholds": {
             "D0": ledger.D0,
@@ -323,11 +323,9 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_constants(cfg: ExperimentConfig) -> int:
-    cfg.validate()
     ds = cfg.digit_set()
-    Q = cfg.q ** cfg.k
     q, s, run = cfg.q, ds.s, ds.consecutive_flag
-    skipped = Q > cfg.cap
+    skipped = bounded_power(q, cfg.k, cfg.cap) > cfg.cap
     payload = {
         "schema": SCHEMA, "config": cfg.public(),
         "q": q, "s": s, "consecutive": run,
@@ -464,7 +462,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_verify(args.suite, args.seed, args.out)
         command = {"count": cmd_count, "scan": cmd_scan, "arcs": cmd_arcs,
                    "constants": cmd_constants}[args.command]
-        return command(build_config(args))
+        cfg = build_config(args)
+        cfg.validate()
+        return command(cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

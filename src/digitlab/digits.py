@@ -82,6 +82,15 @@ class DigitSet:
         return frozenset(self.excluded)
 
 
+def bounded_power(base: int, exp: int, bound: int) -> int:
+    """base**exp if that is at most bound (>= 0), else a power of base
+    above bound, so a cap check never builds base**exp (10**(10**7) takes
+    seconds).  For base >= 2, base**(bound.bit_length() + 1) > bound; for
+    base 0 or 1 every positive exponent gives the same power.
+    """
+    return base ** min(exp, bound.bit_length() + 1)
+
+
 def contains(ds: DigitSet, n: int, k: int) -> bool:
     """True iff all k base-q digits of n (with leading zeros) are allowed."""
     if n < 0 or n >= ds.q ** k:
@@ -198,7 +207,7 @@ def enumerate_members(ds: DigitSet, k: int) -> Iterator[int]:
     O((q - s)**ceil(k/2)).  The cap is checked before the first item.
     """
     full = ds.q - ds.s
-    if full ** k > ENUMERATION_CAP:
+    if bounded_power(full, k, ENUMERATION_CAP) > ENUMERATION_CAP:
         raise CapExceededError(
             f"enumeration of {full}^{k} members exceeds cap {ENUMERATION_CAP}"
         )

@@ -144,11 +144,20 @@ def _residues(ns: np.ndarray, num: int, den: int) -> np.ndarray:
 
 
 def _phases_mod1(ns: np.ndarray, alpha: Alpha) -> np.ndarray:
-    """(n * alpha) mod 1 for an array of integers n, exactly for rationals."""
+    """(n * alpha) mod 1 for an array of integers n; for a rational alpha
+    each phase is the correctly rounded float r/den.
+
+    Up to den = 2**53 the residues and den are exact floats, so one float
+    division rounds once; past it the residues are divided as Python
+    ints, since converting r to a float first would round twice.
+    """
     if not isinstance(alpha, Fraction):
         return np.mod(ns.astype(np.float64) * float(alpha), 1.0)
     num, den = alpha.as_integer_ratio()
-    return _residues(ns, num, den).astype(np.float64) / den
+    residues = _residues(ns, num, den)
+    if den > 1 << 53:
+        return (residues.astype(object) / den).astype(np.float64)
+    return residues.astype(np.float64) / den
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digits import DigitSet, enumerate_members
+from .digits import DigitSet, bounded_power, enumerate_members
 from .errors import CapExceededError, DomainError
 from .summation import pairwise_sum
 
@@ -228,9 +228,9 @@ def _transform_blocks(ctx: FourierContext, theta0, half=False):
 
 
 def check_grid_size(q: int, k: int) -> None:
-    """Reject q**k > ``GRID_CAP``, naming Q as ``q^k = {q}^{k}``: a str of
-    Q itself fails past 4,300 digits."""
-    if q ** k > GRID_CAP:
+    """Reject q**k > ``GRID_CAP`` without building q**k, naming Q as
+    ``q^k = {q}^{k}``: a str of Q itself fails past 4,300 digits."""
+    if bounded_power(q, k, GRID_CAP) > GRID_CAP:
         raise CapExceededError(
             f"grid of q^k = {q}^{k} points exceeds cap {GRID_CAP}")
 

@@ -103,19 +103,20 @@ def ledger_vs_scalar(cases: Iterable[tuple],
             at = "" if A is None else f", A={A}"
             kw = {} if A is None else {"A_major": A}
             led = arcs_mod.circle_pipeline(ds, k, weight, D0=D0, **kw)
-            classes = [arcs_mod.classify(ap, led.A_major) for ap in approx]
+            codes = [arcs_mod.classify(ap, led.A_major) for ap in approx]
             counts = led.counts
             checks.append(_check(
                 f"ledger class counts vs scalar classify "
                 f"(q={ds.q}, k={k}, {label}{at})",
-                counts == {c: classes.count(c) for c in arcs_mod.ArcClass}
-                and sum(counts.values()) == Q,
+                counts == [codes.count(c)
+                           for c in range(len(arcs_mod.ARC_CLASSES))]
+                and sum(counts) == Q,
                 "major/minor_denominator/minor_offset "
-                + "/".join(str(counts[c]) for c in arcs_mod.ArcClass)))
+                + "/".join(map(str, counts))))
             worst = 0.0
-            for cls in arcs_mod.ArcClass:
-                picked = [t for t, c in zip(terms, classes) if c is cls]
-                err = abs(led.sums[cls] - pairwise_sum(picked))
+            for code, total in enumerate(led.sums):
+                picked = [t for t, c in zip(terms, codes) if c == code]
+                err = abs(total - pairwise_sum(picked))
                 scale = pairwise_sum([abs(t) for t in picked])
                 worst = max(worst, err / scale if scale else err)
             checks.append(_check(

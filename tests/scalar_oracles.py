@@ -135,7 +135,7 @@ def prime_expsum(weight, x, alpha):
 
     alpha is a float, a Fraction, or a pair (num, den) taken as it stands,
     unreduced: a rational alpha has the phases (n*num % den)/den, reduced
-    in Python ints.
+    and divided in Python ints.
     """
     ns, ws = weight.support_below(x)
     if isinstance(alpha, float):
@@ -143,8 +143,8 @@ def prime_expsum(weight, x, alpha):
     else:
         num, den = (alpha.as_integer_ratio() if isinstance(alpha, Fraction)
                     else alpha)
-        phases = np.array([n * num % den for n in ns.tolist()],
-                          dtype=np.float64) / den
+        phases = np.array([n * num % den / den for n in ns.tolist()],
+                          dtype=np.float64)
     terms = ws * np.exp(2j * np.pi * phases)
     return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -172,7 +173,7 @@ def scan_oracle(q, excluded, k, weight, A_major=3.0):
         w = IntPolynomial((0, 0, 1))
     s_vals = np.fft.rfft(arcs_mod._weight_vector(w, Q))
     codes = arcs_mod._classification(Q, max(1, math.isqrt(Q)), A_major)
-    names = [cls.value for cls in arcs_mod.ARC_CLASSES]
+    names = arcs_mod.ARC_CLASSES
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["a", "fhat_re", "fhat_im", "fhat_abs",
@@ -225,7 +226,7 @@ class TestScanWriter:
         codes = np.array([0, 1, 2, 0], dtype=np.int8)
         st = arcs_mod.PipelineStages(Q=Q, D0=2, fhat=fhat, s_vals=s_vals,
                                      codes=codes)
-        names = [cls.value for cls in arcs_mod.ARC_CLASSES]
+        names = arcs_mod.ARC_CLASSES
         expected = ["a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"]
         for a in range(Q):
             b = min(a, Q - a)
@@ -458,7 +459,7 @@ class TestAMajorOverflow:
 
     @pytest.mark.parametrize("command", ["arcs", "scan"])
     def test_the_largest_a_runs(self, command, tmp_path):
-        limit = arcs_mod.max_a_major(10 ** 3)
+        limit = arcs_mod.max_a_major(math.log(10 ** 3))
         assert arcs_mod.arc_threshold(10 ** 3, limit) < math.inf
         with pytest.raises(OverflowError):
             arcs_mod.arc_threshold(10 ** 3, math.nextafter(limit, math.inf))
@@ -696,21 +697,30 @@ class TestHugeQ:
     """Q = 10^5000 has more digits than int-to-str converts; messages name
     it by q and k."""
 
-    ARGS = ["--q", "10", "--exclude", "7", "--k", "5000"]
+    ARGS = ["--q", "10", "--exclude", "7", "--k"]
+
+    # 10^(10^7) alone takes about 20 s to build; no check builds q^k
+    HUGE_K = ("5000", "10000000")
 
     @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
     def test_over_the_cap(self, command, capsys):
-        assert run([command, *self.ARGS]) == 3
-        assert capsys.readouterr().err == (
-            "resource cap: q^k = 10^5000 exceeds cap 100000000\n")
+        for k in self.HUGE_K:
+            start = time.perf_counter()
+            assert run([command, *self.ARGS, k]) == 3
+            assert time.perf_counter() - start < 2.0
+            assert capsys.readouterr().err == (
+                f"resource cap: q^k = 10^{k} exceeds cap 100000000\n")
 
     def test_constants_skips_the_grid(self, capsys):
-        assert run(["constants", *self.ARGS]) == 0
-        payload = strict_json(capsys.readouterr().out)
-        assert payload["Cq_empirical"] is None
-        assert payload["Cq_empirical_reason"] == (
-            "q^k = 10^5000 exceeds cap 100000000, so the L1 grid sum is "
-            "skipped")
+        for k in self.HUGE_K:
+            start = time.perf_counter()
+            assert run(["constants", *self.ARGS, k]) == 0
+            assert time.perf_counter() - start < 2.0
+            payload = strict_json(capsys.readouterr().out)
+            assert payload["Cq_empirical"] is None
+            assert payload["Cq_empirical_reason"] == (
+                f"q^k = 10^{k} exceeds cap 100000000, so the L1 grid sum "
+                "is skipped")
 
 
 class TestPolyCoeffsNeedPolyWeight:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scalar_oracles as oracle
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 import digitlab.digits as digits_mod
 from digitlab.digits import (
     DigitSet,
+    bounded_power,
     contains,
     contains_mask,
     count_below,
@@ -294,3 +297,28 @@ class TestEnumerate:
         # 9**9 members exceed ENUMERATION_CAP, checked before the first
         with pytest.raises(CapExceededError):
             next(enumerate_members(DigitSet(10, (7,)), 9))
+        # without building 9**(10**7), which takes seconds
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=r"9\^10000000 "):
+            next(enumerate_members(DigitSet(10, (7,)), 10 ** 7))
+        assert time.perf_counter() - start < 2.0
+
+
+class TestBoundedPower:
+    @pytest.mark.parametrize("base", [0, 1, 2, 3, 10, 31])
+    def test_exact_up_to_the_bound(self, base):
+        for bound in (0, 1, 9, 10, 1000, 10 ** 8):
+            for exp in range(40):
+                got, power = bounded_power(base, exp, bound), base ** exp
+                if power <= bound:
+                    assert got == power
+                else:
+                    # a power of base past the bound, never past base**exp
+                    assert bound < got <= power and power % got == 0
+
+    def test_huge_exponent_stops_past_the_bound(self):
+        start = time.perf_counter()
+        assert 10 ** 8 < bounded_power(10, 10 ** 7, 10 ** 8) <= 10 ** 100
+        assert bounded_power(1, 10 ** 7, 10 ** 8) == 1
+        assert bounded_power(0, 10 ** 7, 10 ** 8) == 0
+        assert time.perf_counter() - start < 2.0

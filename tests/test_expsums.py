@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scalar_oracles as oracle
 from scalar_oracles import bits
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digitlab import expsums as exp_mod
@@ -202,15 +202,21 @@ class TestPrimeExpsumMatchesFormula:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 400),
            st.integers(2, 2001))
+    # denominators past 2**53, whose phases are divided in Python ints
+    @example(7, 10 ** 17 + 3, 2001)
+    @example(5, 10 ** 30 + 7, 2001)
+    @example(1, 3 ** 40, 2001)
     def test_random_rationals(self, a, d, x):
         alpha = Fraction(a, d)
         assert bits(expsum(self.TABLE, x, alpha)) == bits(
             oracle.prime_expsum(self.TABLE, x, alpha))
 
 
+
 def object_phases(ns, num, den):
-    """The reduction on Python ints: (n * num) % den, then / den."""
-    return ((ns.astype(object) * num) % den).astype(np.float64) / den
+    """The reduction on Python ints: (n * num) % den, then / den, one
+    correctly rounded division."""
+    return ((ns.astype(object) * num) % den / den).astype(np.float64)
 
 
 @st.composite
@@ -259,6 +265,22 @@ class TestPhasesMod1:
     def test_empty(self):
         ns = np.zeros(0, dtype=np.int64)
         assert exp_mod._phases_mod1(ns, Fraction(3, 7)).size == 0
+
+    # past den = 2**53 a residue is not an exact float, so converting it
+    # before the division would round twice
+    @settings(max_examples=200, deadline=None)
+    @given(ns=st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=20),
+           num=st.integers(-10 ** 40, 10 ** 40),
+           den=st.integers(1, 10 ** 30))
+    @example(ns=range(1, 2000), num=7, den=10 ** 17 + 3)
+    @example(ns=range(1, 2000), num=5, den=10 ** 30 + 7)
+    @example(ns=range(1, 2000), num=1, den=3 ** 40)
+    def test_matches_python_division(self, ns, num, den):
+        frac = Fraction(num, den)
+        got = exp_mod._phases_mod1(np.array(ns, dtype=np.int64), frac)
+        want = [n * frac.numerator % frac.denominator / frac.denominator
+                for n in ns]
+        assert bits(got) == bits(np.array(want, dtype=np.float64))
 
 
 class TestIntPolynomial:

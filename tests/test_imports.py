@@ -1,8 +1,10 @@
 """Every name a package or test module imports is read in that module,
 every module-level name of the package is read by some package or test
-module, every parameter of a package function is read in its function,
-the package's ``__all__`` lists exactly what its ``__init__`` imports, and
-every function the benchmark hooks by name exists."""
+module, every field of a package dataclass is read as an attribute by
+some package or test module, every parameter of a package function is
+read in its function, the package's ``__all__`` lists exactly what its
+``__init__`` imports, and every function the benchmark hooks by name
+exists."""
 
 import ast
 import importlib
@@ -142,6 +144,50 @@ def test_scan_sees_a_dead_name():
     reader = ast.parse("import m\nm.used()\nprint(A, m.C)\n")
     assert dead_names(tree, [tree, reader]) == [
         (3, "B"), (6, "unused"), (8, "Box")]
+
+
+def dataclass_fields(tree: ast.Module) -> list:
+    """(line, class, field) for each annotated field of a module-level
+    class decorated with ``dataclass`` or ``dataclass(...)``."""
+    fields = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                        None) == "dataclass"
+                for d in node.decorator_list):
+            fields += [(stmt.lineno, node.name, stmt.target.id)
+                       for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)]
+    return fields
+
+
+def dead_fields(tree: ast.Module, readers) -> list:
+    """(line, class, field) for each dataclass field of ``tree`` that no
+    module in ``readers`` loads as an attribute (``obj.field``)."""
+    read = {n.attr for reader in readers for n in ast.walk(reader)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f for f in dataclass_fields(tree) if f[2] not in read]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_fields(path):
+    readers = [ast.parse(p.read_text(), filename=str(p)) for p in MODULES]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert dead_fields(tree, readers) == []
+
+
+def test_scan_sees_a_dead_field():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class Approx:\n    ell: int\n    a: int\n"
+                     "    limit = 3\n"
+                     "@dataclass\n"
+                     "class Ledger:\n    sums: list\n"
+                     "class Plain:\n    unread: int\n")
+    reader = ast.parse("r = Approx(ell=1, a=2)\nprint(r.ell, r.sums)\n"
+                       "r.a = 5\n")
+    assert dead_fields(tree, [tree, reader]) == [(5, "Approx", "a")]
 
 
 def dead_parameters(tree: ast.Module) -> list:

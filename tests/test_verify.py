@@ -79,8 +79,8 @@ def plant_ledger(monkeypatch, roll=0, paired=fou_mod.mirror_paired):
         st = arcs_mod.pipeline_stages(ds, k, weight, **kw)
         terms = (st.fhat * st.s_vals).real / st.Q
         terms[paired(st.Q)] *= 2
-        for code, cls in enumerate(arcs_mod.ARC_CLASSES):
-            led.sums[cls] = complex(
+        for code in range(len(arcs_mod.ARC_CLASSES)):
+            led.sums[code] = complex(
                 terms[np.roll(st.codes == code, roll)].sum())
         return led
 
