@@ -561,11 +561,13 @@ def theorem_comparison(ds: DigitSet, k: int, weight: Weight) -> MainTermReport:
 
     The prime main term is kappa times the member count.  The polynomial
     main term takes the singular series at the largest J <= 4 with q**J
-    within ``PAIR_COUNT_CAP``.  A main term that is not a finite float
-    (a lead coefficient past the float range) raises DomainError before
-    the direct count.
+    within ``PAIR_COUNT_CAP``.  The direct count's grid cap is checked
+    first, so no main term builds or floats a q**k past it.  A main term
+    that is not a finite float (a lead coefficient past the float range)
+    raises DomainError before the direct count.
     """
     q = ds.q
+    check_grid_size(q, k)
     members = (q - ds.s) ** k
     if isinstance(weight, MangoldtTable):
         kap = kappa(ds)

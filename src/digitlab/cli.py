@@ -32,14 +32,22 @@ of the config flags (``exclude``, ``poly_coeffs``, ``d0``, ...); any
 other key is a config error, and so is a polynomial given, by flag or
 file, with the von Mangoldt weight.  Messages name Q as q^k by q and k,
 since Python will not write an int of more than 4,300 digits.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is set,
+before numpy loads: the package does no BLAS work, and OpenBLAS's thread
+pool made up a third of a run's start-up.
 """
 
 from __future__ import annotations
 
+import os
+
+# before any import of numpy, which starts OpenBLAS's threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math
-import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass

@@ -119,12 +119,10 @@ def eval_product_real(ctx: FourierContext, theta) -> complex:
 def eval_direct(ds: DigitSet, k: int, a: int) -> complex:
     """Oracle: literal sum of e(n * a/Q) over the enumerated members,
     Q = q**k, with a reduced mod Q."""
+    members = list(enumerate_members(ds, k))  # its cap, before q**k
     Q = ds.q ** k
     a %= Q
-    terms = [
-        cmath.exp(2j * math.pi * ((n * a) % Q) / Q)
-        for n in enumerate_members(ds, k)
-    ]
+    terms = [cmath.exp(2j * math.pi * ((n * a) % Q) / Q) for n in members]
     return pairwise_sum(terms)
 
 

@@ -766,6 +766,13 @@ class TestTheoremComparison:
         assert rep.singular_series_value is not None
         assert rep.deviation < 0.25
 
+    @pytest.mark.parametrize("weight", [build_mangoldt(10), SQUARE])
+    def test_cap_before_the_main_term(self, weight):
+        # 9**400 members are past the float range: the grid cap rejects
+        # q**k before the main term floats them
+        with pytest.raises(CapExceededError, match=r"10\^400 "):
+            theorem_comparison(DigitSet(10, (7,)), 400, weight)
+
     def test_zero_main_term_has_no_deviation(self):
         # both units mod 6 excluded: kappa = 0
         rep = theorem_comparison(DigitSet(6, (1, 5)), 3, build_mangoldt(216))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,18 @@ class TestEvalDirect:
         # 9**9 members exceed ENUMERATION_CAP
         with pytest.raises(CapExceededError):
             eval_direct(DigitSet(10, (7,)), 9, 1)
+
+    def test_cap_before_the_power(self):
+        # the cap is checked before Q = q**k is built: 10**(10**7) alone
+        # would take 4.2 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=r"9\^10000000 "):
+                eval_direct(DigitSet(10, (7,)), 10 ** 7, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
 
 class TestDigitFactorBound:

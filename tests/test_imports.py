@@ -2,14 +2,19 @@
 every module-level name of the package is read by some package or test
 module, every field of a package dataclass is read as an attribute by
 some package or test module, every parameter of a package function is
-read in its function, the package's ``__all__`` lists exactly what its
-``__init__`` imports, and every function the benchmark hooks by name
-exists."""
+read in its function, the package's ``__all__`` lists exactly the names
+its ``__init__`` loads lazily, each from its home module, ``import
+digitlab`` loads no numpy, the CLI sets its BLAS thread default before
+numpy loads, the package makes no BLAS call, and every function the
+benchmark hooks by name exists."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -24,11 +29,13 @@ MODULES = (sorted(PACKAGE.glob("*.py"))
 # verify.SUITES takes the seed, and the constants suite draws nothing.
 UNREAD_PARAMETERS = {("verify.py", "_suite_constants", "seed")}
 # (module, name) defined and left unread on purpose: the import system
-# reads __all__, and __version__ is for the package's users.
-UNREAD_NAMES = {("__init__.py", "__all__"), ("__init__.py", "__version__")}
+# reads __all__ and calls __getattr__ (PEP 562), and __version__ is for
+# the package's users.
+UNREAD_NAMES = {("__init__.py", "__all__"), ("__init__.py", "__getattr__"),
+                ("__init__.py", "__version__")}
 
 
-def dead_imports(tree: ast.Module, exported=()) -> list:
+def dead_imports(tree: ast.Module) -> list:
     """Names bound by import statements that the module never loads."""
     imported = {}
     for node in ast.walk(tree):
@@ -41,23 +48,15 @@ def dead_imports(tree: ast.Module, exported=()) -> list:
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in imported.items()
-                  if name not in read and name not in exported)
-
-
-def exported_names(tree: ast.Module) -> set:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
+                  if name not in read)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_imports(path):
+    # the package's __init__ re-exports by name, not by import, so it has
+    # no exemption either
     tree = ast.parse(path.read_text(), filename=str(path))
-    exported = exported_names(tree) if path.name == "__init__.py" else ()
-    assert dead_imports(tree, exported) == []
+    assert dead_imports(tree) == []
 
 
 def test_scan_sees_a_dead_import():
@@ -67,32 +66,84 @@ def test_scan_sees_a_dead_import():
     assert dead_imports(tree) == [(2, "math")]
 
 
-def api_gaps(tree: ast.Module, module) -> tuple:
-    """The names a package's ``__init__`` imports from its modules but
-    leaves out of ``__all__``, and the names of ``__all__`` that the
-    imported ``module`` lacks, each sorted."""
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom)
-                and node.module != "__future__" for alias in node.names}
-    exported = exported_names(tree)
-    return (sorted(imported - exported),
-            sorted(n for n in exported if not hasattr(module, n)))
+def api_gaps(package) -> tuple:
+    """The names that are in only one of a lazy package's ``__all__`` and
+    its table ``_HOMES`` of home modules, and the names in both that do
+    not resolve to the object of that name in their home module, each
+    sorted."""
+    table, exported = set(package._HOMES), set(package.__all__)
+    unresolved = []
+    for name in sorted(table & exported):
+        home = importlib.import_module(
+            f"{package.__name__}.{package._HOMES[name]}")
+        try:
+            if getattr(package, name) is getattr(home, name):
+                continue
+        except AttributeError:
+            pass
+        unresolved.append(name)
+    return sorted(table ^ exported), unresolved
 
 
 def test_api_lists_what_it_imports():
-    init = PACKAGE / "__init__.py"
-    tree = ast.parse(init.read_text(), filename=str(init))
-    assert api_gaps(tree, digitlab) == ([], [])
+    assert api_gaps(digitlab) == ([], [])
 
 
-def test_scan_sees_an_api_gap():
-    source = ("from __future__ import annotations\n"
-              "from os import path, sep\n"
-              "__all__ = ['path', 'RationalFrequency']\n")
-    module = types.ModuleType("synthetic")
-    exec(compile(source, "synthetic", "exec"), module.__dict__)
-    assert api_gaps(ast.parse(source), module) == (
-        ["sep"], ["RationalFrequency"])
+def test_scan_sees_an_api_gap(monkeypatch):
+    # "sep" is unlisted, "extra" has no home, "ghost" is not in its home
+    # and the package binds "shadow" itself
+    source = ("import importlib\n"
+              "_HOMES = {'path': 'low', 'sep': 'low', 'ghost': 'low',\n"
+              "          'shadow': 'low'}\n"
+              "__all__ = ['extra', 'ghost', 'path', 'shadow']\n"
+              "shadow = None\n"
+              "def __getattr__(name):\n"
+              "    home = importlib.import_module('.' + _HOMES[name],\n"
+              "                                   __name__)\n"
+              "    return getattr(home, name)\n")
+    package = types.ModuleType("synthetic")
+    exec(compile(source, "synthetic", "exec"), package.__dict__)
+    home = types.ModuleType("synthetic.low")
+    home.path = home.sep = home.shadow = object()
+    monkeypatch.setitem(sys.modules, "synthetic", package)
+    monkeypatch.setitem(sys.modules, "synthetic.low", home)
+    assert api_gaps(package) == (["extra", "sep"], ["ghost", "shadow"])
+
+
+def child_output(code: str, **env) -> str:
+    """Stdout of a fresh interpreter running ``code`` on the package's
+    source, with ``OPENBLAS_NUM_THREADS`` only as given in ``env``."""
+    base = {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**base, "PYTHONPATH": str(PACKAGE.parent),
+                               **env})
+    return done.stdout.strip()
+
+
+def test_package_import_leaves_numpy_out():
+    assert child_output("import sys, digitlab\n"
+                        "print('numpy' in sys.modules)") == "False"
+
+
+# the thread count numpy's import sees: an audit hook reads the variable
+# when numpy's import starts
+NUMPY_SEES = ("import os, sys\n"
+              "seen = []\n"
+              "sys.addaudithook(lambda event, args: event == 'import'\n"
+              "                 and args[0] == 'numpy' and seen.append(\n"
+              "                     os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+              "import digitlab.cli\n"
+              "print(*seen)")
+
+
+def test_cli_sets_one_blas_thread_before_numpy():
+    assert child_output(NUMPY_SEES) == "1"
+
+
+def test_callers_blas_threads_win():
+    assert child_output(NUMPY_SEES, OPENBLAS_NUM_THREADS="2") == "2"
 
 
 def defined_names(tree: ast.Module) -> dict:
@@ -227,6 +278,54 @@ def test_scan_sees_a_dead_parameter():
                      "h = lambda y, z: y\n")
     assert dead_parameters(tree) == [
         (1, "f", "b"), (1, "f", "rest"), (3, "g", "x"), (6, "<lambda>", "z")]
+
+
+# numpy routines that call BLAS; anything under ``linalg`` does too
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def blas_calls(tree: ast.Module) -> list:
+    """(line, name) for each BLAS entry point a module uses: the ``@``
+    operator, a call or attribute named in ``BLAS_NAMES``, and any
+    ``linalg`` attribute or import."""
+    found = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            names = ["@"] if isinstance(node.op, ast.MatMult) else []
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = [node.func.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "",
+                     *(alias.name for alias in node.names)]
+        found += [(node.lineno, n) for n in names
+                  if n == "@" or n in BLAS_NAMES or "linalg" in n.split(".")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_blas_calls(path):
+    # the CLI runs OpenBLAS with one thread, which costs nothing only
+    # while the package makes no BLAS call: adding one must revisit that
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert blas_calls(tree) == []
+
+
+def test_scan_sees_a_blas_call():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy.linalg import norm\n"
+                     "from numpy import einsum, kron\n"
+                     "a = np.ones((2, 2))\n"
+                     "inner = a @ a\n"
+                     "a @= np.kron(a, a)\n"
+                     "b = np.dot(a, a) + a.dot(a) + np.linalg.det(a)\n"
+                     "c = einsum('ij->', a) + inner + kron(a, a)\n")
+    assert blas_calls(tree) == [
+        (2, "numpy.linalg"), (3, "einsum"), (5, "@"), (6, "@"), (7, "dot"),
+        (7, "dot"), (7, "linalg"), (8, "einsum")]
 
 
 INPROC = Path(__file__).parents[1] / "perfbench" / "inproc.py"
