@@ -6,8 +6,10 @@ weights there by ``support_below(x)``, and ``expsum`` is the one sum of
 w(n) e(n alpha) over that support; a polynomial's support costs one
 bisection and one evaluation of P on an array.  A frequency alpha is a
 float or a ``Fraction``.  A Fraction is held in lowest terms, and its
-phases are the exact residues r/den of that form: the same correctly
-rounded floats as any unreduced form of alpha gives.  The
+roots are ``fourier.unit`` at the exact residues r = n*num mod den of
+that form (``fourier.residues``): the roots of the correctly rounded
+floats r/den, the same as any unreduced form of alpha gives, by the rule
+the transform's product formula and engine use.  The
 equidistribution min-sum is a literal summation too, and three
 bound-ratio sweeps compare the sums against their analytic right-hand
 sides.  The implied constants of the bounds carry no numeric content, so
@@ -31,7 +33,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .fourier import distance_to_integer
+from .fourier import INT64_LIMIT, distance_to_integer, residues, unit
 from .summation import pairwise_sum
 
 MANGOLDT_CAP = 10 ** 9
@@ -39,8 +41,6 @@ MANGOLDT_CAP = 10 ** 9
 # fourier.GRID_CAP, since the identity polynomial at the largest grid
 # evaluates every n < Q.
 POLY_SCAN_CAP = 10 ** 8
-# Products n * num below this are exact in int64 (see _residues).
-INT64_LIMIT = 2 ** 63
 
 # One-time calibration run (seed below); the sweeps in the verification
 # suites must stay under these max-ratio ceilings.
@@ -126,38 +126,6 @@ def build_mangoldt(X: int) -> MangoldtTable:
     ns, ps = np.concatenate(ns), np.concatenate(ps)
     order = np.argsort(ns, kind="stable")
     return MangoldtTable(limit=X, entries_n=ns[order], entries_p=ps[order])
-
-
-Alpha = Union[float, Fraction]
-
-
-def _residues(ns: np.ndarray, num: int, den: int) -> np.ndarray:
-    """(n * num) mod den for an array of integers n, exactly.
-
-    int64 when no product can reach 2**63, Python ints otherwise; both
-    give the same residues, floor-mod as Python's %.
-    """
-    big = max(abs(int(ns.max())), abs(int(ns.min())), 1) if ns.size else 1
-    if big * abs(num) < INT64_LIMIT and den < INT64_LIMIT:
-        return (ns.astype(np.int64) * num) % den
-    return (ns.astype(object) * num) % den
-
-
-def _phases_mod1(ns: np.ndarray, alpha: Alpha) -> np.ndarray:
-    """(n * alpha) mod 1 for an array of integers n; for a rational alpha
-    each phase is the correctly rounded float r/den.
-
-    Up to den = 2**53 the residues and den are exact floats, so one float
-    division rounds once; past it the residues are divided as Python
-    ints, since converting r to a float first would round twice.
-    """
-    if not isinstance(alpha, Fraction):
-        return np.mod(ns.astype(np.float64) * float(alpha), 1.0)
-    num, den = alpha.as_integer_ratio()
-    residues = _residues(ns, num, den)
-    if den > 1 << 53:
-        return (residues.astype(object) / den).astype(np.float64)
-    return residues.astype(np.float64) / den
 
 
 @dataclass(frozen=True)
@@ -247,25 +215,25 @@ def weight_support(weight: Weight, x: int):
     return weight.support_below(x)
 
 
-def expsum(weight: Weight, x: int, alpha: Alpha) -> complex:
+def expsum(weight: Weight, x: int, alpha: float | Fraction) -> complex:
     """S_w(alpha) = sum over the points n < x of w(n) e(n alpha).
 
     The literal formula sums w(n) * np.exp(2j*pi*phase) over
     ``weight_support(weight, x)`` by ``np.add.reduce``.  At a rational
-    alpha = num/den with den no more than the number of terms, the phases
-    are the r/den with r = n*num mod den, so the den roots e(r/den) are
-    computed once, from the same float r/den and the same np.exp, and
-    indexed by the residues: the terms, and so their sum, have the bits
-    of the literal formula.  A float alpha, or a larger den, takes the
-    formula itself.
+    alpha = num/den the phases are the r/den with r = n*num mod den, and
+    the terms take ``unit(residues(ns, num, den), den)``; with den no more
+    than the number of terms, the den roots unit(arange(den), den) are
+    computed once and indexed by the residues instead, with the same bits.
+    A float alpha takes the float phase (n*alpha) mod 1.
     """
     ns, ws = weight_support(weight, x)
-    if isinstance(alpha, Fraction) and alpha.denominator <= ns.size:
+    if isinstance(alpha, Fraction):
         num, den = alpha.as_integer_ratio()
-        roots = np.exp(2j * np.pi * (np.arange(den) / den))
-        units = roots[_residues(ns, num, den).astype(np.intp)]
+        r = residues(ns, num, den)
+        units = (unit(np.arange(den), den)[r.astype(np.intp)]
+                 if den <= ns.size else unit(r, den))
     else:
-        units = np.exp(2j * np.pi * _phases_mod1(ns, alpha))
+        units = np.exp(2j * np.pi * np.mod(ns.astype(np.float64) * alpha, 1.0))
     terms = ws * units
     return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
 

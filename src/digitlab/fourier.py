@@ -1,12 +1,16 @@
 """Fourier transform of a digit-restricted set and its bound constants.
 
 The transform of the set truncated to [0, q**k) factorizes as a product of
-k single-digit factors.  One rule reduces every frequency: theta is an
+k single-digit factors.  One rule gives every root of unity at a rational:
+``residues`` reduces n*num mod den exactly, and ``unit`` takes e() of the
+correctly rounded float r/den of a residue r.  A frequency theta is an
 exact num/den (a/q**k for the grid's point a, a dyadic rational for a
 finite float), position i has the residue p_i = num*q**i mod den, and
-digit d there has the phase (d*p_i mod den)/den, a correctly rounded
-float, before e() is applied; the product formula and the engine's digit
-vectors both take it.  The constants C_q and alpha are plain functions
+digit d there has the root unit(d*p_i mod den, den); the product formula,
+the engine's digit vectors, the engine's twiddles unit(d*m, Q) and
+``expsums.expsum`` at a Fraction all take it.  Only the float-theta
+entry point ``digit_factor`` (and ``expsum`` at a float) keeps the float
+phase of its input.  The constants C_q and alpha are plain functions
 of (q, s, consecutive); ``digitlab constants`` reports them beside
 empirical_Cq.
 
@@ -43,6 +47,8 @@ from .summation import pairwise_sum
 GRID_CAP = 10 ** 8
 # Points per block of the transform engine (_transform_blocks).
 BLOCK = 2 ** 14
+# Products n * num below this are exact in int64 (see residues).
+INT64_LIMIT = 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,40 @@ def _ratio(theta) -> tuple:
     return Fraction(theta).as_integer_ratio()
 
 
-def _residues(q: int, k: int, num: int, den: int) -> list:
+def residues(ns: np.ndarray, num: int, den: int) -> np.ndarray:
+    """(n * num) mod den for an array of integers n, exactly.
+
+    int64 when no product can reach 2**63, Python ints otherwise; both
+    give the same residues, floor-mod as Python's %.
+    """
+    big = max(abs(int(ns.max())), abs(int(ns.min())), 1) if ns.size else 1
+    if big * abs(num) < INT64_LIMIT and den < INT64_LIMIT:
+        return (ns.astype(np.int64) * num) % den
+    return (ns.astype(object) * num) % den
+
+
+def unit(r, den: int):
+    """e(r/den) from the correctly rounded float r/den of a residue
+    0 <= r < den: the one root of unity at a rational.
+
+    An int r gives a complex, by cmath.exp of the Python int/int quotient.
+    An array of r gives the array, by np.exp (equal to cmath.exp), each
+    entry with the bits of the scalar call: up to den = 2**53 the residues
+    and den are exact floats, so one float64 division rounds once; past
+    it the residues are divided as Python ints, since converting r to a
+    float first would round twice.
+    """
+    if isinstance(r, int):
+        return cmath.exp(2j * math.pi * (r / den))
+    # a copy of r, divided and raised in place: the engine's twiddles are
+    # a block of points per call
+    phase = np.array(r, dtype=object if den > 1 << 53 else np.float64)
+    phase /= den
+    z = 2j * np.pi * phase.astype(np.float64, copy=False)
+    return np.exp(z, out=z)
+
+
+def _position_residues(q: int, k: int, num: int, den: int) -> list:
     """p_i = num * q**i mod den for i < k, by an integer recursion."""
     out, r = [], num % den
     for _ in range(k):
@@ -74,15 +113,14 @@ def _residues(q: int, k: int, num: int, den: int) -> list:
 
 
 def _roots(ds: DigitSet, p: int, den: int) -> list:
-    """e(d*p/den) over the allowed digits d, each phase the correctly
-    rounded float (d*p mod den)/den."""
-    return [cmath.exp(2j * math.pi * (d * p % den / den)) for d in ds.allowed]
+    """e(d*p/den) over the allowed digits d: unit(d*p mod den, den)."""
+    return [unit(d * p % den, den) for d in ds.allowed]
 
 
 def _product(ds: DigitSet, k: int, num: int, den: int) -> complex:
     """The product formula at num/den, one pairwise sum per position."""
     result = complex(1.0)
-    for p in _residues(ds.q, k, num, den):
+    for p in _position_residues(ds.q, k, num, den):
         result *= pairwise_sum(_roots(ds, p, den))
     return result
 
@@ -171,7 +209,7 @@ def _digit_vectors(ctx: FourierContext, theta0) -> list:
     """v_i[d] = e(d * {q**i theta0}) at allowed digits d, else 0, i < k."""
     num, den = _ratio(theta0)
     vecs = []
-    for p in _residues(ctx.ds.q, ctx.k, num, den):
+    for p in _position_residues(ctx.ds.q, ctx.k, num, den):
         v = np.zeros(ctx.ds.q, dtype=np.complex128)
         v[list(ctx.ds.allowed)] = _roots(ctx.ds, p, den)
         vecs.append(v)
@@ -216,9 +254,8 @@ def _transform_blocks(ctx: FourierContext, theta0, half=False):
     for start in range(0, stop, step):
         cols = slice(start, min(start + step, stop))
         m = np.arange(cols.start, cols.stop, dtype=np.int64)
-        # d*m < Q, so the twiddle phase is an exact integer over Q
-        twiddle = np.exp((2j * np.pi / Q) * (d * m))
-        block = np.fft.ifft(low * twiddle, axis=0, norm="forward")
+        # d*m < Q is the residue of the twiddle e(d*m/Q)
+        block = np.fft.ifft(low * unit(d * m, Q), axis=0, norm="forward")
         block *= high[cols]
         lo = max(start, paired.start)
         hi = max(lo, min(cols.stop, paired.stop))
@@ -393,6 +430,6 @@ def linf_decay_report(
     lhs = abs(eval_product_real(ctx, theta)) / (q - ctx.ds.s) ** k
     num, den = _ratio(theta)
     sq_sum = 0.0
-    for p in _residues(q, k, num, den):
+    for p in _position_residues(q, k, num, den):
         sq_sum += min(p / den, 1.0 - p / den) ** 2
     return LinfDecayRecord(lhs=lhs, rhs_shape=math.exp(-sq_sum / q))

@@ -382,14 +382,15 @@ def _suite_fourier(seed: int) -> List[dict]:
     checks = product_vs_direct(
         [(small, 3), (DigitSet(8, (7,)), 3), (ds, 3)], 40, rng)
     checks += parseval([(ds, 4)])
-    ctx = fou_mod.FourierContext(ds, 4)
-    half = fou_mod.half_grid_values(ctx)
-    grid_err = max(
-        abs(half[a] - fou_mod.eval_product(ctx, a))
-        for a in (rng.randrange(10 ** 4 // 2 + 1) for _ in range(40)))
-    grid_err /= 9 ** 4
+    # the product formula in array form, at the floats (a*10**i mod Q)/Q
+    # of every a <= Q/2; never fourier.unit, which the half grid uses
+    Q, a = 10 ** 4, np.arange(10 ** 4 // 2 + 1)
+    want = np.prod([fou_mod.digit_factor(
+        ds, fou_mod.residues(a, 10 ** i, Q) / Q) for i in range(4)], axis=0)
+    half = fou_mod.half_grid_values(fou_mod.FourierContext(ds, 4))
+    grid_err = float(np.max(np.abs(half - want))) / 9 ** 4  # keeps a nan
     checks.append(_check(
-        "half grid vs product formula (q=10, k=4, 40 random a <= Q/2)",
+        "half grid vs product formula (q=10, k=4, every a <= Q/2)",
         grid_err < 1e-9, f"max rel err {grid_err:.2e}"))
     # ||Q/3|| = 1/3 for Q = 10^4 and 5^3, so theta = 1/3 is no grid shift
     shift = Fraction(1, 3)

@@ -181,9 +181,10 @@ def digit_factor_bound_holds(sets, thetas):
 
 def reduced_power_fracs(theta, q, k):
     """(q**i * theta) mod 1 for i < k, reduced exactly as Fractions, then
-    as floats: the reduction the integer residues of ``fourier._residues``
-    replaced.  A finite float converts to a Fraction without loss, so each
-    output is the correctly rounded float of the exact residue."""
+    as floats: the reduction the integer residues of
+    ``fourier._position_residues`` replaced.  A finite float converts to a
+    Fraction without loss, so each output is the correctly rounded float
+    of the exact residue."""
     if not isinstance(theta, Fraction):
         if not math.isfinite(theta):
             raise DomainError(f"theta={theta} is not finite")

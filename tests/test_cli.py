@@ -614,11 +614,11 @@ class TestVerify:
         checks = {c["check"]: c["passed"]
                   for c in verify.SUITES["fourier"](1)}
         assert not checks["half grid vs product formula (q=10, k=4, "
-                          "40 random a <= Q/2)"]
+                          "every a <= Q/2)"]
         # |F| is unchanged, so Parseval cannot see it
         assert checks["Parseval q=10 k=4"]
         assert [name for name, ok in checks.items() if not ok] == [
-            "half grid vs product formula (q=10, k=4, 40 random a <= Q/2)"]
+            "half grid vs product formula (q=10, k=4, every a <= Q/2)"]
 
     def test_shift_check_can_fail(self, monkeypatch):
         # an L1 sum that drops theta0 breaks only the shifted comparison;

@@ -17,7 +17,6 @@ from digitlab.errors import CapExceededError, DomainError
 from digitlab.expsums import (
     CALIBRATED_MAX_RATIO,
     CALIBRATION_SEED,
-    INT64_LIMIT,
     MANGOLDT_CAP,
     IntPolynomial,
     bound_ratio_report,
@@ -26,6 +25,7 @@ from digitlab.expsums import (
     expsum,
     minsum,
 )
+from digitlab.fourier import INT64_LIMIT
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(p) for p in (2, 3, 5, 7))
 
@@ -210,77 +210,6 @@ class TestPrimeExpsumMatchesFormula:
         alpha = Fraction(a, d)
         assert bits(expsum(self.TABLE, x, alpha)) == bits(
             oracle.prime_expsum(self.TABLE, x, alpha))
-
-
-
-def object_phases(ns, num, den):
-    """The reduction on Python ints: (n * num) % den, then / den, one
-    correctly rounded division."""
-    return ((ns.astype(object) * num) % den / den).astype(np.float64)
-
-
-@st.composite
-def edge_reductions(draw):
-    """ns, num, den with max |n| * |num| within 2 of 2**63."""
-    big = draw(st.integers(1, 2 ** 62), label="max |n|")
-    num = (INT64_LIMIT - 1) // big + draw(st.integers(-1, 1), label="step")
-    num *= draw(st.sampled_from([1, -1]), label="sign")
-    rest = draw(st.lists(st.integers(-big, big), max_size=8), label="ns")
-    ns = np.array([draw(st.sampled_from([big, -big]))] + rest,
-                  dtype=np.int64)
-    den = draw(st.integers(1, INT64_LIMIT - 1), label="den")
-    return ns, num, den
-
-
-class TestPhasesMod1:
-    """The int64 reduction against the object-array one, bit for bit."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(ns=st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=20),
-           num=st.integers(-10 ** 9, 10 ** 9), den=st.integers(1, 10 ** 12))
-    def test_int64_path_matches_object_path(self, ns, num, den):
-        ns = np.array(ns, dtype=np.int64)
-        assert exp_mod._residues(ns, num, den).dtype == np.int64
-        frac = Fraction(num, den)
-        got = exp_mod._phases_mod1(ns, frac)
-        assert np.array_equal(
-            got, object_phases(ns, frac.numerator, frac.denominator))
-        got = exp_mod._phases_mod1(ns.astype(object), frac)
-        assert np.array_equal(got, object_phases(ns, num % den, den))
-        assert bits(got) == bits(object_phases(ns, num, den))
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=edge_reductions())
-    def test_overflow_edge(self, case):
-        ns, num, den = case
-        big = int(np.abs(ns).max())
-        residues = exp_mod._residues(ns, num, den)
-        want_int64 = big * abs(num) < INT64_LIMIT
-        assert (residues.dtype == np.int64) == want_int64
-        assert residues.tolist() == [n * num % den for n in ns.tolist()]
-        assert np.array_equal(exp_mod._phases_mod1(ns, Fraction(num, den)),
-                              object_phases(ns, *Fraction(num, den)
-                                            .as_integer_ratio()))
-
-    def test_empty(self):
-        ns = np.zeros(0, dtype=np.int64)
-        assert exp_mod._phases_mod1(ns, Fraction(3, 7)).size == 0
-
-    # past den = 2**53 a residue is not an exact float, so converting it
-    # before the division would round twice
-    @settings(max_examples=200, deadline=None)
-    @given(ns=st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=20),
-           num=st.integers(-10 ** 40, 10 ** 40),
-           den=st.integers(1, 10 ** 30))
-    @example(ns=range(1, 2000), num=7, den=10 ** 17 + 3)
-    @example(ns=range(1, 2000), num=5, den=10 ** 30 + 7)
-    @example(ns=range(1, 2000), num=1, den=3 ** 40)
-    def test_matches_python_division(self, ns, num, den):
-        frac = Fraction(num, den)
-        got = exp_mod._phases_mod1(np.array(ns, dtype=np.int64), frac)
-        want = [n * frac.numerator % frac.denominator / frac.denominator
-                for n in ns]
-        assert bits(got) == bits(np.array(want, dtype=np.float64))
 
 
 class TestIntPolynomial:

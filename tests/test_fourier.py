@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from digitlab import fourier as fou_mod
 from digitlab.digits import DigitSet, enumerate_members
 from digitlab.errors import CapExceededError, DomainError
 from digitlab.fourier import (
+    INT64_LIMIT,
     FourierContext,
     alpha,
     analytic_Cq,
@@ -30,6 +32,8 @@ from digitlab.fourier import (
     half_grid_values,
     l1_grid_sum,
     linf_decay_report,
+    residues,
+    unit,
 )
 
 
@@ -221,8 +225,8 @@ class TestOneReduction:
                  [1 - 2 ** -53, 1 - 3 * 2 ** -53, 1 - 9 * 2 ** -53]),
                 (-0.75, 7, 2, [0.25, 0.75])]:
             num, den = fou_mod._ratio(theta)
-            assert [p / den for p in fou_mod._residues(q, k, num, den)] \
-                == want
+            assert [p / den for p in
+                    fou_mod._position_residues(q, k, num, den)] == want
             assert oracle.reduced_power_fracs(theta, q, k) == want
 
     @settings(max_examples=200, deadline=None)
@@ -236,7 +240,8 @@ class TestOneReduction:
     @example(-2.2250738585072e-308, 7, 4)
     def test_residues_are_the_fraction_reduction(self, theta, q, k):
         num, den = fou_mod._ratio(theta)
-        assert bits([p / den for p in fou_mod._residues(q, k, num, den)]) \
+        assert bits([p / den for p in
+                     fou_mod._position_residues(q, k, num, den)]) \
             == bits(oracle.reduced_power_fracs(theta, q, k))
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
@@ -256,6 +261,97 @@ class TestOneReduction:
             for q in range(3, 60):
                 assert fou_mod._has_prime_factor_coprime_to(d, q) == \
                     oracle.has_prime_factor_coprime_to(d, q), (d, q)
+
+
+def python_units(ns, num, den):
+    """The rule on Python ints, one term at a time: (n * num) % den, one
+    correctly rounded division, then cmath.exp."""
+    return np.array([cmath.exp(2j * math.pi * (n * num % den / den))
+                     for n in ns.tolist()], dtype=np.complex128)
+
+
+@st.composite
+def edge_reductions(draw):
+    """ns, num, den with max |n| * |num| within 2 of 2**63."""
+    big = draw(st.integers(1, 2 ** 62), label="max |n|")
+    num = (INT64_LIMIT - 1) // big + draw(st.integers(-1, 1), label="step")
+    num *= draw(st.sampled_from([1, -1]), label="sign")
+    rest = draw(st.lists(st.integers(-big, big), max_size=8), label="ns")
+    ns = np.array([draw(st.sampled_from([big, -big]))] + rest,
+                  dtype=np.int64)
+    den = draw(st.integers(1, INT64_LIMIT - 1), label="den")
+    return ns, num, den
+
+
+class TestResiduesAndUnit:
+    """``residues`` is exact on either path, and ``unit`` takes e() of the
+    correctly rounded r/den, the array form with the scalar form's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ns=st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=20),
+           num=st.integers(-10 ** 9, 10 ** 9), den=st.integers(1, 10 ** 12))
+    def test_int64_and_object_paths_agree(self, ns, num, den):
+        ns = np.array(ns, dtype=np.int64)
+        fast = residues(ns, num, den)
+        with mock.patch.object(fou_mod, "INT64_LIMIT", 0):
+            slow = residues(ns, num, den)
+        assert fast.dtype == np.int64 and slow.dtype == object
+        assert fast.tolist() == slow.tolist() == [
+            n * num % den for n in ns.tolist()]
+        assert bits(unit(fast, den)) == bits(unit(slow, den))
+        # the reduced form of num/den names the same roots
+        frac = Fraction(num, den)
+        assert bits(unit(fast, den)) == bits(unit(
+            residues(ns, frac.numerator, frac.denominator), frac.denominator))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_reductions())
+    def test_overflow_edge(self, case):
+        ns, num, den = case
+        big = int(np.abs(ns).max())
+        got = residues(ns, num, den)
+        assert (got.dtype == np.int64) == (big * abs(num) < INT64_LIMIT)
+        assert got.tolist() == [n * num % den for n in ns.tolist()]
+        assert bits(unit(got, den)) == bits(python_units(ns, num, den))
+
+    def test_empty(self):
+        got = residues(np.zeros(0, dtype=np.int64), 3, 7)
+        assert got.size == 0
+        for den in (7, 10 ** 30):
+            assert unit(got, den).size == 0
+
+    # past den = 2**53 a residue is not an exact float, so converting it
+    # before the division would round twice
+    @settings(max_examples=200, deadline=None)
+    @given(ns=st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=20),
+           num=st.integers(-10 ** 40, 10 ** 40),
+           den=st.integers(1, 10 ** 30))
+    @example(ns=range(1, 2000), num=7, den=10 ** 17 + 3)
+    @example(ns=range(1, 2000), num=5, den=10 ** 30 + 7)
+    @example(ns=range(1, 2000), num=1, den=3 ** 40)
+    def test_matches_python_division(self, ns, num, den):
+        ns = np.array(ns, dtype=np.int64)
+        assert bits(unit(residues(ns, num, den), den)) == bits(
+            python_units(ns, num, den))
+
+    # 961 and 10**6 are the grids of constants-l1 and arcs-mangoldt
+    @pytest.mark.parametrize("den", [1, 2, 3, 7, 10, 961, 3 ** 9, 10 ** 6])
+    def test_array_matches_scalar(self, den):
+        want = [unit(r, den) for r in range(den)]
+        assert type(want[-1]) is complex
+        assert bits(unit(np.arange(den), den)) == bits(want)
+
+    @pytest.mark.parametrize("den", [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1,
+                                     2 ** 63 + 5, 10 ** 30 + 7])
+    def test_phase_is_the_correctly_rounded_quotient(self, den):
+        rng = random.Random(den)
+        rs = [0, 1, den // 3, den // 2, den - 1] + [
+            rng.randrange(den) for _ in range(500)]
+        want = [cmath.exp(2j * math.pi * float(Fraction(r, den)))
+                for r in rs]
+        assert bits([unit(r, den) for r in rs]) == bits(want)
+        dtype = np.int64 if den < INT64_LIMIT else object
+        assert bits(unit(np.array(rs, dtype=dtype), den)) == bits(want)
 
 
 class TestGridValues:

@@ -5,8 +5,10 @@ some package or test module, every parameter of a package function is
 read in its function, the package's ``__all__`` lists exactly the names
 its ``__init__`` loads lazily, each from its home module, ``import
 digitlab`` loads no numpy, the CLI sets its BLAS thread default before
-numpy loads, the package makes no BLAS call, and every function the
-benchmark hooks by name exists."""
+numpy loads, the package makes no BLAS call, only ``fourier.unit``
+takes a root of unity at a rational (beside the float-phase entry points
+and the oracle), no two module-level functions of the package share a
+name, and every function the benchmark hooks by name exists."""
 
 import ast
 import importlib
@@ -327,6 +329,86 @@ def test_scan_sees_a_blas_call():
         (2, "numpy.linalg"), (3, "einsum"), (5, "@"), (6, "@"), (7, "dot"),
         (7, "dot"), (7, "linalg"), (8, "einsum")]
 
+
+# (module, function) that may take a complex exponential: fourier.unit is
+# the one root of unity at a rational; digit_factor and expsum's float
+# branch take the float phase of a float input; eval_direct is the oracle
+EXP_HOMES = {("fourier.py", "unit"), ("fourier.py", "digit_factor"),
+             ("fourier.py", "eval_direct"), ("expsums.py", "expsum")}
+
+
+def exp_references(tree: ast.Module) -> list:
+    """(line, function, name) for each reference to ``exp`` of numpy or
+    cmath (as np, numpy, cmath or an alias a module imports them under),
+    and each ``from numpy import exp`` or ``from cmath import exp``;
+    function is the innermost enclosing def, None at module level."""
+    modules = {"np", "numpy", "cmath"} | {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names
+        if alias.name in ("numpy", "cmath")}
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "exp"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in modules):
+                found.append((child.lineno, func, f"{child.value.id}.exp"))
+            elif (isinstance(child, ast.ImportFrom)
+                  and child.module in ("numpy", "cmath")
+                  and any(alias.name == "exp" for alias in child.names)):
+                found.append((child.lineno, func, f"{child.module}.exp"))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_root_rule():
+    # a root of unity at a rational comes from fourier.unit alone, so no
+    # second phase rule can come back beside it
+    found = {(path.name, func)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for _, func, _ in exp_references(ast.parse(path.read_text()))}
+    assert found == EXP_HOMES
+
+
+def test_scan_sees_an_exp_reference():
+    tree = ast.parse("import cmath\n"
+                     "import numpy as xp\n"
+                     "from numpy import exp\n"
+                     "def unit(r):\n"
+                     "    return xp.exp(r) + cmath.exp(r)\n"
+                     "def twiddle(m):\n"
+                     "    def inner(t):\n"
+                     "        return numpy.exp(t)\n"
+                     "    return exp(m) + math.exp(m) + np.exp(m)\n")
+    assert exp_references(tree) == [
+        (3, None, "numpy.exp"), (5, "unit", "xp.exp"),
+        (5, "unit", "cmath.exp"), (8, "inner", "numpy.exp"),
+        (9, "twiddle", "np.exp")]
+
+
+def shared_function_names(trees) -> list:
+    """The names that more than one module-level def of ``trees`` takes."""
+    names = [node.name for tree in trees for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted({name for name in names if names.count(name) > 1})
+
+
+def test_no_shared_function_names():
+    trees = [ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))]
+    assert shared_function_names(trees) == []
+
+
+def test_scan_sees_a_shared_function_name():
+    trees = [ast.parse("def _residues(q, k):\n    pass\n"
+                       "class T:\n    def f(self):\n        pass\n"),
+             ast.parse("def _residues(ns):\n    pass\n"
+                       "def f():\n    pass\n")]
+    assert shared_function_names(trees) == ["_residues"]
 
 INPROC = Path(__file__).parents[1] / "perfbench" / "inproc.py"
 
