@@ -4,21 +4,25 @@ The counting sum over a digit-restricted set equals (1/q**k) times the
 grid sum of the set's Fourier transform against the weight's exponential
 sum; every a/q**k is Dirichlet-approximated, classified major/minor and
 accumulated per class.  Class totals sum to the pipeline total by
-construction (one shared accumulation tree).  The per-point stages
-(weight spectrum, half grid, class codes, made in that order so that the
-weight vector is freed before the grid exists) come from
-``pipeline_stages``, which the ``arcs`` ledger and the ``scan`` CSV both
-read.  Both weights list their support below Q through
-``expsums.weight_support``, so the weight vector (one ``np.bincount``)
-and the direct count have one body each; only the main term of
-``theorem_comparison`` tells the weights apart.
+construction (one shared accumulation tree).  Both weights list their
+support below Q through ``expsums.weight_support``, so the weight's rows
+(``np.bincount``) and the direct count have one body each; only the main
+term of ``theorem_comparison`` tells the weights apart.
 
-The stages hold a <= Q/2 only.  The digit indicator and the weight are
-real, so F(-theta) = conj F(theta) and S(-theta) = conj S(theta); the half
-grid comes from ``fourier.half_grid_values`` and the weight spectrum from
-a real FFT.  The term at Q - a is the conjugate of the term at a, in the
-same class, so the ledger sums Re(F*S)/Q, twice for 0 < a < Q/2, and its
-imaginary parts are exactly 0.0.
+Every transform is the engine's four-step (``fourier``).  The weight
+never becomes a Q-point vector: ``_weight_vector`` counts its rows
+w(q*j + r), j < W = Q/q, a few at a time, and real-FFTs each into the
+column spectrum, which the engine's column pass turns into S_w on the
+twiddles it also gives the digit indicator.  The digit indicator and the
+weight are real, so F(-theta) = conj F(theta) and S(-theta) =
+conj S(theta), and every stage holds a <= Q/2 only.  ``circle_pipeline``
+runs one fused pass (``fourier.half_products``) that writes the terms
+Re(F*S)/Q and holds neither F nor S; the term at Q - a is the conjugate
+of the term at a, in the same class, so the ledger sums the terms twice
+for 0 < a < Q/2, and its imaginary parts are exactly 0.0.  ``scan``
+reads the per-point stages from ``pipeline_stages`` (weight spectrum,
+half grid, class codes, in that order, so that the column spectrum is
+freed before the grid exists).
 
 An arc class is its int8 code, 0 major, 1 minor_denominator or 2
 minor_offset, and ``ARC_CLASSES[code]`` is the class's name in the
@@ -51,7 +55,6 @@ the allowed top digits t < q in closed form from gcd(P'(r), q).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -61,8 +64,9 @@ import numpy as np
 from .digits import DigitSet, bounded_power, contains_mask
 from .errors import CapExceededError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, Weight, weight_support
-from .fourier import (FourierContext, check_grid_size, half_grid_values,
-                      mirror_paired)
+from .fourier import (FourierContext, check_grid_size, column_spectrum,
+                      engine_shape, half_grid_values, half_products,
+                      half_weight_spectrum, mirror_paired)
 
 # Bounds q**J in the pair count.  Its Horner values stay below
 # q**J * q**(J-1) (q**J * q**J when J = 1) <= PAIR_COUNT_CAP**2, which is
@@ -78,6 +82,13 @@ BLOCK = 1 << 14
 # with 2^13 and 30.38 MB with 2^12, against 30.43 MB for the q**J Horner
 # loop in steps of 2^14 that the lift replaced.
 PAIR_BLOCK = 1 << 13
+# Points of the weight's rows counted and real-FFT'd per step (1 MB of
+# floats, at least one row).  Several rows per call run the FFT on
+# several at once: ``_weight_vector`` at Q = 10^5 took 0.84 ms in one
+# step of its 10 rows and 2.6 ms a row at a time (medians of 20).  At
+# Q = 10^6, two rows a step took 18.8 ms against 22.5 ms, but raised
+# ``arcs``' peak RSS by 0.9 MB, so a row of 10^5 points is one step.
+ROW_BLOCK = 1 << 17
 # Q*D0 below this keeps a*d - ell*Q and Q*d exact in float64.
 EXACT_FLOAT_LIMIT = 1 << 53
 
@@ -128,32 +139,6 @@ def arc_threshold(Q: int, A_major: float) -> float:
     return math.log(Q) ** A_major
 
 
-def max_a_major(lg: float) -> float:
-    """The largest float A for which ``lg**A`` is finite, lg = log Q.
-
-    With lg = math.log(Q) that is the largest A at which
-    ``arc_threshold(Q, A)`` is finite.  lg**A overflows once
-    A*log(lg) passes the log of the largest float; that quotient lies
-    within a few ulps of the boundary, and the steps below find it
-    exactly.  lg <= 1 (Q <= e) never overflows.
-    """
-    if lg <= 1.0:
-        return math.inf
-
-    def finite(a: float) -> bool:
-        try:
-            return math.isfinite(lg ** a)
-        except OverflowError:
-            return False
-
-    a = math.log(sys.float_info.max) / math.log(lg)
-    while not finite(a):
-        a = math.nextafter(a, 0.0)
-    while finite(math.nextafter(a, math.inf)):
-        a = math.nextafter(a, math.inf)
-    return a
-
-
 def classify(approx: RationalApprox, A_major: float) -> int:
     """The class code: 0 (major) iff max(d, Q |beta|) is strictly below
     (log Q)**A, else 1 (minor_denominator) if d is not, else 2
@@ -171,11 +156,47 @@ def classify(approx: RationalApprox, A_major: float) -> int:
     return 0
 
 
-def _weight_vector(weight: Weight, Q: int) -> np.ndarray:
-    """w(n) for n < Q, exactly: distinct prime powers get 0.0 + log p, and
-    a polynomial value the count of its n, a small integer."""
-    points, weights = weight_support(weight, Q)
-    return np.bincount(points, weights=weights, minlength=Q)
+def _weight_vector(weight: Weight, q: int, k: int) -> np.ndarray:
+    """The column spectrum (``fourier.column_spectrum``) of w on [0, q**k)
+    from its rows w(radix*j + r), j < W, in the engine's (radix, W) view
+    (``fourier.engine_shape``).
+
+    Each row is exact: distinct prime powers get 0.0 + log p, and a
+    polynomial value the count of its n, a small integer.  The weight's
+    support is sorted by row once; then the rows are counted
+    (``np.bincount``) and transformed ``ROW_BLOCK`` points (at least one
+    row) at a time, so the q**k-point weight vector is never held.  The benchmark's
+    ``arcs.weight`` span times this function by its name.
+    """
+    radix, width = engine_shape(q, k)
+    points, weights = weight_support(weight, radix * width)
+    cells = points % radix  # the row r of n = radix*j + r
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cells,
+                                                        minlength=radix))))
+    # the support sorted by row, stably, so each row keeps the order of n;
+    # a key of 16 bits sorts in one pass (numpy's radix sort)
+    order = np.argsort(
+        cells.astype(np.uint16 if radix <= 1 << 16 else np.int64),
+        kind="stable")
+    cells *= width
+    cells += points // radix  # n's cell r*W + j in the rows
+    cells, weights = cells[order], weights[order]
+    spectrum = np.empty((radix, width // 2 + 1), dtype=np.complex128)
+    step = max(1, ROW_BLOCK // width)
+    for lo in range(0, radix, step):
+        hi = min(lo + step, radix)
+        rows = np.bincount(cells[starts[lo]:starts[hi]] - lo * width,
+                           weights=weights[starts[lo]:starts[hi]],
+                           minlength=(hi - lo) * width)
+        column_spectrum(rows.reshape(hi - lo, width), out=spectrum[lo:hi])
+    return spectrum
+
+
+def weight_spectrum(weight: Weight, q: int, k: int) -> np.ndarray:
+    """S_w(-a/Q) = sum_n w(n) e(-a*n/Q) for a <= Q//2, Q = q**k, by the
+    transform engine (``fourier.half_weight_spectrum``); the column
+    spectrum is freed when this returns."""
+    return half_weight_spectrum(_weight_vector(weight, q, k), q ** k)
 
 
 @dataclass
@@ -376,6 +397,14 @@ class PipelineStages:
     codes: np.ndarray
 
 
+def _grid(ds: DigitSet, k: int, D0: Optional[int]) -> tuple:
+    """(Q, D0) of the pipeline, D0 defaulting to isqrt(Q), once the grid
+    size is checked: before any stage allocates."""
+    check_grid_size(ds.q, k)
+    Q = ds.q ** k
+    return Q, max(1, math.isqrt(Q)) if D0 is None else D0
+
+
 def pipeline_stages(
     ds: DigitSet,
     k: int,
@@ -385,16 +414,12 @@ def pipeline_stages(
 ) -> PipelineStages:
     """Weight spectrum, half grid and class codes; D0 defaults to isqrt(Q).
 
-    The Q-point weight vector lives only through its ``rfft``, so it is
-    freed before the half grid exists and the peaks of the two stages do
-    not overlap; the grid size is checked before either allocates.
+    The weight's column spectrum lives only through ``weight_spectrum``,
+    so it is freed before the half grid exists and the peaks of the two
+    stages do not overlap.
     """
-    check_grid_size(ds.q, k)
-    Q = ds.q ** k
-    if D0 is None:
-        D0 = max(1, math.isqrt(Q))
-    # forward real DFT: S_w(-a/Q) = sum_n w(n) e(-2 pi i a n / Q), a <= Q//2
-    s_vals = np.fft.rfft(_weight_vector(weight, Q))
+    Q, D0 = _grid(ds, k, D0)
+    s_vals = weight_spectrum(weight, ds.q, k)
     fhat = half_grid_values(FourierContext(ds, k))
     codes = _classification(Q, D0, A_major)
     return PipelineStages(Q=Q, D0=D0, fhat=fhat, s_vals=s_vals, codes=codes)
@@ -409,25 +434,28 @@ def circle_pipeline(
 ) -> ArcLedger:
     """Full Fourier-inversion sum with per-arc-class accounting.
 
-    The ledger's ``total`` is the count.  The terms at a and Q - a are
-    conjugate and share a class, so each class sums Re(F*S)/Q over
-    a <= Q//2, twice for a in mirror_paired(Q) (whose mirror is another
-    point), and its imaginary part is exactly 0.0.
+    The ledger's ``total`` is the count.  One pass of the engine
+    (``fourier.half_products``) gives the terms Re(F*S)/Q at a <= Q//2,
+    so neither the half grid nor the weight spectrum is held.  The terms
+    at a and Q - a are conjugate and share a class, so each class sums
+    the terms over a <= Q//2, twice for a in mirror_paired(Q) (whose
+    mirror is another point), and its imaginary part is exactly 0.0.
     """
-    st = pipeline_stages(ds, k, weight, D0=D0, A_major=A_major)
-    paired = mirror_paired(st.Q)
-    terms = st.fhat.real * st.s_vals.real
-    terms -= st.fhat.imag * st.s_vals.imag
-    terms /= st.Q
+    Q, D0 = _grid(ds, k, D0)
+    terms = half_products(FourierContext(ds, k),
+                          _weight_vector(weight, ds.q, k))
+    terms /= Q
+    paired = mirror_paired(Q)
     terms[paired] *= 2.0
+    codes = _classification(Q, D0, A_major)
     sums, counts = [], []
     for code in range(len(ARC_CLASSES)):
-        mask = st.codes == code
+        mask = codes == code
         counts.append(int(np.count_nonzero(mask))
                       + int(np.count_nonzero(mask[paired])))
         sums.append(complex(np.add.reduce(terms[mask])))
-    return ArcLedger(sums=sums, counts=counts, D0=st.D0, A_major=A_major,
-                     threshold=arc_threshold(st.Q, A_major))
+    return ArcLedger(sums=sums, counts=counts, D0=D0, A_major=A_major,
+                     threshold=arc_threshold(Q, A_major))
 
 
 def direct_count(ds: DigitSet, k: int, weight: Weight) -> float:

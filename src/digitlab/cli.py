@@ -26,8 +26,10 @@ stage has succeeded, so a failed run leaves an existing file untouched.
 
 ``count`` and ``arcs`` both report ``arcs.theorem_comparison`` at every
 k; at k = 0 the set is {0} and the direct count is the weight at 0.
-``verify`` emits the payload of the check catalogue in ``verify.py``,
-which only that command imports.  A ``--config`` file takes only the keys
+``verify`` emits the payload of the check catalogue in ``verify.py``.
+Each command imports the modules it needs when it runs: only ``verify``
+imports the catalogue, and ``constants`` imports neither ``arcs`` nor
+``expsums``.  A ``--config`` file takes only the keys
 of the config flags (``exclude``, ``poly_coeffs``, ``d0``, ...); any
 other key is a config error, and so is a polynomial given, by flag or
 file, with the von Mangoldt weight.  Messages name Q as q^k by q and k,
@@ -52,17 +54,18 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import BinaryIO, Iterable, Iterator, List, Optional
+from typing import (TYPE_CHECKING, BinaryIO, Iterable, Iterator, List,
+                    Optional)
 
 import numpy as np
 
-from . import arcs as arcs_mod
-from . import expsums as exp_mod
 from . import fourier as fou_mod
 from .digits import DigitSet, bounded_power, count_below
 from .errors import CapExceededError, ConfigError, DomainError
-from .expsums import IntPolynomial, build_mangoldt
 from .fourier import FourierContext
+
+if TYPE_CHECKING:
+    from .arcs import MainTermReport, PipelineStages
 
 SCHEMA = 1
 
@@ -100,7 +103,7 @@ class ExperimentConfig:
         Q = bounded_power(self.q, self.k, fou_mod.GRID_CAP)
         lg = (math.log(Q) if Q <= fou_mod.GRID_CAP
               else self.k * math.log(self.q))
-        limit = arcs_mod.max_a_major(lg)
+        limit = max_a_major(lg)
         if self.A_major > limit:
             raise ConfigError(
                 f"a-major: (log Q)^A overflows at Q = {self.q}^{self.k}; "
@@ -122,6 +125,32 @@ class ExperimentConfig:
         d.pop("out")
         d["excluded"] = self.digit_set().excluded
         return d
+
+
+def max_a_major(lg: float) -> float:
+    """The largest float A for which ``lg**A`` is finite, lg = log Q.
+
+    With lg = math.log(Q) that is the largest A at which
+    ``arcs.arc_threshold(Q, A)`` is finite.  lg**A overflows once
+    A*log(lg) passes the log of the largest float; that quotient lies
+    within a few ulps of the boundary, and the steps below find it
+    exactly.  lg <= 1 (Q <= e) never overflows.
+    """
+    if lg <= 1.0:
+        return math.inf
+
+    def finite(a: float) -> bool:
+        try:
+            return math.isfinite(lg ** a)
+        except OverflowError:
+            return False
+
+    a = math.log(sys.float_info.max) / math.log(lg)
+    while not finite(a):
+        a = math.nextafter(a, 0.0)
+    while finite(math.nextafter(a, math.inf)):
+        a = math.nextafter(a, math.inf)
+    return a
 
 
 def _check_out_dir(out: Optional[str]) -> None:
@@ -160,7 +189,7 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
                       default=_jsonify) + "\n"], out)
 
 
-def _deviation_fields(report: arcs_mod.MainTermReport) -> dict:
+def _deviation_fields(report: MainTermReport) -> dict:
     """The relative deviation, or null and why when it is undefined."""
     if report.deviation is None:
         return {"deviation": None,
@@ -174,6 +203,8 @@ def _deviation_fields(report: arcs_mod.MainTermReport) -> dict:
 # ----------------------------------------------------------------------
 
 def cmd_count(cfg: ExperimentConfig) -> int:
+    from . import arcs as arcs_mod
+
     ds = cfg.digit_set()
     weight = _make_weight(cfg)
     report = arcs_mod.theorem_comparison(ds, cfg.k, weight)
@@ -200,6 +231,8 @@ def _q_to_the_k(cfg: ExperimentConfig) -> str:
 
 def _make_weight(cfg: ExperimentConfig):
     """The weight on [0, Q), built only once Q = q^k is within the cap."""
+    from .expsums import IntPolynomial, build_mangoldt
+
     Q = bounded_power(cfg.q, cfg.k, cfg.cap)
     if Q > cfg.cap:
         raise CapExceededError(f"{_q_to_the_k(cfg)} exceeds cap {cfg.cap}")
@@ -220,6 +253,8 @@ CSV_BLOCK = 1 << 12
 
 
 def cmd_scan(cfg: ExperimentConfig) -> int:
+    from . import arcs as arcs_mod
+
     st = arcs_mod.pipeline_stages(
         cfg.digit_set(), cfg.k, _make_weight(cfg),
         D0=cfg.D0, A_major=cfg.A_major
@@ -240,7 +275,7 @@ def _spill_file() -> BinaryIO:
                           f"directory {tmp!r}: {exc}") from exc
 
 
-def _scan_csv_blocks(st: arcs_mod.PipelineStages,
+def _scan_csv_blocks(st: PipelineStages,
                      spill: BinaryIO) -> Iterator[str]:
     """The scan CSV: its header, then at most ``CSV_BLOCK`` rows per
     string.
@@ -258,8 +293,9 @@ def _scan_csv_blocks(st: arcs_mod.PipelineStages,
     temp directory.  A failed spill write raises ``OSError`` as a
     failed ``--out`` write does; either leaves a partial ``--out``.
     """
+    from .arcs import ARC_CLASSES as names
+
     yield "a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"
-    names = arcs_mod.ARC_CLASSES
     Q, stored = st.Q, st.codes.size  # rows a < stored = Q//2 + 1 are held
     paired = fou_mod.mirror_paired(Q)  # the m whose row Q - m is mirrored
     sizes = []
@@ -295,6 +331,8 @@ def _scan_csv_blocks(st: arcs_mod.PipelineStages,
 # ----------------------------------------------------------------------
 
 def cmd_arcs(cfg: ExperimentConfig) -> int:
+    from . import arcs as arcs_mod
+
     ds = cfg.digit_set()
     weight = _make_weight(cfg)
     # first, so that a main term that is not finite exits before any
@@ -360,11 +398,14 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
 VERIFY_SUITES = ("constants", "fourier", "expsums", "arcs")
 
 
-def cmd_verify(suite: str, seed: int, out: Optional[str]) -> int:
+def cmd_verify(suite: str, seed: Optional[int], out: Optional[str]) -> int:
+    """The catalogue's report; ``seed`` None is its calibration seed."""
     from . import verify as verify_mod
+    from .expsums import CALIBRATION_SEED
 
     _check_out_dir(out)
-    payload = verify_mod.report(suite, seed)
+    payload = verify_mod.report(suite,
+                                CALIBRATION_SEED if seed is None else seed)
     _emit_json({"schema": SCHEMA, **payload}, out)
     return 0 if payload["passed"] else 1
 
@@ -459,7 +500,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     suites = [*VERIFY_SUITES, "all"]
     pv.add_argument("suite", choices=suites, metavar="suite",
                     help=" | ".join(suites))
-    pv.add_argument("--seed", type=int, default=exp_mod.CALIBRATION_SEED)
+    pv.add_argument("--seed", type=int)
     pv.add_argument("--out", type=str)
     try:
         args = parser.parse_args(argv)

@@ -14,20 +14,28 @@ phase of its input.  The constants C_q and alpha are plain functions
 of (q, s, consecutive); ``digitlab constants`` reports them beside
 empirical_Cq.
 
-Full grids F(theta0 + a/q**k), a < q**k, come from one transform engine, a
-blocked four-step FFT of the digit indicator (modulated by e(n*theta0)):
-an inverse FFT over the high k-1 digits, then batched length-q transforms
-over the low digit, BLOCK points at a time.  grid_values stores the blocks;
-l1_grid_sum sums their moduli and never holds more than the q**(k-1)-point
-high grid plus one block.  At theta0 = 0 the indicator is real, so
+Every transform of the package is one engine, a blocked four-step FFT
+(Bailey, "FFTs in external or hierarchical memory", 1990) on the
+(radix, W) view of the grid, a = t*W + m (``engine_shape``).  A signal
+enters it by the transforms of its rows (``_four_step``): the column
+pass multiplies them by the twiddles unit(r*m, Q) and takes batched
+length-q transforms over the rows, BLOCK points at a time.  The digit
+indicator (modulated by e(n*theta0)) has the rows v_0[r]*G[m], with G one
+inverse FFT over the high k-1 digits (``_indicator``); a real weight has
+the real FFTs of its rows (``column_spectrum``).  Full grids
+F(theta0 + a/q**k), a < q**k: grid_values stores the blocks; l1_grid_sum
+sums their moduli and never holds more than the q**(k-1)-point high grid
+plus one block.  At theta0 = 0 the indicator is real, so
 F(-a/Q) = conj F(a/Q): in the (q, W = q**(k-1)) view of the grid, column
 W - m holds the conjugates of column m with the rows reversed.  So
-half_grid_values, the circle pipeline's grid, holds a <= q**k//2 only,
-and both it and the theta0 = 0 L1 sum ask the engine for the half
-spectrum: the columns m <= W//2, each block with the slice of its
-columns in mirror_paired (the indices whose mirror is another index),
-which count twice.  The product formula (eval_product, eval_product_real)
-stays the scalar oracle of the engine.
+half_grid_values, the circle pipeline's grid, holds a <= q**k//2 only
+(``_half_grid``), and both it and the theta0 = 0 L1 sum ask the engine
+for the half spectrum: the columns m <= W//2, each block with the slice
+of its columns in mirror_paired (the indices whose mirror is another
+index), which count twice.  A real weight's spectrum (half_weight_spectrum)
+and its products with F (half_products, one pass on shared twiddles) take
+the same half layout.  The product formula (eval_product,
+eval_product_real) stays the scalar oracle of the engine.
 """
 
 from __future__ import annotations
@@ -222,44 +230,122 @@ def mirror_paired(n: int) -> slice:
     return slice(1, n - n // 2)
 
 
-def _transform_blocks(ctx: FourierContext, theta0, half=False):
-    """Yield (cols, block, twice), block[t, j] = F(theta0 + (t*Q/q + m)/Q)
-    at m = cols.start + j: the grid's columns, block by block.  All
-    W = Q/q columns by default.  ``half`` (for theta0 = 0 only) stops at
-    the columns m <= W//2, and then ``twice`` slices the block's columns
-    in mirror_paired(W), whose mirror W - m is a column not transformed;
-    without ``half`` every ``twice`` is empty.
+def engine_shape(q: int, k: int) -> tuple:
+    """(radix, W) of the engine's view of the q**k-point grid as a
+    (radix, W) array, a = t*W + m: (q, q**(k-1)), or (1, 1) at k = 0,
+    where the grid is one point."""
+    return (q, q ** (k - 1)) if k else (1, 1)
 
-    Four-step FFT (Cooley-Tukey, in Bailey's blocked layout).  Positions
-    1..k-1 contribute G[m] = sum_n kron(v_{k-1}, ..., v_1)[n] e(n*m/(Q/q)),
-    one length-Q/q inverse FFT; position 0 contributes, for each m, the
-    length-q inverse DFT over digits of v_0[d] e(d*m/Q).  A block holds at
-    most BLOCK points (one column if q > BLOCK), so a caller that consumes
-    blocks one at a time holds the Q/q-point high grid plus O(BLOCK).
+
+def _four_step(Q: int, half: bool, sources: list):
+    """The engine's column pass: yield (cols, blocks, twice), blocks[i] the
+    block of sources[i] at the grid's columns m in ``cols``.
+
+    A source (low, high) is a transform in four-step form: low[r, m] (a
+    radix x W array, or its first W//2 + 1 columns under ``half``) holds
+    the transforms over the rows, and high (None for 1) a factor per
+    column, so that the block is
+    block[t, j] = high[m] * sum_r low[r, m] e(r*(t*W + m)/Q),
+    m = cols.start + j: the length-radix inverse DFTs of low[:, cols] times
+    the twiddles unit(r*m, Q), which every source of a call shares.  A
+    block holds at most BLOCK points (one column if radix > BLOCK).
+    ``half`` stops at the columns m <= W//2 and then ``twice`` slices the
+    block's columns in mirror_paired(W), whose mirror W - m is a column
+    not transformed; without ``half`` every ``twice`` is empty.
     """
-    Q = ctx.Q
-    # k = 0: the set is {0}; one length-1 vector gives F = 1 at one point.
-    vecs = _digit_vectors(ctx, theta0) or [np.ones(1, dtype=np.complex128)]
-    low = vecs[0][:, None]
-    width = Q // len(low)
-    high = np.fft.ifft(
-        functools.reduce(np.kron, vecs[:0:-1],
-                         np.ones(1, dtype=np.complex128)),
-        norm="forward",
-    )
-    d = np.arange(len(low), dtype=np.int64)[:, None]
-    step = max(1, BLOCK // len(low))
+    radix = len(sources[0][0])
+    width = Q // radix
+    r = np.arange(radix, dtype=np.int64)[:, None]
+    step = max(1, BLOCK // radix)
     stop, paired = ((width // 2 + 1, mirror_paired(width)) if half
                     else (width, slice(0, 0)))
     for start in range(0, stop, step):
         cols = slice(start, min(start + step, stop))
         m = np.arange(cols.start, cols.stop, dtype=np.int64)
-        # d*m < Q is the residue of the twiddle e(d*m/Q)
-        block = np.fft.ifft(low * unit(d * m, Q), axis=0, norm="forward")
-        block *= high[cols]
+        # r*m < Q is the residue of the twiddle e(r*m/Q)
+        twiddles = unit(r * m, Q)
+        blocks = []
+        for low, high in sources:
+            block = np.fft.ifft(low[:, cols] * twiddles, axis=0,
+                                norm="forward")
+            if high is not None:
+                block *= high[cols]
+            blocks.append(block)
         lo = max(start, paired.start)
         hi = max(lo, min(cols.stop, paired.stop))
-        yield cols, block, slice(lo - start, hi - start)
+        yield cols, blocks, slice(lo - start, hi - start)
+
+
+def _indicator(ctx: FourierContext, theta0) -> tuple:
+    """The source (low, high) of F(theta0 + a/Q) for ``_four_step``.
+
+    The indicator is kron(v_{k-1}, ..., v_0) of the digit vectors, so its
+    row transforms are v_0[r] * G[m]: low is v_0 as a column, broadcast
+    over the W columns, and high is G[m] = sum_n kron(v_{k-1}, ..., v_1)[n]
+    e(n*m/W), one length-W inverse FFT.  At k = 0 the set is {0}, and one
+    length-1 vector gives F = 1 at one point.
+    """
+    vecs = _digit_vectors(ctx, theta0) or [np.ones(1, dtype=np.complex128)]
+    high = np.fft.ifft(
+        functools.reduce(np.kron, vecs[:0:-1],
+                         np.ones(1, dtype=np.complex128)),
+        norm="forward",
+    )
+    return np.broadcast_to(vecs[0][:, None], (len(vecs[0]), high.size)), high
+
+
+def _transform_blocks(ctx: FourierContext, theta0, half=False):
+    """Yield (cols, block, twice), block[t, j] = F(theta0 + (t*Q/q + m)/Q)
+    at m = cols.start + j: the grid's columns, block by block, as
+    ``_four_step`` cuts them (``half`` for theta0 = 0 only).
+
+    Four-step FFT (Cooley-Tukey, in Bailey's blocked layout) of the
+    indicator's source (``_indicator``).  A caller that consumes blocks one
+    at a time holds the Q/q-point high grid plus O(BLOCK).
+    """
+    for cols, (block,), twice in _four_step(ctx.Q, half,
+                                            [_indicator(ctx, theta0)]):
+        yield cols, block, twice
+
+
+def column_spectrum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[r, m] = sum_j rows[r, j] e(j*m/W) for m <= W//2, W = the rows'
+    length: the row transforms of a real signal x[radix*j + r] = rows[r, j]
+    in the four-step, the conjugates of the rows' real FFTs (x is real, so
+    the columns m > W//2 are the conjugates of W - m)."""
+    np.fft.rfft(rows, axis=1, out=out)
+    return np.conjugate(out, out=out)
+
+
+def _half_grid(Q: int, sources: list, combine, dtype) -> np.ndarray:
+    """The points a <= Q//2 of a grid X with X(Q - a) = conj X(a): the
+    blocks combine(*blocks) of the half spectrum of ``sources`` in one
+    pass of ``_four_step``.
+
+    In the (radix, W) view (a = t*W + m), Q - a = (radix-1-t)*W + W-m, so
+    X[t, m] = conj X[radix-1-t, W-m] for 0 < m < W.  Each block writes its
+    own points a <= Q//2 and the conjugates of the points W - m it mirrors
+    (for a real grid, the same values).  The last partial row holds only
+    columns m <= W//2: Q//2 + 1 is (q//2)*W + 1 for even Q and
+    ((q-1)/2)*W + W//2 + 1 for odd Q.  Memory: the Q//2 + 1 points of the
+    result and one block per source, beside the sources.
+    """
+    width = Q // len(sources[0][0])
+    out = np.empty(Q // 2 + 1, dtype=dtype)
+    rows, rem = divmod(out.size, width)
+    body = out[:rows * width].reshape(rows, width)
+    tail = out[rows * width:]
+    for cols, blocks, twice in _four_step(Q, True, sources):
+        block = combine(*blocks)
+        start = cols.start
+        body[:, cols] = block[:rows]
+        if start < rem:
+            tail[start:cols.stop] = block[rows, :rem - start]
+        # mirrored columns W - m for m in [lo, hi), from rows q-1, q-2, ...
+        lo, hi = start + twice.start, start + twice.stop
+        np.conjugate(block[::-1][:rows, twice][:, ::-1],
+                     out=body[:, width - hi + 1:width - lo + 1])
+    return out
 
 
 def check_grid_size(q: int, k: int) -> None:
@@ -292,32 +378,52 @@ def grid_values(ctx: FourierContext, theta0=0.0) -> np.ndarray:
 def half_grid_values(ctx: FourierContext) -> np.ndarray:
     """F(a/q**k) for a = 0..q**k//2; the rest of the grid is its mirror.
 
-    The indicator is real, so F(-theta) = conj F(theta).  In the (q, W)
-    view of the grid (a = t*W + m, W = q**(k-1)), Q - a = (q-1-t)*W + W-m,
-    so G[t, m] = conj G[q-1-t, W-m] for 0 < m < W.  Only the columns
-    m <= W//2 are transformed (by _transform_blocks, so they equal
-    grid_values bit for bit); each block writes its own points a <= Q//2
-    and the conjugates of the points W - m it mirrors.  The last partial
-    row holds only columns m <= W//2: Q//2 + 1 is (q//2)*W + 1 for even Q
-    and ((q-1)/2)*W + W//2 + 1 for odd Q.  Memory: the Q//2 + 1 points of
-    the result, the high grid and one block.
+    The indicator is real, so F(-theta) = conj F(theta): only the columns
+    m <= W//2 are transformed (by the engine's blocks, so they equal
+    grid_values bit for bit) and ``_half_grid`` writes them and their
+    mirrors.  Memory: the Q//2 + 1 points of the result, the high grid and
+    one block.
     """
     check_grid_size(ctx.ds.q, ctx.k)
-    width = ctx.Q // ctx.ds.q if ctx.k else 1
-    out = np.empty(ctx.Q // 2 + 1, dtype=np.complex128)
-    rows, rem = divmod(out.size, width)
-    body = out[:rows * width].reshape(rows, width)
-    tail = out[rows * width:]
-    for cols, block, twice in _transform_blocks(ctx, 0.0, half=True):
-        start = cols.start
-        body[:, cols] = block[:rows]
-        if start < rem:
-            tail[start:cols.stop] = block[rows, :rem - start]
-        # mirrored columns W - m for m in [lo, hi), from rows q-1, q-2, ...
-        lo, hi = start + twice.start, start + twice.stop
-        np.conjugate(block[::-1][:rows, twice][:, ::-1],
-                     out=body[:, width - hi + 1:width - lo + 1])
-    return out
+    return _half_grid(ctx.Q, [_indicator(ctx, 0.0)], lambda f: f,
+                      np.complex128)
+
+
+def half_weight_spectrum(spectrum: np.ndarray, Q: int) -> np.ndarray:
+    """S_w(-a/Q) = sum_n w(n) e(-a*n/Q) for a = 0..Q//2, from the column
+    spectrum of a real weight w on [0, Q) (``column_spectrum`` of its rows
+    in the (radix, W) view).
+
+    The source (spectrum, None) of ``_four_step`` gives
+    T(a) = sum_n w(n) e(a*n/Q) = conj S_w(-a/Q), and w is real, so the
+    half grid holds the whole spectrum.
+    """
+    return _half_grid(Q, [(spectrum, None)],
+                      lambda t: np.conjugate(t, out=t), np.complex128)
+
+
+def _real_product(f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Re(f * conj t) = f.re*t.re + f.im*t.im, blockwise."""
+    prod = f.real * t.real
+    prod += f.imag * t.imag
+    return prod
+
+
+def half_products(ctx: FourierContext, spectrum: np.ndarray) -> np.ndarray:
+    """Re(F(a/Q) * S_w(-a/Q)) for a = 0..Q//2, in one pass of the engine.
+
+    ``spectrum`` is the column spectrum of a real weight w on [0, Q), as
+    for ``half_weight_spectrum``.  Each block of F (bit for bit that of
+    half_grid_values) and of T = conj S_w(-a/Q) comes from the same
+    twiddles, and their product Re(F * conj T) goes into the half grid:
+    both factors are conjugate-symmetric, so the product at Q - a is the
+    one at a.  Neither F nor S_w is held: the memory is the Q//2 + 1
+    floats of the result, the high grid and the blocks, beside the
+    spectrum.
+    """
+    check_grid_size(ctx.ds.q, ctx.k)
+    return _half_grid(ctx.Q, [_indicator(ctx, 0.0), (spectrum, None)],
+                      _real_product, np.float64)
 
 
 def l1_grid_sum(ctx: FourierContext, theta0=0.0) -> float:

@@ -67,6 +67,13 @@ def poly_support_below(P, x):
     return points, np.ones(points.size)
 
 
+def weight_vector(weight, Q):
+    """w(n) for n < Q as one Q-point vector, one ``np.bincount`` of the
+    weight's support: what the pipeline's column spectrum replaced."""
+    points, weights = exp_mod.weight_support(weight, Q)
+    return np.bincount(points, weights=weights, minlength=Q)
+
+
 def enumerate_members(ds, k):
     """The members of [0, q**k) in increasing order, one recursive
     generator per digit."""

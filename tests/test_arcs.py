@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import digitlab.arcs as arcs_mod
+import digitlab.fourier as fou_mod
 from digitlab.arcs import (
     ARC_CLASSES,
     circle_pipeline,
@@ -453,7 +454,8 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("q, excluded, k", HALF_CASES)
     @pytest.mark.parametrize("weight", ["mangoldt", "n^2", "n^2-3n+1"])
-    def test_rfft_half_matches_exact_expsums(self, q, excluded, k, weight):
+    def test_half_spectrum_matches_exact_expsums(self, q, excluded, k,
+                                                 weight):
         # n^2 - 3n + 1 is -1 at n = 1 and 2; neither side counts it
         Q = q ** k
         w = {"mangoldt": build_mangoldt(Q), "n^2": SQUARE,
@@ -475,7 +477,7 @@ class TestHalfSpectrum:
         table = build_mangoldt(Q)
         led = circle_pipeline(ds, k, table, A_major=A)
         terms = (grid_values(FourierContext(ds, k))
-                 * np.fft.fft(arcs_mod._weight_vector(table, Q)) / Q)
+                 * np.fft.fft(oracle.weight_vector(table, Q)) / Q)
         codes = mirrored(arcs_mod._classification(Q, led.D0, A), Q)
         assert led.total.imag == 0.0
         for code in range(len(ARC_CLASSES)):
@@ -485,9 +487,13 @@ class TestHalfSpectrum:
             assert abs(led.sums[code].real - picked.sum().real) <= \
                 1e-12 * np.abs(picked).sum()
 
-    @pytest.mark.parametrize("Q", [10 ** 5, 10 ** 6])
-    def test_bytes_per_point(self, Q):
-        # 66 B/point with the whole-grid stages; about 31 and 25 now
+    # 66 B/point with the whole-grid stages, then 32.9 and 25.1 with the
+    # half stages; 32.95 and 15.95 with the fused pass, which holds the
+    # weight's column spectrum and the real terms only.  At 10^5 the
+    # classification's fixed working arrays (about 3 MB) set the peak.
+    # Each ceiling is the measured peak plus 10%, rounded up.
+    @pytest.mark.parametrize("Q, per_point", [(10 ** 5, 37), (10 ** 6, 18)])
+    def test_bytes_per_point(self, Q, per_point):
         ds = DigitSet(10, (7,))
         table = build_mangoldt(Q)
         k = round(math.log10(Q))
@@ -497,7 +503,7 @@ class TestHalfSpectrum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * Q
+        assert peak <= per_point * Q
 
     def test_stage_peaks_do_not_overlap(self):
         # the weight vector is freed before the half grid exists: the peak
@@ -513,6 +519,118 @@ class TestHalfSpectrum:
             tracemalloc.stop()
         held = st.fhat.nbytes + st.s_vals.nbytes + st.codes.nbytes
         assert peak <= 1.35 * held
+
+
+# IEEE double unit roundoff
+U = 2.0 ** -53
+
+
+def fft_tolerance(Q, w):
+    """The largest difference allowed between the engine's spectrum of the
+    real vector w on [0, Q) and an oracle's, from the error bounds of
+    both sides.
+
+    Higham (2002), Thm 24.2: an FFT of length N whose twiddles err by at
+    most mu has ||y^ - y||_2 <= log2(N)*eta/(1 - log2(N)*eta) * ||y||_2,
+    eta = mu + gamma_4*(sqrt(2) + mu).  With mu <= 2u that is, to first
+    order, below 8u*log2(Q)*||S||_2, and ||S||_2 = sqrt(Q)*||w||_2
+    (Parseval).  The theorem is stated for radix 2; the mixed radices
+    here measure below 1e-16*||S||_2.  Two FFTs (the engine and rfft)
+    differ by at most 16u*log2(Q)*sqrt(Q)*||w||_2 in the 2-norm.  The
+    literal DFT errs at each point by at most 5u*sum|w| <=
+    5u*sqrt(Q)*||w||_2 (``literal_spectrum``), and 8u*L + 5u <=
+    16u*max(L, 1) covers it too.
+    """
+    return (16 * U * max(math.log2(Q), 1.0) * math.sqrt(Q)
+            * math.sqrt(float(np.sum(w * w))))
+
+
+def literal_spectrum(w, Q):
+    """S_w(-a/Q) = sum_n w(n) e(-a*n/Q) for a <= Q//2, one literal O(Q^2)
+    sum per point: each term w(n)*e() at the exact residue a*n mod Q is
+    within 4u*|w(n)|, and math.fsum rounds each sum once."""
+    n = np.flatnonzero(w)
+    a = np.arange(Q // 2 + 1)[:, None]
+    terms = w[n] * np.exp(-2j * np.pi * ((a * n) % Q / Q))
+    return np.array([complex(math.fsum(row.real), math.fsum(row.imag))
+                     for row in terms])
+
+
+SPECTRUM_WEIGHTS = {"mangoldt": lambda Q: build_mangoldt(max(Q - 1, 1)),
+                    "n^2-3n+1": lambda Q: IntPolynomial((1, -3, 1))}
+
+
+class TestWeightSpectrum:
+    """The engine's S_w against the Q-point real FFT and the literal DFT."""
+
+    @pytest.mark.parametrize("weight", sorted(SPECTRUM_WEIGHTS))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [2, 3, 6, 7, 10, 11, 31])
+    def test_matches_real_fft_and_literal_dft(self, q, k, weight):
+        Q = q ** k
+        w_fn = SPECTRUM_WEIGHTS[weight](Q)
+        w = oracle.weight_vector(w_fn, Q)
+        got = arcs_mod.weight_spectrum(w_fn, q, k)
+        assert got.shape == (Q // 2 + 1,) and got.dtype == np.complex128
+        tol = fft_tolerance(Q, w)
+        want = np.fft.rfft(w)
+        assert float(np.sqrt(np.sum(np.abs(got - want) ** 2))) <= tol
+        if Q <= 1000:
+            assert np.abs(got - literal_spectrum(w, Q)).max() <= tol
+
+    def test_tolerance_sees_a_wrong_spectrum(self):
+        # the conjugate (the wrong sign of the phase) and one row's weight
+        # moved to its neighbour both exceed the bound
+        Q = 10 ** 3
+        w = oracle.weight_vector(build_mangoldt(Q - 1), Q)
+        got = arcs_mod.weight_spectrum(build_mangoldt(Q - 1), 10, 3)
+        tol = fft_tolerance(Q, w)
+        assert np.abs(got.conj() - literal_spectrum(w, Q)).max() > tol
+        assert np.abs(got - literal_spectrum(np.roll(w, 1), Q)).max() > tol
+
+    @pytest.mark.parametrize("q, excluded, k", HALF_CASES + [(10, (7,), 0)])
+    def test_fused_grid_blocks_are_the_half_grid(self, monkeypatch, q,
+                                                  excluded, k):
+        # the F blocks of circle_pipeline's one pass are those that
+        # half_grid_values lays out, bit for bit
+        ctx = FourierContext(DigitSet(q, excluded), k)
+        seen = {1: [], 2: []}
+        real = fou_mod._four_step
+
+        def recording(Q, half, sources):
+            for cols, blocks, twice in real(Q, half, sources):
+                seen[len(sources)].append(
+                    (cols, blocks[0].tobytes(), twice))
+                yield cols, blocks, twice
+
+        monkeypatch.setattr(fou_mod, "_four_step", recording)
+        circle_pipeline(ctx.ds, k, build_mangoldt(max(ctx.Q - 1, 1)))
+        fou_mod.half_grid_values(ctx)
+        assert seen[1] and seen[2] == seen[1]
+
+    def test_pipeline_holds_neither_stage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("circle_pipeline built a stage array")
+
+        ds = DigitSet(10, (7,))
+        table = build_mangoldt(10 ** 4)
+        want = circle_pipeline(ds, 4, table, A_major=1.0)
+        for name in ("half_grid_values", "weight_spectrum",
+                     "half_weight_spectrum", "pipeline_stages"):
+            monkeypatch.setattr(arcs_mod, name, refuse)
+        got = circle_pipeline(ds, 4, table, A_major=1.0)
+        assert got.sums == want.sums and got.counts == want.counts
+
+    @pytest.mark.parametrize("q, excluded, k", HALF_CASES + [(10, (7,), 0)])
+    @pytest.mark.parametrize("A", [0.5, 1.0, 3.0])
+    def test_class_counts_are_exact(self, q, excluded, k, A):
+        # the counts of one scalar classify per a < Q, whatever the weight
+        ds, Q = DigitSet(q, excluded), q ** k
+        D0 = max(1, math.isqrt(Q))
+        codes = scalar_classes(Q, D0, [A])[A]
+        want = [codes.count(code) for code in range(len(ARC_CLASSES))]
+        for weight in (build_mangoldt(max(Q - 1, 1)), SQUARE):
+            assert circle_pipeline(ds, k, weight, A_major=A).counts == want
 
 
 class TestDirectCount:
@@ -554,20 +672,40 @@ class TestDirectCount:
         # 5, 2, 1, 2, 5, 10, 17, 26 at n = 0..7
         powers = {2: 2, 3: 3, 4: 2, 5: 5, 7: 7, 8: 2, 9: 3, 11: 11, 13: 13,
                   16: 2, 17: 17, 19: 19, 23: 23, 25: 5, 27: 3, 29: 29}
-        want = [math.log(powers[n]) if n in powers else 0.0
-                for n in range(30)]
-        assert bits(arcs_mod._weight_vector(build_mangoldt(29), 30)) == \
-            bits(want)
+        mangoldt = [math.log(powers[n]) if n in powers else 0.0
+                    for n in range(30)]
         counts = {1: 1.0, 2: 2.0, 5: 2.0, 10: 1.0, 17: 1.0, 26: 1.0}
-        want = [counts.get(n, 0.0) for n in range(30)]
-        assert bits(arcs_mod._weight_vector(IntPolynomial((5, -4, 1)), 30)) \
-            == bits(want)
+        poly = [counts.get(n, 0.0) for n in range(30)]
+        for weight, want in ((build_mangoldt(29), mangoldt),
+                             (IntPolynomial((5, -4, 1)), poly)):
+            assert bits(oracle.weight_vector(weight, 30)) == bits(want)
+            # at k = 1 each row is the one point w(r), and the conjugate
+            # of its length-1 real FFT is w(r) - 0j
+            spectrum = arcs_mod._weight_vector(weight, 30, 1)
+            assert spectrum.shape == (30, 1)
+            assert bits(spectrum[:, 0]) == bits(
+                [complex(x, -0.0) for x in want])
+
+    @pytest.mark.parametrize("block", [1, 7, arcs_mod.ROW_BLOCK])
+    @pytest.mark.parametrize("q, k", [(3, 3), (6, 3), (10, 4), (7, 1)])
+    def test_weight_rows_are_the_decimated_vector(self, monkeypatch, block,
+                                                  q, k):
+        # row r of the (q, W) view is w(q*j + r): the spectrum is the
+        # conjugated real FFT of those rows, one row or several per step
+        monkeypatch.setattr(arcs_mod, "ROW_BLOCK", block)
+        Q, W = q ** k, q ** (k - 1)
+        for weight in (build_mangoldt(Q), IntPolynomial((1, -3, 1))):
+            rows = oracle.weight_vector(weight, Q).reshape(W, q).T
+            want = np.stack([np.fft.rfft(row).conj() for row in rows])
+            got = arcs_mod._weight_vector(weight, q, k)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_second_call_on_one_table_same_bits(self):
         # the table's logs are cached, so no reader may write into them
         table, ds = build_mangoldt(10 ** 4), DigitSet(10, (7,))
         for call in (lambda: expsum(table, 10 ** 4, Fraction(3, 7)),
-                     lambda: arcs_mod._weight_vector(table, 10 ** 4),
+                     lambda: arcs_mod._weight_vector(table, 10, 4),
                      lambda: direct_count(ds, 4, table)):
             assert bits(call()) == bits(call())
 

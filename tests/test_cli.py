@@ -171,7 +171,7 @@ def scan_oracle(q, excluded, k, weight, A_major=3.0):
         w = build_mangoldt(max(Q - 1, 1))
     else:
         w = IntPolynomial((0, 0, 1))
-    s_vals = np.fft.rfft(arcs_mod._weight_vector(w, Q))
+    s_vals = arcs_mod.weight_spectrum(w, q, k)
     codes = arcs_mod._classification(Q, max(1, math.isqrt(Q)), A_major)
     names = arcs_mod.ARC_CLASSES
     buf = io.StringIO()
@@ -286,7 +286,42 @@ class TestScanFailureLeavesOut:
         assert repr(tempfile.gettempdir()) in err
 
 
+# Spawns its argv with stdout to /dev/null and prints the exit code and the
+# ru_maxrss (KiB) that os.wait4 reports for it.  A child's peak starts from
+# the peak of the process it was spawned from, so the measured child must
+# come from this small interpreter, not from the test's own (numpy and
+# pytest loaded, far above the child's peak).
+PEAK_LAUNCHER = (
+    "import os, sys\n"
+    "out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]],\n"
+    "                     os.environ, file_actions=out)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def child_peak_mb(*argv):
+    """Peak RSS in MB of ``python argv...`` on the package's source."""
+    src = Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, *argv],
+                          check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    code, kib = map(int, done.stdout.split())
+    assert code == 0, argv
+    return kib * 1024 / 1e6
+
+
 class TestArcs:
+    def test_peak_rss_above_import(self):
+        # arcs at Q = 10^6 rose 36.5 MB above a bare import of the CLI
+        # while it held the Q-point weight vector, its real FFT and the
+        # half grid, and 19.1 MB with the engine's fused pass (medians of
+        # 5 runs); the bound lies between the two
+        base = child_peak_mb("-c", "import digitlab.cli")
+        peak = child_peak_mb("-m", "digitlab.cli", "arcs", "--q", "10",
+                             "--exclude", "7", "--k", "6", "--a-major", "2.0")
+        assert peak - base <= 26.0
+
     def test_report_conserves_total(self, tmp_path):
         out = tmp_path / "arcs.json"
         code = run(["arcs", "--q", "10", "--exclude", "7", "--k", "3",
@@ -355,6 +390,27 @@ class TestConstants:
         assert payload["k"] == 4
         assert "exceeds cap 1000" in payload["Cq_empirical_reason"]
 
+    @pytest.mark.parametrize("command, loads", [("constants", False),
+                                                ("count", True)])
+    def test_run_imports_only_its_modules(self, command, loads):
+        # each command imports what it runs: constants needs neither arcs
+        # nor expsums, and count, which needs both, shows the probe sees
+        # them
+        src = Path(cli.__file__).parents[1]
+        probe = ("import sys\n"
+                 "from digitlab import cli\n"
+                 f"code = cli.main([{command!r}, '--q', '10', '--exclude', "
+                 "'7', '--k', '3'])\n"
+                 "print(code, *sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        code, *loaded = done.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert "digitlab.fourier" in loaded
+        assert ("digitlab.arcs" in loaded) is loads
+        assert ("digitlab.expsums" in loaded) is loads
+
 
 class TestCapAtTheBoundary:
     """``--cap`` is checked once, in the CLI, before any stage runs."""
@@ -363,7 +419,8 @@ class TestCapAtTheBoundary:
     @pytest.mark.parametrize("command", ["count", "scan", "arcs"])
     def test_cap_checked_before_the_sieve(self, command, weight,
                                           monkeypatch):
-        monkeypatch.setattr(cli, "build_mangoldt", refuse("build_mangoldt"))
+        monkeypatch.setattr(expsums_mod, "build_mangoldt",
+                            refuse("build_mangoldt"))
         for name in ("half_grid_values", "direct_count"):
             monkeypatch.setattr(arcs_mod, name, refuse(name))
         code = run([command, "--q", "10", "--exclude", "7", "--k", "7",
@@ -459,7 +516,7 @@ class TestAMajorOverflow:
 
     @pytest.mark.parametrize("command", ["arcs", "scan"])
     def test_the_largest_a_runs(self, command, tmp_path):
-        limit = arcs_mod.max_a_major(math.log(10 ** 3))
+        limit = cli.max_a_major(math.log(10 ** 3))
         assert arcs_mod.arc_threshold(10 ** 3, limit) < math.inf
         with pytest.raises(OverflowError):
             arcs_mod.arc_threshold(10 ** 3, math.nextafter(limit, math.inf))
@@ -483,7 +540,8 @@ class TestUnwritableOut:
     def test_missing_directory_is_config_error(self, argv, tmp_path, capsys,
                                                monkeypatch):
         # checked before any stage runs
-        monkeypatch.setattr(cli, "build_mangoldt", refuse("build_mangoldt"))
+        monkeypatch.setattr(expsums_mod, "build_mangoldt",
+                            refuse("build_mangoldt"))
         monkeypatch.setattr(cli, "count_below", refuse("count_below"))
         for name in ("pipeline_stages", "circle_pipeline",
                      "theorem_comparison"):

@@ -7,7 +7,8 @@ its ``__init__`` loads lazily, each from its home module, ``import
 digitlab`` loads no numpy, the CLI sets its BLAS thread default before
 numpy loads, the package makes no BLAS call, only ``fourier.unit``
 takes a root of unity at a rational (beside the float-phase entry points
-and the oracle), no two module-level functions of the package share a
+and the oracle), only the transform engine's functions reference
+``numpy.fft``, no two module-level functions of the package share a
 name, and every function the benchmark hooks by name exists."""
 
 import ast
@@ -388,6 +389,72 @@ def test_scan_sees_an_exp_reference():
         (3, None, "numpy.exp"), (5, "unit", "xp.exp"),
         (5, "unit", "cmath.exp"), (8, "inner", "numpy.exp"),
         (9, "twiddle", "np.exp")]
+
+
+# (module, function) that may reference numpy.fft: the transform engine's
+# column pass, the indicator's high grid and the row transforms of a real
+# weight
+FFT_HOMES = {("fourier.py", "_four_step"), ("fourier.py", "_indicator"),
+             ("fourier.py", "column_spectrum")}
+
+
+def fft_references(tree: ast.Module) -> list:
+    """(line, function, name) for each reference to numpy's ``fft``
+    module: the attribute ``fft`` of numpy (as np, numpy or an alias a
+    module imports it under), ``import numpy.fft``, ``from numpy import
+    fft`` and ``from numpy.fft import ...``; function is the innermost
+    enclosing def, None at module level."""
+    modules = {"np", "numpy"} | {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names
+        if alias.name == "numpy"}
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "fft"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in modules):
+                found.append((child.lineno, func, f"{child.value.id}.fft"))
+            elif (isinstance(child, ast.Import) and any(
+                    alias.name.split(".")[:2] == ["numpy", "fft"]
+                    for alias in child.names)) or (
+                    isinstance(child, ast.ImportFrom) and (
+                        (child.module or "").split(".")[:2] == ["numpy", "fft"]
+                        or child.module == "numpy" and any(
+                            alias.name == "fft" for alias in child.names))):
+                found.append((child.lineno, func, "numpy.fft"))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_transform_engine():
+    # every transform goes through the engine in fourier, so no second
+    # FFT path (a length-Q rfft, say) can come back beside it
+    found = {(path.name, func)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for _, func, _ in fft_references(ast.parse(path.read_text()))}
+    assert found == FFT_HOMES
+
+
+def test_scan_sees_an_fft_reference():
+    tree = ast.parse("import numpy as xp\n"
+                     "import numpy.fft\n"
+                     "from numpy import fft, exp\n"
+                     "def spectrum(w):\n"
+                     "    from numpy.fft import rfft\n"
+                     "    return xp.fft.rfft(w) + rfft(w)\n"
+                     "def grid(x):\n"
+                     "    def inner(t):\n"
+                     "        return np.fft.ifft(t) + scipy.fft.fft(t)\n"
+                     "    return numpy.fft.fft(x) + exp(x)\n")
+    assert fft_references(tree) == [
+        (2, None, "numpy.fft"), (3, None, "numpy.fft"),
+        (5, "spectrum", "numpy.fft"), (6, "spectrum", "xp.fft"),
+        (9, "inner", "np.fft"), (10, "grid", "numpy.fft")]
 
 
 def shared_function_names(trees) -> list:
