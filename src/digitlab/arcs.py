@@ -82,13 +82,14 @@ BLOCK = 1 << 14
 # with 2^13 and 30.38 MB with 2^12, against 30.43 MB for the q**J Horner
 # loop in steps of 2^14 that the lift replaced.
 PAIR_BLOCK = 1 << 13
-# Points of the weight's rows counted and real-FFT'd per step (1 MB of
+# Points of the weight's rows counted and real-FFT'd per step (512 KB of
 # floats, at least one row).  Several rows per call run the FFT on
-# several at once: ``_weight_vector`` at Q = 10^5 took 0.84 ms in one
-# step of its 10 rows and 2.6 ms a row at a time (medians of 20).  At
-# Q = 10^6, two rows a step took 18.8 ms against 22.5 ms, but raised
-# ``arcs``' peak RSS by 0.9 MB, so a row of 10^5 points is one step.
-ROW_BLOCK = 1 << 17
+# several at once: ``_weight_vector`` at Q = 10^5 took 1.22 ms in two
+# steps of at most 6 rows, as in one step of all 10, and 1.86 ms a row
+# at a time (medians of 30).  The one step of 10 rows raised ``scan``'s
+# peak RSS there by 0.2 MiB.  At Q = 10^6 a row of 10^5 points is one
+# step; two rows a step raised ``arcs``' peak RSS by 0.9 MB.
+ROW_BLOCK = 1 << 16
 # Q*D0 below this keeps a*d - ell*Q and Q*d exact in float64.
 EXACT_FLOAT_LIMIT = 1 << 53
 
@@ -170,17 +171,20 @@ def _weight_vector(weight: Weight, q: int, k: int) -> np.ndarray:
     """
     radix, width = engine_shape(q, k)
     points, weights = weight_support(weight, radix * width)
-    cells = points % radix  # the row r of n = radix*j + r
+    j, cells = np.divmod(points, radix)  # n = radix*j + r, cells holds r
+    del points
     starts = np.concatenate(([0], np.cumsum(np.bincount(cells,
                                                         minlength=radix))))
     # the support sorted by row, stably, so each row keeps the order of n;
-    # a key of 16 bits sorts in one pass (numpy's radix sort)
-    order = np.argsort(
-        cells.astype(np.uint16 if radix <= 1 << 16 else np.int64),
-        kind="stable")
+    # the smallest key that holds r makes numpy's stable sort a radix sort
+    # up to 16 bits
+    order = np.argsort(cells.astype(np.min_scalar_type(radix - 1)),
+                       kind="stable")
     cells *= width
-    cells += points // radix  # n's cell r*W + j in the rows
-    cells, weights = cells[order], weights[order]
+    cells += j  # n's cell r*W + j in the rows
+    del j
+    cells = cells[order]
+    weights = weights[order]
     spectrum = np.empty((radix, width // 2 + 1), dtype=np.complex128)
     step = max(1, ROW_BLOCK // width)
     for lo in range(0, radix, step):

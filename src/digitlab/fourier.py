@@ -313,7 +313,7 @@ def column_spectrum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     length: the row transforms of a real signal x[radix*j + r] = rows[r, j]
     in the four-step, the conjugates of the rows' real FFTs (x is real, so
     the columns m > W//2 are the conjugates of W - m)."""
-    np.fft.rfft(rows, axis=1, out=out)
+    out[...] = np.fft.rfft(rows, axis=1)
     return np.conjugate(out, out=out)
 
 

@@ -667,7 +667,8 @@ class TestDirectCount:
             # the check never builds q**k
             assert time.perf_counter() - start < 2.0
 
-    def test_weight_vector_is_the_literal_count(self):
+    @pytest.mark.parametrize("block", [1, arcs_mod.ROW_BLOCK])
+    def test_weight_vector_is_the_literal_count(self, monkeypatch, block):
         # prime powers below 30 with their primes; n^2 - 4n + 5 takes
         # 5, 2, 1, 2, 5, 10, 17, 26 at n = 0..7
         powers = {2: 2, 3: 3, 4: 2, 5: 5, 7: 7, 8: 2, 9: 3, 11: 11, 13: 13,
@@ -676,6 +677,14 @@ class TestDirectCount:
                     for n in range(30)]
         counts = {1: 1.0, 2: 2.0, 5: 2.0, 10: 1.0, 17: 1.0, 26: 1.0}
         poly = [counts.get(n, 0.0) for n in range(30)]
+        monkeypatch.setattr(arcs_mod, "ROW_BLOCK", block)
+        seen = []
+
+        def record(rows, out):
+            seen.append(rows.copy())
+            return fou_mod.column_spectrum(rows, out)
+
+        monkeypatch.setattr(arcs_mod, "column_spectrum", record)
         for weight, want in ((build_mangoldt(29), mangoldt),
                              (IntPolynomial((5, -4, 1)), poly)):
             assert bits(oracle.weight_vector(weight, 30)) == bits(want)
@@ -685,6 +694,14 @@ class TestDirectCount:
             assert spectrum.shape == (30, 1)
             assert bits(spectrum[:, 0]) == bits(
                 [complex(x, -0.0) for x in want])
+            # at q = 3, k = 3 the rows the package transforms are the
+            # decimated rows w(3j + r), j < 9, bit for bit
+            seen.clear()
+            arcs_mod._weight_vector(weight, 3, 3)
+            rows = np.concatenate(seen)
+            assert rows.shape == (3, 9)
+            assert [bits(row) for row in rows] == [
+                bits(want[r:27:3]) for r in range(3)]
 
     @pytest.mark.parametrize("block", [1, 7, arcs_mod.ROW_BLOCK])
     @pytest.mark.parametrize("q, k", [(3, 3), (6, 3), (10, 4), (7, 1)])

@@ -315,7 +315,7 @@ class TestArcs:
     def test_peak_rss_above_import(self):
         # arcs at Q = 10^6 rose 36.5 MB above a bare import of the CLI
         # while it held the Q-point weight vector, its real FFT and the
-        # half grid, and 19.1 MB with the engine's fused pass (medians of
+        # half grid, and 19.7 MB with the engine's fused pass (medians of
         # 5 runs); the bound lies between the two
         base = child_peak_mb("-c", "import digitlab.cli")
         peak = child_peak_mb("-m", "digitlab.cli", "arcs", "--q", "10",
