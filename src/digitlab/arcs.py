@@ -30,25 +30,30 @@ reports.  ``classify`` returns the code of one point, and
 ``_classification`` the codes of the grid for a <= Q/2 only:
 1 - x = [0; 1, a1 - 1, a2, ...] when x = [0; a1, a2, ...], so a/Q and
 (Q - a)/Q share d and have opposite beta, and the code of Q - a is the
-code of a.  A point that is not minor_denominator lies near a reduced
-ell/d <= 1/2 with d below the threshold, |a*d - ell*Q| <= Q//(D0 + 1), so
-codes start as minor_denominator and only those neighbourhoods are
-visited.  Where
-|a*d - ell*Q|*(D0 + d) < Q, Legendre's criterion makes ell/d the Dirichlet
-approximation and the code is set directly; the thin shell left over goes
-through a batch Euclid, which steps the continued-fraction state of a
-block of numerators at once in numpy, keeping the last convergent with
-denominator <= D0.  When the threshold exceeds D0, or the fractions would
-outnumber the points, every a <= Q/2 goes through the batch Euclid.  The
-proofs are in ``_classification``.  The offset beta is the exact integer
+code of a.  Every point lies near its reduced approximation
+ell/d <= 1/2, |a*d - ell*Q| <= Q//(D0 + 1).  While D0 reaches the
+threshold, a point that is not minor_denominator has d below the
+threshold, so codes start as minor_denominator and only the
+neighbourhoods of those fractions are visited; when the threshold
+exceeds D0, no d reaches it, so codes start as major and only the d
+small enough for a minor_offset are visited.  Where
+|a*d - ell*Q|*(D0 + d) < Q, Legendre's criterion makes ell/d the
+Dirichlet approximation and the code is set directly; the thin shell
+left over goes through a batch Euclid, which steps the
+continued-fraction state of a block of numerators at once in numpy,
+keeping the last convergent with denominator <= D0.  Should the
+fractions outnumber the points, the whole half is visited as the
+neighbourhood of 0/1.  One loop writes every code; the proofs are in
+``_classification``.  The offset beta is the exact integer
 a*d - ell*Q divided by float(Q*d), which is correctly rounded and so
 equals the scalar one, an int quotient, bit for bit while Q*D0 < 2**53;
 larger Q*D0 is rejected.  ``dirichlet_approx`` and ``classify`` are the
-scalar oracles for both paths.  The singular-series pair count lifts the
-top digit: for J >= 2, P(r + t*q**(J-1)) == P(r) + t*q**(J-1)*P'(r)
-mod q**J, so it visits the q**(J-1) residues r (Horner's rule mod q**J on
-int64 steps, then ``contains_mask`` on the low J - 1 digits) and counts
-the allowed top digits t < q in closed form from gcd(P'(r), q).
+scalar oracles of ``_classification``.  The singular-series pair count
+lifts the top digit: for J >= 2,
+P(r + t*q**(J-1)) == P(r) + t*q**(J-1)*P'(r) mod q**J, so it visits the
+q**(J-1) residues r (Horner's rule mod q**J on int64 steps, then
+``contains_mask`` on the low J - 1 digits) and counts the allowed top
+digits t < q in closed form from gcd(P'(r), q).
 ``contains_mask`` also gives the direct count its digit test.
 """
 
@@ -137,7 +142,14 @@ ARC_CLASSES = ("major", "minor_denominator", "minor_offset")
 
 
 def arc_threshold(Q: int, A_major: float) -> float:
-    return math.log(Q) ** A_major
+    """(log Q)**A; a NaN or overflowing threshold is a ``DomainError``."""
+    try:
+        thr = math.log(Q) ** A_major
+    except OverflowError:
+        thr = math.inf
+    if not math.isfinite(thr):
+        raise DomainError(f"A = {A_major!r}: (log Q)**A is {thr} at Q = {Q}")
+    return thr
 
 
 def classify(approx: RationalApprox, A_major: float) -> int:
@@ -219,24 +231,15 @@ class ArcLedger:
         return self.sums[0] + self.sums[1] + self.sums[2]
 
 
-def _check_d0(Q: int, D0: int) -> None:
-    """Reject a D0 the batch path cannot serve exactly."""
-    if D0 < 1:
-        raise DomainError("D0 must be positive")
-    if Q * D0 >= EXACT_FLOAT_LIMIT:
-        raise DomainError(
-            f"Q*D0 = {Q * D0} not below 2^53: beta would not be exact")
-
-
 def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
-    """``dirichlet_approx`` for every numerator in ``a`` at once.
+    """``dirichlet_approx`` for every numerator in ``a`` at once, for
+    D0 >= 1 with Q*D0 < 2**53 (``_classification`` checks both).
 
     Returns int64 arrays ell, d and the float64 offsets beta, equal bit for
     bit to the scalar fields.  The scalar recursion is stepped on arrays; a
     numerator leaves the live set when its remainder hits 0 or its next
     denominator exceeds D0, and only then are its ell and d written.
     """
-    _check_d0(Q, D0)
     n = a.size
     ell = np.zeros(n, dtype=np.int64)
     d = np.ones(n, dtype=np.int64)
@@ -271,15 +274,17 @@ def _codes(d: np.ndarray, beta: np.ndarray, Q: int, thr: float) -> np.ndarray:
     return np.where(d >= thr, 1, np.where(Q * np.abs(beta) >= thr, 2, 0))
 
 
-def _neighbourhoods(Q: int, D0: int, dmax: int):
+def _neighbourhoods(Q: int, r: int, dmax: int):
     """Yield (a, ell, d), at most BLOCK points at a time: every a <= Q//2
-    with |a*d - ell*Q| <= Q//(D0 + 1), for each reduced ell/d in [0, 1/2]
-    with d <= dmax.
+    with |a*d - ell*Q| <= r, for each reduced ell/d in [0, 1/2] with
+    d <= dmax.
 
-    The fractions are listed in groups of consecutive d, about BLOCK at a
-    time, and each group's neighbourhoods are cut into chunks of BLOCK.
+    The radius r is in units of 1/(Q*d): the neighbourhood of ell/d is
+    the a with |a/Q - ell/d| <= r/(Q*d).  The fractions are listed in
+    groups of consecutive d, about BLOCK at a time, and each group's
+    neighbourhoods are cut into chunks of BLOCK.
     """
-    half, r = Q // 2, Q // (D0 + 1)
+    half = Q // 2
     d_lo = 1
     while d_lo <= dmax:
         # d_lo..d_hi hold about (d_hi**2 - d_lo**2)/4 numerators ell <= d/2
@@ -295,10 +300,11 @@ def _neighbourhoods(Q: int, D0: int, dmax: int):
         n = np.maximum(np.minimum((ell * Q + r) // d, half) - lo + 1, 0)
         ends = np.cumsum(n)
         total = int(ends[-1])
+        shift = lo - (ends - n)  # a = i + shift[f] for the i-th point
         for start in range(0, total, BLOCK):
             i = np.arange(start, min(start + BLOCK, total), dtype=np.int64)
             f = np.searchsorted(ends, i, side="right")
-            yield lo[f] + i - (ends[f] - n[f]), ell[f], d[f]
+            yield i + shift[f], ell[f], d[f]
         d_lo = d_hi + 1
 
 
@@ -323,20 +329,26 @@ def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
     mirror, Euclid stops at 0/1 and beta = +1/2 (not the -1/2 of 1/1).
     It lies in the computed half, and only |beta| is classified.
 
-    Euclid runs only where two lemmas leave the code open.  For a <= Q//2
-    let x = a/Q, let ell/d be its last convergent with d <= D0 (what
-    ``dirichlet_approx`` returns), delta = a*d - ell*Q and
-    thr = (log Q)**A.
+    Euclid runs only where three lemmas leave the code open.  For
+    a <= Q//2 let x = a/Q, let ell/d be its last convergent with d <= D0
+    (what ``dirichlet_approx`` returns), delta = a*d - ell*Q,
+    r = Q//(D0 + 1) and thr = (log Q)**A.
 
-    Superset lemma: a code other than 1 (major or minor_offset) needs
-    d < thr, and always |delta| <= Q//(D0 + 1) and ell/d <= 1/2.  Proof:
-    if x != ell/d, the next convergent has a denominator d' >= D0 + 1 and
+    Superset lemma: always |delta| <= r and ell/d <= 1/2.  Proof: if
+    x != ell/d, the next convergent has a denominator d' >= D0 + 1 and
     |x - ell/d| <= 1/(d*d'), so |delta| = Q*d*|x - ell/d| <= Q/(D0 + 1),
     an integer bound since delta is one.  The convergents of x <= 1/2 lie
     between its first two, 0/1 and 1/a1 with a1 >= 2, so in [0, 1/2].
-    Hence every code starts at 1, and only the neighbourhoods
-    |delta| <= Q//(D0 + 1) of the reduced ell/d in [0, 1/2] with
-    d <= dmax = ceil(thr) - 1 are visited (``_neighbourhoods``).
+    So every a lies in the neighbourhood |delta| <= r of its own reduced
+    ell/d in [0, 1/2] (``_neighbourhoods``), and only neighbourhoods whose
+    d can give a code other than the start value are visited.  If
+    thr <= D0, a code other than 1 (major or minor_offset) needs d < thr:
+    codes start at 1, and d <= dmax = ceil(thr) - 1 is visited.
+
+    Offset lemma: if thr > D0, no code is 1, since d <= D0 < thr, and a
+    code 2 needs Q*|beta| = |delta|/d >= thr, so d <= r/thr.  Codes
+    start at 0, and d <= min(D0, floor(r/thr) + 1) is visited; the + 1
+    covers the rounding of the floats, and a needless visit is harmless.
 
     Inner-zone lemma: if ell/d is reduced, d <= D0 and
     |delta|*(D0 + d) < Q, then ell/d is the last convergent of x with
@@ -356,29 +368,31 @@ def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
     through ``_batch_dirichlet``.  Every code written is the true one, so
     neighbourhoods that overlap may be written in any order.
 
-    Every a <= Q//2 goes through ``_batch_dirichlet`` instead when
-    thr > D0 (no code 1 exists; a NaN thr lands here too) or when
-    dmax*(dmax + 1)/2 > Q//2 + 1 (more fractions than points).
+    When the fractions would outnumber the points,
+    dmax*(dmax + 1)/2 > Q//2 + 1 (only a D0 above about sqrt(Q) gets
+    there), the whole half is visited instead as the neighbourhood of 0/1
+    at radius Q//2: the inner-zone lemma sets a < Q/(D0 + 1) directly and
+    the rest goes through ``_batch_dirichlet`` in the same loop.
     """
-    _check_d0(Q, D0)
+    if D0 < 1:
+        raise DomainError("D0 must be positive")
+    if Q * D0 >= EXACT_FLOAT_LIMIT:
+        raise DomainError(
+            f"Q*D0 = {Q * D0} not below 2^53: beta would not be exact")
     thr = arc_threshold(Q, A_major)
-    half = Q // 2
-    codes = np.empty(half + 1, dtype=np.int8)
-    dmax = math.ceil(thr) - 1 if thr <= D0 else None
-    if dmax is None or dmax * (dmax + 1) > 2 * (half + 1):
-        for start in range(0, half + 1, BLOCK):
-            a = np.arange(start, min(start + BLOCK, half + 1), dtype=np.int64)
-            _, d, beta = _batch_dirichlet(a, Q, D0)
-            codes[start:start + a.size] = _codes(d, beta, Q, thr)
-    else:
-        codes[:] = 1
-        for a, ell, d in _neighbourhoods(Q, D0, dmax):
-            delta = a * d - ell * Q
-            beta = delta.astype(np.float64) / (Q * d).astype(np.float64)
-            shell = np.flatnonzero(np.abs(delta) * (D0 + d) >= Q)
-            if shell.size:
-                _, d[shell], beta[shell] = _batch_dirichlet(a[shell], Q, D0)
-            codes[a] = _codes(d, beta, Q, thr)
+    half, r = Q // 2, Q // (D0 + 1)
+    start, dmax = ((1, math.ceil(thr) - 1) if thr <= D0
+                   else (0, min(D0, math.floor(r / thr) + 1)))
+    if dmax * (dmax + 1) > 2 * (half + 1):
+        r, dmax = half, 1
+    codes = np.full(half + 1, start, dtype=np.int8)
+    for a, ell, d in _neighbourhoods(Q, r, dmax):
+        delta = a * d - ell * Q
+        beta = delta.astype(np.float64) / (Q * d).astype(np.float64)
+        shell = np.flatnonzero(np.abs(delta) * (D0 + d) >= Q)
+        if shell.size:
+            _, d[shell], beta[shell] = _batch_dirichlet(a[shell], Q, D0)
+        codes[a] = _codes(d, beta, Q, thr)
     return codes
 
 

@@ -108,6 +108,36 @@ class TestClassify:
         assert arcs_mod.classify(r, 1.0) == 1  # minor_denominator
 
 
+# (Q, A) whose threshold (log Q)**A is NaN, overflows the float power, or
+# is infinite
+BAD_THRESHOLDS = [(10 ** 3, math.nan), (10 ** 6, 1000.0),
+                  (10 ** 3, math.inf)]
+
+
+class TestThresholdDomain:
+    @pytest.mark.parametrize("Q, A", BAD_THRESHOLDS)
+    def test_arc_threshold_names_A(self, Q, A):
+        with pytest.raises(DomainError, match=f"A = {A!r}"):
+            arcs_mod.arc_threshold(Q, A)
+
+    @pytest.mark.parametrize("Q, A", BAD_THRESHOLDS)
+    def test_classify_rejects(self, Q, A):
+        with pytest.raises(DomainError, match="A = "):
+            classify(dirichlet_approx(1, Q, 10), A)
+
+    @pytest.mark.parametrize("Q, A", BAD_THRESHOLDS)
+    def test_classification_rejects(self, Q, A):
+        # NaN once made every point major: no comparison with it is true
+        with pytest.raises(DomainError, match="A = "):
+            arcs_mod._classification(Q, math.isqrt(Q), A)
+
+    @pytest.mark.parametrize("A", [math.nan, 1000.0, math.inf])
+    def test_circle_pipeline_rejects(self, A):
+        table = build_mangoldt(10 ** 3)
+        with pytest.raises(DomainError, match="A = "):
+            circle_pipeline(DigitSet(10, (7,)), 3, table, A_major=A)
+
+
 def scalar_classes(Q, D0, A_values):
     """Oracle: one dirichlet_approx and one classify per a < Q."""
     approx = [dirichlet_approx(a, Q, D0) for a in range(Q)]
@@ -327,11 +357,45 @@ class TestPrefilter:
         for A in (0.3, 0.5, 1.0, 2.0, 3.0):
             assert_prefilter_matches(Q, D0, A)
 
-    def test_threshold_above_D0_falls_back(self, euclid_numerators):
+    def test_threshold_above_D0_has_no_code_1(self):
         Q, D0 = 10 ** 4, 7
         assert arcs_mod.arc_threshold(Q, 2.0) > D0
         assert_prefilter_matches(Q, D0, 2.0)
         assert 1 not in arcs_mod._classification(Q, D0, 2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), Q=st.integers(16, 4000), A=st.floats(0.5, 4.0))
+    def test_threshold_above_D0_regime(self, data, Q, A):
+        # D0 < thr, and small enough that a = floor(thr) + 2 has 0/1 as its
+        # approximation (a*(D0 + 1) < Q), so the offset a > thr + 1 makes
+        # a minor_offset
+        thr = arcs_mod.arc_threshold(Q, A)
+        a = math.floor(thr) + 2
+        assume(2 * a < Q)
+        D0 = data.draw(st.integers(1, min(math.ceil(thr) - 1,
+                                          (Q - 1) // a - 1)), label="D0")
+        assert D0 < thr and a * (D0 + 1) < Q
+        codes = arcs_mod._classification(Q, D0, A)
+        assert 1 not in codes and codes[a] == 2
+        assert_prefilter_matches(Q, D0, A)
+        assert_codes_match(Q, D0, (A,))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), Q=st.integers(8, 4000))
+    def test_dense_regime(self, data, Q):
+        # thr <= D0 with more fractions d < thr than points a <= Q//2:
+        # thr above about sqrt(Q), so D0 above it too
+        target = data.draw(st.floats(math.sqrt(2 * Q + 4) + 1, 2.0 * Q),
+                           label="thr")
+        A = math.log(target) / math.log(math.log(Q))
+        thr = arcs_mod.arc_threshold(Q, A)
+        dmax = math.ceil(thr) - 1
+        assume(dmax * (dmax + 1) > 2 * (Q // 2 + 1))
+        D0 = data.draw(st.integers(math.ceil(thr), (2 ** 53 - 1) // Q),
+                       label="D0")
+        assert thr <= D0 and D0 * D0 > Q
+        assert_prefilter_matches(Q, D0, A)
+        assert_codes_match(Q, D0, (A,))
 
     @pytest.mark.parametrize("Q", [10 ** 3, 6 ** 5, 10 ** 4])
     def test_largest_exact_D0(self, Q):
@@ -354,7 +418,8 @@ class TestPrefilter:
         # neighbourhood and every run of denominators
         monkeypatch.setattr(arcs_mod, "BLOCK", 37)
         for Q, D0, A in ((6 ** 5, 88, 2.0), (10 ** 4, 7, 0.5),
-                         (2 ** 12, 64, 1.5)):
+                         (2 ** 12, 64, 1.5), (10 ** 4, 7, 2.0),
+                         (10 ** 4, 10 ** 5, 4.0)):
             assert_prefilter_matches(Q, D0, A)
 
     # Work-count guard: numerators sent through Euclid (500,001 before the
@@ -365,15 +430,27 @@ class TestPrefilter:
         assert np.bincount(codes).tolist() == [217746, 779142, 3112]
         assert euclid_numerators[0] <= 9357
 
-    @pytest.mark.parametrize("Q, D0, A", [
-        (10 ** 6, 1000, 3.0),  # thr > D0, and too many fractions
-        (10 ** 5, 100, 2.0),  # thr > D0 alone
-        (10 ** 4, 10 ** 11, 4.0),  # more fractions than points
-    ])
-    def test_fallback_runs_euclid_everywhere(self, Q, D0, A,
-                                             euclid_numerators):
-        arcs_mod._classification(Q, D0, A)
-        assert euclid_numerators[0] == Q // 2 + 1
+    # Work-count guards for the two regimes that ran Euclid on every
+    # a <= Q//2 (Q//2 + 1 numerators) before the offset lemma and the
+    # dense visit of 0/1; see CHANGES.md.
+    def test_threshold_above_D0_needs_no_euclid(self, euclid_numerators):
+        # r = 999 < thr = 2637: only the neighbourhood of 0/1 is visited,
+        # and it is all inner zone
+        codes = arcs_mod._classification(10 ** 6, 1000, 3.0)
+        assert codes.tolist() == [0] * 500_001
+        assert euclid_numerators[0] == 0
+
+    def test_threshold_above_D0_visits_small_d(self, euclid_numerators):
+        # thr = 132.5 > D0 = 100 and r = 990: d <= 8 is visited
+        codes = arcs_mod._classification(10 ** 5, 100, 2.0)
+        assert np.bincount(codes, minlength=3).tolist() == [47821, 0, 2180]
+        assert euclid_numerators[0] <= 160
+
+    def test_dense_regime_spares_the_inner_zone(self, euclid_numerators):
+        # Q//(D0 + 1) = 0: the inner zone of 0/1 is a = 0 alone
+        Q = 10 ** 4
+        arcs_mod._classification(Q, 10 ** 11, 4.0)
+        assert euclid_numerators[0] == Q // 2
 
     # tracemalloc peaks of the whole-half Euclid before the prefilter were
     # 3.92 MB (Q = 1e6) and 3.02 MB (Q = 1e5); allow 1.25 times that

@@ -21,6 +21,7 @@ from digitlab import expsums as expsums_mod
 from digitlab import fourier as fourier_mod
 from digitlab import verify
 from digitlab.digits import DigitSet
+from digitlab.errors import DomainError
 from digitlab.expsums import IntPolynomial, build_mangoldt
 
 DATA = Path(__file__).parent / "data"
@@ -518,7 +519,7 @@ class TestAMajorOverflow:
     def test_the_largest_a_runs(self, command, tmp_path):
         limit = cli.max_a_major(math.log(10 ** 3))
         assert arcs_mod.arc_threshold(10 ** 3, limit) < math.inf
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError, match="A = "):
             arcs_mod.arc_threshold(10 ** 3, math.nextafter(limit, math.inf))
         out = tmp_path / "out"
         argv = [command, "--q", "10", "--exclude", "7", "--k", "3",

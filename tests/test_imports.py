@@ -8,8 +8,10 @@ digitlab`` loads no numpy, the CLI sets its BLAS thread default before
 numpy loads, the package makes no BLAS call, only ``fourier.unit``
 takes a root of unity at a rational (beside the float-phase entry points
 and the oracle), only the transform engine's functions reference
-``numpy.fft``, no two module-level functions of the package share a
-name, and every function the benchmark hooks by name exists."""
+``numpy.fft``, only the loop of ``arcs._classification`` over the
+neighbourhoods names the functions that make class codes, no two
+module-level functions of the package share a name, and every function
+the benchmark hooks by name exists."""
 
 import ast
 import importlib
@@ -455,6 +457,82 @@ def test_scan_sees_an_fft_reference():
         (2, None, "numpy.fft"), (3, None, "numpy.fft"),
         (5, "spectrum", "numpy.fft"), (6, "spectrum", "xp.fft"),
         (9, "inner", "np.fft"), (10, "grid", "numpy.fft")]
+
+
+# The functions that make a class code from a numerator, and the one loop
+# of arcs._classification that may name them.
+CLASSIFIERS = ("_batch_dirichlet", "_codes")
+CLASSIFICATION_LOOP = ("_classification", "_neighbourhoods(Q, r, dmax)")
+
+
+def classifier_references(tree: ast.Module) -> list:
+    """(line, function, loop, name) for each reference to a name in
+    ``CLASSIFIERS``, and (line, function, loop, None) for each loop:
+    function is the innermost enclosing def (None at module level), loop
+    the source of the innermost enclosing for loop's iterable ("while" or
+    "comprehension" for the other loops, None outside one)."""
+    found = []
+
+    def visit(node, func, loop):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id in CLASSIFIERS
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((child.lineno, func, loop, child.id))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, None)
+                continue
+            inner = loop
+            if isinstance(child, (ast.For, ast.AsyncFor)):
+                inner = ast.unparse(child.iter)
+            elif isinstance(child, ast.While):
+                inner = "while"
+            elif isinstance(child, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                    ast.GeneratorExp)):
+                inner = "comprehension"
+            if inner is not loop:
+                found.append((child.lineno, func, inner, None))
+            visit(child, func, inner)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_one_classification_path():
+    # every class code comes from the one loop over the neighbourhoods,
+    # so no second path (Euclid over every a <= Q/2, say) can come back
+    found = [(path.name, func, loop, name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for _, func, loop, name in classifier_references(
+                 ast.parse(path.read_text()))
+             if name or func == "_classification"]
+    assert sorted(found, key=str) == [
+        ("arcs.py", *CLASSIFICATION_LOOP, "_batch_dirichlet"),
+        ("arcs.py", *CLASSIFICATION_LOOP, "_codes"),
+        ("arcs.py", *CLASSIFICATION_LOOP, None)]
+
+
+def test_scan_sees_a_second_classification_path():
+    tree = ast.parse(
+        "def _classification(Q, D0, A):\n"
+        "    for a, ell, d in _neighbourhoods(Q, r, dmax):\n"
+        "        codes[a] = _codes(d, beta, Q, thr)\n"
+        "    for start in range(0, half + 1, BLOCK):\n"
+        "        _, d, beta = _batch_dirichlet(a, Q, D0)\n"
+        "        while [c for c in _codes(d, beta, Q, thr)]:\n"
+        "            pass\n"
+        "def check(a):\n"
+        "    f = _batch_dirichlet\n"
+        "    return f(a, 7, 1)\n")
+    assert classifier_references(tree) == [
+        (2, "_classification", "_neighbourhoods(Q, r, dmax)", None),
+        (3, "_classification", "_neighbourhoods(Q, r, dmax)", "_codes"),
+        (4, "_classification", "range(0, half + 1, BLOCK)", None),
+        (5, "_classification", "range(0, half + 1, BLOCK)",
+         "_batch_dirichlet"),
+        (6, "_classification", "while", None),
+        (6, "_classification", "comprehension", None),
+        (6, "_classification", "comprehension", "_codes"),
+        (9, "check", None, "_batch_dirichlet")]
 
 
 def shared_function_names(trees) -> list:
