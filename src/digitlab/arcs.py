@@ -20,9 +20,12 @@ runs one fused pass (``fourier.half_products``) that writes the terms
 Re(F*S)/Q and holds neither F nor S; the term at Q - a is the conjugate
 of the term at a, in the same class, so the ledger sums the terms twice
 for 0 < a < Q/2, and its imaginary parts are exactly 0.0.  ``scan``
-reads the per-point stages from ``pipeline_stages`` (weight spectrum,
-half grid, class codes, in that order, so that the column spectrum is
-freed before the grid exists).
+reads the per-point stages from ``pipeline_stages``: the moduli
+|S_w| (``fourier.half_weight_moduli``), the half grid and the class
+codes, in that order, so that the column spectrum is freed before the
+grid exists.  Both paths share ``_grid``, ``_weight_vector``, the
+engine's half layout and ``_classification``, and check every argument
+before the first transform.
 
 An arc class is its int8 code, 0 major, 1 minor_denominator or 2
 minor_offset, and ``ARC_CLASSES[code]`` is the class's name in the
@@ -71,7 +74,7 @@ from .errors import CapExceededError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, Weight, weight_support
 from .fourier import (FourierContext, check_grid_size, column_spectrum,
                       engine_shape, half_grid_values, half_products,
-                      half_weight_spectrum, mirror_paired)
+                      half_weight_moduli, mirror_paired)
 
 # Bounds q**J in the pair count.  Its Horner values stay below
 # q**J * q**(J-1) (q**J * q**J when J = 1) <= PAIR_COUNT_CAP**2, which is
@@ -208,13 +211,6 @@ def _weight_vector(weight: Weight, q: int, k: int) -> np.ndarray:
     return spectrum
 
 
-def weight_spectrum(weight: Weight, q: int, k: int) -> np.ndarray:
-    """S_w(-a/Q) = sum_n w(n) e(-a*n/Q) for a <= Q//2, Q = q**k, by the
-    transform engine (``fourier.half_weight_spectrum``); the column
-    spectrum is freed when this returns."""
-    return half_weight_spectrum(_weight_vector(weight, q, k), q ** k)
-
-
 @dataclass
 class ArcLedger:
     """Per-class sums and point counts, each a list indexed by class code
@@ -233,7 +229,7 @@ class ArcLedger:
 
 def _batch_dirichlet(a: np.ndarray, Q: int, D0: int):
     """``dirichlet_approx`` for every numerator in ``a`` at once, for
-    D0 >= 1 with Q*D0 < 2**53 (``_classification`` checks both).
+    D0 >= 1 with Q*D0 < 2**53 (``_threshold`` checks both).
 
     Returns int64 arrays ell, d and the float64 offsets beta, equal bit for
     bit to the scalar fields.  The scalar recursion is stepped on arrays; a
@@ -308,6 +304,18 @@ def _neighbourhoods(Q: int, r: int, dmax: int):
         d_lo = d_hi + 1
 
 
+def _threshold(Q: int, D0: int, A_major: float) -> float:
+    """The threshold (log Q)**A of ``_classification`` once its arguments
+    are checked: D0 >= 1, Q*D0 < 2**53 (so beta is exact) and a finite
+    threshold (``arc_threshold``); any other is a ``DomainError``."""
+    if D0 < 1:
+        raise DomainError("D0 must be positive")
+    if Q * D0 >= EXACT_FLOAT_LIMIT:
+        raise DomainError(
+            f"Q*D0 = {Q * D0} not below 2^53: beta would not be exact")
+    return arc_threshold(Q, A_major)
+
+
 def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
     """int8 class code of a/Q for a = 0..Q//2 (see ``ARC_CLASSES``).
 
@@ -374,12 +382,7 @@ def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
     at radius Q//2: the inner-zone lemma sets a < Q/(D0 + 1) directly and
     the rest goes through ``_batch_dirichlet`` in the same loop.
     """
-    if D0 < 1:
-        raise DomainError("D0 must be positive")
-    if Q * D0 >= EXACT_FLOAT_LIMIT:
-        raise DomainError(
-            f"Q*D0 = {Q * D0} not below 2^53: beta would not be exact")
-    thr = arc_threshold(Q, A_major)
+    thr = _threshold(Q, D0, A_major)
     half, r = Q // 2, Q // (D0 + 1)
     start, dmax = ((1, math.ceil(thr) - 1) if thr <= D0
                    else (0, min(D0, math.floor(r / thr) + 1)))
@@ -398,29 +401,29 @@ def _classification(Q: int, D0: int, A_major: float) -> np.ndarray:
 
 @dataclass
 class PipelineStages:
-    """The per-point stages of the circle pipeline at a/Q, a <= Q//2.
+    """The per-point stages that ``scan`` writes at a/Q, a <= Q//2.
 
-    ``fhat[a]`` is F(a/Q), ``s_vals[a]`` is S_w(-a/Q) and ``codes[a]`` the
-    int8 class code of a/Q (see ``ARC_CLASSES``).  The digit indicator and
-    the weight are real and the codes mirror (``_classification``), so the
-    point Q - a has fhat conj(fhat[a]), s_vals conj(s_vals[a]) and code
-    codes[a].  ``arcs`` reduces the stages to a ledger and ``scan`` writes
-    them per point.
+    ``fhat[a]`` is F(a/Q), ``s_abs[a]`` is |S_w(-a/Q)| and ``codes[a]``
+    the int8 class code of a/Q (see ``ARC_CLASSES``).  The digit indicator
+    and the weight are real and the codes mirror (``_classification``), so
+    the point Q - a has fhat conj(fhat[a]), s_abs s_abs[a] and code
+    codes[a].
     """
 
     Q: int
-    D0: int
     fhat: np.ndarray
-    s_vals: np.ndarray
+    s_abs: np.ndarray
     codes: np.ndarray
 
 
-def _grid(ds: DigitSet, k: int, D0: Optional[int]) -> tuple:
-    """(Q, D0) of the pipeline, D0 defaulting to isqrt(Q), once the grid
-    size is checked: before any stage allocates."""
+def _grid(ds: DigitSet, k: int, D0: Optional[int], A_major: float) -> tuple:
+    """(Q, D0, threshold) of the pipeline, D0 defaulting to isqrt(Q), once
+    the grid size and the arguments of ``_classification`` are checked
+    (``_threshold``): before any stage allocates."""
     check_grid_size(ds.q, k)
     Q = ds.q ** k
-    return Q, max(1, math.isqrt(Q)) if D0 is None else D0
+    D0 = max(1, math.isqrt(Q)) if D0 is None else D0
+    return Q, D0, _threshold(Q, D0, A_major)
 
 
 def pipeline_stages(
@@ -430,17 +433,18 @@ def pipeline_stages(
     D0: Optional[int] = None,
     A_major: float = 3.0,
 ) -> PipelineStages:
-    """Weight spectrum, half grid and class codes; D0 defaults to isqrt(Q).
+    """|S_w|, half grid and class codes; D0 defaults to isqrt(Q).
 
-    The weight's column spectrum lives only through ``weight_spectrum``,
-    so it is freed before the half grid exists and the peaks of the two
-    stages do not overlap.
+    The weight's column spectrum lives only as the argument of
+    ``half_weight_moduli``, so it is freed before the half grid exists and
+    the peaks of the two stages do not overlap.  One pass that also made
+    the grid would hold the column spectrum beside both stage arrays.
     """
-    Q, D0 = _grid(ds, k, D0)
-    s_vals = weight_spectrum(weight, ds.q, k)
+    Q, D0, _ = _grid(ds, k, D0, A_major)
+    s_abs = half_weight_moduli(_weight_vector(weight, ds.q, k), Q)
     fhat = half_grid_values(FourierContext(ds, k))
     codes = _classification(Q, D0, A_major)
-    return PipelineStages(Q=Q, D0=D0, fhat=fhat, s_vals=s_vals, codes=codes)
+    return PipelineStages(Q=Q, fhat=fhat, s_abs=s_abs, codes=codes)
 
 
 def circle_pipeline(
@@ -459,7 +463,7 @@ def circle_pipeline(
     the terms over a <= Q//2, twice for a in mirror_paired(Q) (whose
     mirror is another point), and its imaginary part is exactly 0.0.
     """
-    Q, D0 = _grid(ds, k, D0)
+    Q, D0, thr = _grid(ds, k, D0, A_major)
     terms = half_products(FourierContext(ds, k),
                           _weight_vector(weight, ds.q, k))
     terms /= Q
@@ -473,7 +477,7 @@ def circle_pipeline(
                       + int(np.count_nonzero(mask[paired])))
         sums.append(complex(np.add.reduce(terms[mask])))
     return ArcLedger(sums=sums, counts=counts, D0=D0, A_major=A_major,
-                     threshold=arc_threshold(Q, A_major))
+                     threshold=thr)
 
 
 def direct_count(ds: DigitSet, k: int, weight: Weight) -> float:

@@ -16,7 +16,8 @@ power, so a k of ten million is rejected at once.  The directory of
 ``cmd_verify``), and ``validate`` rejects an ``--a-major`` whose threshold
 (log Q)^A would overflow, naming the largest A it accepts.
 
-``arcs`` and ``scan`` share one set of pipeline stages
+``arcs`` reduces the circle pipeline to its ledger in one pass
+(``arcs.circle_pipeline``); ``scan`` writes the per-point stages
 (``arcs.pipeline_stages``), which hold a <= Q//2 only.  ``scan`` formats
 each pair of rows a and Q - a once, in blocks of ``CSV_BLOCK`` rows: it
 streams the rows a <= Q//2 to the output and spills their mirror rows to
@@ -301,14 +302,14 @@ def _scan_csv_blocks(st: PipelineStages,
     sizes = []
     for start in range(0, stored, CSV_BLOCK):
         stop = min(start + CSV_BLOCK, stored)
-        f, s = st.fhat[start:stop], st.s_vals[start:stop]
+        f = st.fhat[start:stop]
         # np.hypot equals abs() of a Python complex bit for bit; the
         # complex np.abs differs from it in the last bit on many points.
         heads = [f",{re!r}," for re in f.real.tolist()]
         ims = f.imag.tolist()
         tails = [f",{fa!r},{names[c]},{sa!r}\n" for fa, c, sa in zip(
             np.hypot(f.real, f.imag).tolist(), st.codes[start:stop].tolist(),
-            np.hypot(s.real, s.imag).tolist())]
+            st.s_abs[start:stop].tolist())]
         yield "".join(f"{a}{h}{im!r}{t}" for a, h, im, t in zip(
             range(start, stop), heads, ims, tails))
         lo, hi = max(start, paired.start), min(stop, paired.stop)

@@ -32,10 +32,12 @@ half_grid_values, the circle pipeline's grid, holds a <= q**k//2 only
 (``_half_grid``), and both it and the theta0 = 0 L1 sum ask the engine
 for the half spectrum: the columns m <= W//2, each block with the slice
 of its columns in mirror_paired (the indices whose mirror is another
-index), which count twice.  A real weight's spectrum (half_weight_spectrum)
-and its products with F (half_products, one pass on shared twiddles) take
-the same half layout.  The product formula (eval_product,
-eval_product_real) stays the scalar oracle of the engine.
+index), which count twice.  A real weight's spectrum takes the same half
+layout, reduced in the pass that makes it: to its moduli
+(half_weight_moduli), or to its products with F (half_products, one pass
+on shared twiddles), so no complex weight spectrum is held.  The product
+formula (eval_product, eval_product_real) stays the scalar oracle of the
+engine.
 """
 
 from __future__ import annotations
@@ -389,17 +391,21 @@ def half_grid_values(ctx: FourierContext) -> np.ndarray:
                       np.complex128)
 
 
-def half_weight_spectrum(spectrum: np.ndarray, Q: int) -> np.ndarray:
-    """S_w(-a/Q) = sum_n w(n) e(-a*n/Q) for a = 0..Q//2, from the column
-    spectrum of a real weight w on [0, Q) (``column_spectrum`` of its rows
-    in the (radix, W) view).
+def half_weight_moduli(spectrum: np.ndarray, Q: int) -> np.ndarray:
+    """|S_w(-a/Q)|, S_w(-a/Q) = sum_n w(n) e(-a*n/Q), for a = 0..Q//2,
+    from the column spectrum of a real weight w on [0, Q)
+    (``column_spectrum`` of its rows in the (radix, W) view).
 
     The source (spectrum, None) of ``_four_step`` gives
     T(a) = sum_n w(n) e(a*n/Q) = conj S_w(-a/Q), and w is real, so the
-    half grid holds the whole spectrum.
+    half grid holds the whole spectrum.  np.hypot ignores the signs of
+    its arguments, so the modulus of each block T is that of S_w bit for
+    bit, and equals abs() of the Python complex.  The complex S_w is
+    never held: the memory is the Q//2 + 1 floats of the result and one
+    block, beside the spectrum.
     """
     return _half_grid(Q, [(spectrum, None)],
-                      lambda t: np.conjugate(t, out=t), np.complex128)
+                      lambda t: np.hypot(t.real, t.imag), np.float64)
 
 
 def _real_product(f: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -413,7 +419,7 @@ def half_products(ctx: FourierContext, spectrum: np.ndarray) -> np.ndarray:
     """Re(F(a/Q) * S_w(-a/Q)) for a = 0..Q//2, in one pass of the engine.
 
     ``spectrum`` is the column spectrum of a real weight w on [0, Q), as
-    for ``half_weight_spectrum``.  Each block of F (bit for bit that of
+    for ``half_weight_moduli``.  Each block of F (bit for bit that of
     half_grid_values) and of T = conj S_w(-a/Q) comes from the same
     twiddles, and their product Re(F * conj T) goes into the half grid:
     both factors are conjugate-symmetric, so the product at Q - a is the

@@ -137,6 +137,24 @@ class TestThresholdDomain:
         with pytest.raises(DomainError, match="A = "):
             circle_pipeline(DigitSet(10, (7,)), 3, table, A_major=A)
 
+    # (D0, A): a NaN threshold, an overflowing one, an empty D0 and a
+    # Q*D0 past 2**53 at Q = 10**3
+    @pytest.mark.parametrize("D0, A", [
+        (None, math.nan), (None, 1000.0), (0, 1.0),
+        (2 ** 53 // 10 ** 3 + 1, 1.0)])
+    @pytest.mark.parametrize("pipeline", ["circle_pipeline",
+                                          "pipeline_stages"])
+    def test_pipelines_check_before_the_transform(self, monkeypatch,
+                                                  pipeline, D0, A):
+        def refuse(*args):
+            raise AssertionError("the weight transform ran")
+
+        table = build_mangoldt(10 ** 3)
+        monkeypatch.setattr(arcs_mod, "_weight_vector", refuse)
+        with pytest.raises(DomainError):
+            getattr(arcs_mod, pipeline)(DigitSet(10, (7,)), 3, table, D0=D0,
+                                        A_major=A)
+
 
 def scalar_classes(Q, D0, A_values):
     """Oracle: one dirichlet_approx and one classify per a < Q."""
@@ -538,12 +556,13 @@ class TestHalfSpectrum:
         w = {"mangoldt": build_mangoldt(Q), "n^2": SQUARE,
              "n^2-3n+1": IntPolynomial((1, -3, 1))}[weight]
         st = arcs_mod.pipeline_stages(DigitSet(q, excluded), k, w)
-        assert st.s_vals.shape == st.fhat.shape == st.codes.shape == \
+        assert st.s_abs.shape == st.fhat.shape == st.codes.shape == \
             (Q // 2 + 1,)
         scale = abs(expsum(w, Q, Fraction(0)))
+        # ||x| - |y|| <= |x - y|: the tolerance on S_w holds for |S_w|
         for a in range(Q // 2 + 1):
-            want = expsum(w, Q, Fraction(-a, Q))
-            assert abs(st.s_vals[a] - want) <= 1e-12 * scale, a
+            want = abs(expsum(w, Q, Fraction(-a, Q)))
+            assert abs(st.s_abs[a] - want) <= 1e-12 * scale, a
 
     @pytest.mark.parametrize("q, excluded, k", HALF_CASES)
     @pytest.mark.parametrize("A", [0.5, 1.0, 3.0])
@@ -582,10 +601,27 @@ class TestHalfSpectrum:
             tracemalloc.stop()
         assert peak <= per_point * Q
 
+    # 31.0 and 18.8 B/point (after a first call) while the stages held
+    # the complex S_w, 27.0 and 14.8 with its moduli.  Each ceiling is the
+    # measured peak plus 10%, rounded up.
+    @pytest.mark.parametrize("Q, per_point", [(10 ** 5, 30), (10 ** 6, 17)])
+    def test_stage_bytes_per_point(self, Q, per_point):
+        table = build_mangoldt(Q)
+        k = round(math.log10(Q))
+        tracemalloc.start()
+        try:
+            arcs_mod.pipeline_stages(DigitSet(10, (7,)), k, table,
+                                     A_major=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_point * Q
+
     def test_stage_peaks_do_not_overlap(self):
         # the weight vector is freed before the half grid exists: the peak
         # was 1.49 times the bytes of the three stage arrays while the
-        # grid came first, 1.20 with the weight spectrum first
+        # grid came first, 1.20 with the weight spectrum first, 1.18 with
+        # its moduli
         ds, k = DigitSet(10, (7,)), 6
         table = build_mangoldt(10 ** k)
         tracemalloc.start()
@@ -594,7 +630,7 @@ class TestHalfSpectrum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = st.fhat.nbytes + st.s_vals.nbytes + st.codes.nbytes
+        held = st.fhat.nbytes + st.s_abs.nbytes + st.codes.nbytes
         assert peak <= 1.35 * held
 
 
@@ -637,6 +673,15 @@ SPECTRUM_WEIGHTS = {"mangoldt": lambda Q: build_mangoldt(max(Q - 1, 1)),
                     "n^2-3n+1": lambda Q: IntPolynomial((1, -3, 1))}
 
 
+def engine_spectrum(weight, q, k):
+    """S_w(-a/Q) for a <= Q//2 from the engine's blocks T = conj S_w of
+    the weight's column spectrum, the blocks ``half_products`` consumes,
+    laid out by ``_half_grid`` and conjugated."""
+    return fou_mod._half_grid(
+        q ** k, [(arcs_mod._weight_vector(weight, q, k), None)],
+        lambda t: np.conjugate(t, out=t), np.complex128)
+
+
 class TestWeightSpectrum:
     """The engine's S_w against the Q-point real FFT and the literal DFT."""
 
@@ -647,7 +692,7 @@ class TestWeightSpectrum:
         Q = q ** k
         w_fn = SPECTRUM_WEIGHTS[weight](Q)
         w = oracle.weight_vector(w_fn, Q)
-        got = arcs_mod.weight_spectrum(w_fn, q, k)
+        got = engine_spectrum(w_fn, q, k)
         assert got.shape == (Q // 2 + 1,) and got.dtype == np.complex128
         tol = fft_tolerance(Q, w)
         want = np.fft.rfft(w)
@@ -660,10 +705,21 @@ class TestWeightSpectrum:
         # moved to its neighbour both exceed the bound
         Q = 10 ** 3
         w = oracle.weight_vector(build_mangoldt(Q - 1), Q)
-        got = arcs_mod.weight_spectrum(build_mangoldt(Q - 1), 10, 3)
+        got = engine_spectrum(build_mangoldt(Q - 1), 10, 3)
         tol = fft_tolerance(Q, w)
         assert np.abs(got.conj() - literal_spectrum(w, Q)).max() > tol
         assert np.abs(got - literal_spectrum(np.roll(w, 1), Q)).max() > tol
+
+    @pytest.mark.parametrize("q, k", [(q, k) for q, _, k in HALF_CASES])
+    @pytest.mark.parametrize("weight", sorted(SPECTRUM_WEIGHTS))
+    def test_moduli_are_the_hypot_of_the_spectrum(self, q, k, weight):
+        # scan's |S_w| is the hypot of the engine's S_w, bit for bit
+        w_fn = SPECTRUM_WEIGHTS[weight](q ** k)
+        s_vals = engine_spectrum(w_fn, q, k)
+        got = fou_mod.half_weight_moduli(
+            arcs_mod._weight_vector(w_fn, q, k), q ** k)
+        assert got.dtype == np.float64
+        assert bits(got) == bits(np.hypot(s_vals.real, s_vals.imag))
 
     @pytest.mark.parametrize("q, excluded, k", HALF_CASES + [(10, (7,), 0)])
     def test_fused_grid_blocks_are_the_half_grid(self, monkeypatch, q,
@@ -692,8 +748,8 @@ class TestWeightSpectrum:
         ds = DigitSet(10, (7,))
         table = build_mangoldt(10 ** 4)
         want = circle_pipeline(ds, 4, table, A_major=1.0)
-        for name in ("half_grid_values", "weight_spectrum",
-                     "half_weight_spectrum", "pipeline_stages"):
+        for name in ("half_grid_values", "half_weight_moduli",
+                     "pipeline_stages"):
             monkeypatch.setattr(arcs_mod, name, refuse)
         got = circle_pipeline(ds, 4, table, A_major=1.0)
         assert got.sums == want.sums and got.counts == want.counts

@@ -162,9 +162,9 @@ class TestScan:
 
 def scan_oracle(q, excluded, k, weight, A_major=3.0):
     """The scan CSV from the half stages (a <= Q//2) built by hand,
-    mirrored per row (a > Q//2 reads conj fhat and the s and code of
-    Q - a), and one csv.writer row (scalar abs, repr of each float) per
-    point."""
+    mirrored per row (a > Q//2 reads conj fhat and the s_abs and code of
+    Q - a), and one csv.writer row (scalar abs of fhat, repr of each
+    float) per point."""
     ds = DigitSet(q, excluded)
     Q = q ** k
     fhat = fourier_mod.half_grid_values(fourier_mod.FourierContext(ds, k))
@@ -172,7 +172,8 @@ def scan_oracle(q, excluded, k, weight, A_major=3.0):
         w = build_mangoldt(max(Q - 1, 1))
     else:
         w = IntPolynomial((0, 0, 1))
-    s_vals = arcs_mod.weight_spectrum(w, q, k)
+    s_abs = fourier_mod.half_weight_moduli(
+        arcs_mod._weight_vector(w, q, k), Q)
     codes = arcs_mod._classification(Q, max(1, math.isqrt(Q)), A_major)
     names = arcs_mod.ARC_CLASSES
     buf = io.StringIO()
@@ -188,7 +189,7 @@ def scan_oracle(q, excluded, k, weight, A_major=3.0):
             repr(f.imag),
             repr(abs(f)),
             names[codes[b]],
-            repr(abs(complex(s_vals[b]))),
+            repr(float(s_abs[b])),
         ])
     return buf.getvalue()
 
@@ -223,9 +224,10 @@ class TestScanWriter:
         Q = 7
         fhat = np.array([4.0, complex(1.5, 0.0), complex(-2.0, -0.0),
                          complex(0.25, math.nan)])
-        s_vals = np.array([3.0, 1 + 1j, complex(0.0, -0.0), -2j])
+        s_abs = np.array([abs(s) for s in (3.0, 1 + 1j, complex(0.0, -0.0),
+                                            -2j)])
         codes = np.array([0, 1, 2, 0], dtype=np.int8)
-        st = arcs_mod.PipelineStages(Q=Q, D0=2, fhat=fhat, s_vals=s_vals,
+        st = arcs_mod.PipelineStages(Q=Q, fhat=fhat, s_abs=s_abs,
                                      codes=codes)
         names = arcs_mod.ARC_CLASSES
         expected = ["a,fhat_re,fhat_im,fhat_abs,arc_class,s_abs\n"]
@@ -233,7 +235,7 @@ class TestScanWriter:
             b = min(a, Q - a)
             f = complex(fhat[b]) if a == b else complex(fhat[b]).conjugate()
             expected.append(f"{a},{f.real!r},{f.imag!r},{abs(f)!r},"
-                            f"{names[codes[b]]},{abs(complex(s_vals[b]))!r}\n")
+                            f"{names[codes[b]]},{float(s_abs[b])!r}\n")
         with open(tmp_path / "spill", "w+b") as spill:
             got = "".join(cli._scan_csv_blocks(st, spill))
         assert got == "".join(expected)

@@ -9,9 +9,11 @@ numpy loads, the package makes no BLAS call, only ``fourier.unit``
 takes a root of unity at a rational (beside the float-phase entry points
 and the oracle), only the transform engine's functions reference
 ``numpy.fft``, only the loop of ``arcs._classification`` over the
-neighbourhoods names the functions that make class codes, no two
-module-level functions of the package share a name, and every function
-the benchmark hooks by name exists."""
+neighbourhoods names the functions that make class codes, every call of
+``arcs._weight_vector`` is the direct argument of an engine pass that
+reduces the weight's spectrum as it makes it, no two module-level
+functions of the package share a name, and every function the benchmark
+hooks by name exists."""
 
 import ast
 import importlib
@@ -533,6 +535,63 @@ def test_scan_sees_a_second_classification_path():
         (6, "_classification", "comprehension", None),
         (6, "_classification", "comprehension", "_codes"),
         (9, "check", None, "_batch_dirichlet")]
+
+
+# The engine passes that reduce a weight's column spectrum as they make
+# it: no complex or whole weight spectrum is held beside them.
+WEIGHT_REDUCERS = ("half_products", "half_weight_moduli")
+
+
+def reference_name(node: ast.AST):
+    """f of a name f or an attribute x.f, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def weight_vector_uses(tree: ast.Module) -> list:
+    """(line, consumer) for each reference to ``_weight_vector``: consumer
+    is the callee of the call that takes its call as a direct argument,
+    None when it is called elsewhere (bound to a name, returned, passed
+    on) or not called."""
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if reference_name(node) != "_weight_vector":
+            continue
+        call = parent[node]
+        outer = parent.get(call)
+        consumer = None
+        if (isinstance(call, ast.Call) and call.func is node
+                and isinstance(outer, ast.Call) and outer.func is not call):
+            consumer = reference_name(outer.func)
+        found.append((node.lineno, consumer))
+    return sorted(found, key=lambda use: (use[0], str(use[1])))
+
+
+def test_weight_spectrum_reduced_in_one_pass():
+    # the column spectrum is consumed where it is made, so the scan stage
+    # holds |S_w| and the ledger Re(F*S_w), never the complex S_w
+    found = [(path.name, consumer)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for _, consumer in weight_vector_uses(
+                 ast.parse(path.read_text()))]
+    assert sorted(found, key=str) == [("arcs.py", name)
+                                      for name in WEIGHT_REDUCERS]
+
+
+def test_scan_sees_a_held_weight_spectrum():
+    tree = ast.parse(
+        "def stages(w, q, k):\n"
+        "    spectrum = _weight_vector(w, q, k)\n"
+        "    s = half_weight_moduli(spectrum, q ** k)\n"
+        "    t = fou.half_products(ctx, arcs._weight_vector(w, q, k))\n"
+        "    u = half_weight_spectrum(_weight_vector(w, q, k), q ** k)\n"
+        "    return _weight_vector(w, q, k), arcs._weight_vector\n")
+    assert weight_vector_uses(tree) == [
+        (2, None), (4, "half_products"), (5, "half_weight_spectrum"),
+        (6, None), (6, None)]
 
 
 def shared_function_names(trees) -> list:

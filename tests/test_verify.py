@@ -69,19 +69,23 @@ LEDGER_CASES = [(DigitSet(6, (3,)), 3, build_mangoldt(216), "mangoldt"),
 
 
 def plant_ledger(monkeypatch, roll=0, paired=fou_mod.mirror_paired):
-    """Replace the ledger's class sums by a reduction of the same stages
-    whose class masks are rolled by ``roll`` or whose points counted twice
-    are ``paired(Q)``; counts and D0 stay those of the real ledger."""
+    """Replace the ledger's class sums by a reduction of the same terms
+    Re(F*S_w) (``fourier.half_products``) and class codes whose class
+    masks are rolled by ``roll`` or whose points counted twice are
+    ``paired(Q)``; counts and D0 stay those of the real ledger."""
     real = arcs_mod.circle_pipeline
 
     def pipeline(ds, k, weight, **kw):
         led = real(ds, k, weight, **kw)
-        st = arcs_mod.pipeline_stages(ds, k, weight, **kw)
-        terms = (st.fhat * st.s_vals).real / st.Q
-        terms[paired(st.Q)] *= 2
+        Q = ds.q ** k
+        terms = fou_mod.half_products(
+            fou_mod.FourierContext(ds, k),
+            arcs_mod._weight_vector(weight, ds.q, k)) / Q
+        terms[paired(Q)] *= 2
+        codes = arcs_mod._classification(Q, led.D0, led.A_major)
         for code in range(len(arcs_mod.ARC_CLASSES)):
             led.sums[code] = complex(
-                terms[np.roll(st.codes == code, roll)].sum())
+                terms[np.roll(codes == code, roll)].sum())
         return led
 
     monkeypatch.setattr(arcs_mod, "circle_pipeline", pipeline)
