@@ -72,9 +72,9 @@ import numpy as np
 from .digits import DigitSet, bounded_power, contains_mask
 from .errors import CapExceededError, DomainError
 from .expsums import IntPolynomial, MangoldtTable, Weight, weight_support
-from .fourier import (FourierContext, check_grid_size, column_spectrum,
-                      engine_shape, half_grid_values, half_products,
-                      half_weight_moduli, mirror_paired)
+from .fourier import (EXACT_FLOAT_LIMIT, FourierContext, check_grid_size,
+                      column_spectrum, engine_shape, half_grid_values,
+                      half_products, half_weight_moduli, mirror_paired)
 
 # Bounds q**J in the pair count.  Its Horner values stay below
 # q**J * q**(J-1) (q**J * q**J when J = 1) <= PAIR_COUNT_CAP**2, which is
@@ -98,8 +98,6 @@ PAIR_BLOCK = 1 << 13
 # peak RSS there by 0.2 MiB.  At Q = 10^6 a row of 10^5 points is one
 # step; two rows a step raised ``arcs``' peak RSS by 0.9 MB.
 ROW_BLOCK = 1 << 16
-# Q*D0 below this keeps a*d - ell*Q and Q*d exact in float64.
-EXACT_FLOAT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ float or a ``Fraction``.  A Fraction is held in lowest terms, and its
 roots are ``fourier.unit`` at the exact residues r = n*num mod den of
 that form (``fourier.residues``): the roots of the correctly rounded
 floats r/den, the same as any unreduced form of alpha gives, by the rule
-the transform's product formula and engine use.  The
+the transform's product formula and engine use.  A float alpha keeps its
+float phases (n*alpha) mod 1 and takes the kernel ``fourier.e`` of them,
+so this module computes no exponential itself.  The
 equidistribution min-sum is a literal summation too, and three
 bound-ratio sweeps compare the sums against their analytic right-hand
 sides.  The implied constants of the bounds carry no numeric content, so
@@ -33,7 +35,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .errors import CapExceededError, DomainError
-from .fourier import INT64_LIMIT, distance_to_integer, residues, unit
+from .fourier import INT64_LIMIT, distance_to_integer, e, residues, unit
 from .summation import pairwise_sum
 
 MANGOLDT_CAP = 10 ** 9
@@ -218,13 +220,14 @@ def weight_support(weight: Weight, x: int):
 def expsum(weight: Weight, x: int, alpha: float | Fraction) -> complex:
     """S_w(alpha) = sum over the points n < x of w(n) e(n alpha).
 
-    The literal formula sums w(n) * np.exp(2j*pi*phase) over
-    ``weight_support(weight, x)`` by ``np.add.reduce``.  At a rational
-    alpha = num/den the phases are the r/den with r = n*num mod den, and
-    the terms take ``unit(residues(ns, num, den), den)``; with den no more
-    than the number of terms, the den roots unit(arange(den), den) are
-    computed once and indexed by the residues instead, with the same bits.
-    A float alpha takes the float phase (n*alpha) mod 1.
+    The literal formula sums w(n) * e(phase) over
+    ``weight_support(weight, x)`` by ``np.add.reduce``, with e() the
+    kernel ``fourier.e``.  At a rational alpha = num/den the phases are
+    the r/den with r = n*num mod den, and the terms take
+    ``unit(residues(ns, num, den), den)``; with den no more than the
+    number of terms, the den roots unit(arange(den), den) are computed
+    once and indexed by the residues instead, with the same bits.  A
+    float alpha keeps the float phase (n*alpha) mod 1 and takes e() of it.
     """
     ns, ws = weight_support(weight, x)
     if isinstance(alpha, Fraction):
@@ -233,7 +236,7 @@ def expsum(weight: Weight, x: int, alpha: float | Fraction) -> complex:
         units = (unit(np.arange(den), den)[r.astype(np.intp)]
                  if den <= ns.size else unit(r, den))
     else:
-        units = np.exp(2j * np.pi * np.mod(ns.astype(np.float64) * alpha, 1.0))
+        units = e(np.mod(ns.astype(np.float64) * alpha, 1.0))
     terms = ws * units
     return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
 

@@ -1,7 +1,9 @@
 """Fourier transform of a digit-restricted set and its bound constants.
 
 The transform of the set truncated to [0, q**k) factorizes as a product of
-k single-digit factors.  One rule gives every root of unity at a rational:
+k single-digit factors.  Every complex exponential outside the oracle
+``eval_direct`` is the kernel ``e(phase)`` = exp(2 pi i phase), of a float
+or a float64 array.  One rule gives every root of unity at a rational:
 ``residues`` reduces n*num mod den exactly, and ``unit`` takes e() of the
 correctly rounded float r/den of a residue r.  A frequency theta is an
 exact num/den (a/q**k for the grid's point a, a dyadic rational for a
@@ -9,10 +11,10 @@ finite float), position i has the residue p_i = num*q**i mod den, and
 digit d there has the root unit(d*p_i mod den, den); the product formula,
 the engine's digit vectors, the engine's twiddles unit(d*m, Q) and
 ``expsums.expsum`` at a Fraction all take it.  Only the float-theta
-entry point ``digit_factor`` (and ``expsum`` at a float) keeps the float
-phase of its input.  The constants C_q and alpha are plain functions
-of (q, s, consecutive); ``digitlab constants`` reports them beside
-empirical_Cq.
+entry points ``digit_factor`` and ``expsum`` at a float keep the float
+phase of their input, and take e() of it.  The constants C_q and alpha
+are plain functions of (q, s, consecutive); ``digitlab constants``
+reports them beside empirical_Cq.
 
 Every transform of the package is one engine, a blocked four-step FFT
 (Bailey, "FFTs in external or hierarchical memory", 1990) on the
@@ -59,6 +61,9 @@ GRID_CAP = 10 ** 8
 BLOCK = 2 ** 14
 # Products n * num below this are exact in int64 (see residues).
 INT64_LIMIT = 2 ** 63
+# Integers up to this are exact in float64: unit's residues and den while
+# den <= it, and a*d - ell*Q and Q*d of arcs' beta while Q*D0 < it.
+EXACT_FLOAT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -92,25 +97,40 @@ def residues(ns: np.ndarray, num: int, den: int) -> np.ndarray:
     return (ns.astype(object) * num) % den
 
 
+def e(phase):
+    """e(phase) = exp(2 pi i phase): the one complex exponential of the
+    package outside the oracle ``eval_direct``.
+
+    A float (np.float64 too) gives the complex cmath.exp(2j*pi*phase).  A
+    float64 array gives a new complex128 array, each entry with the bits
+    of the scalar call: the product 2j*pi*phase and the complex np.exp
+    (equal to cmath.exp) are the same IEEE operations.  The argument is
+    left unchanged.
+    """
+    if isinstance(phase, float):
+        return cmath.exp(2j * math.pi * phase)
+    z = 2j * np.pi * phase
+    return np.exp(z, out=z)
+
+
 def unit(r, den: int):
     """e(r/den) from the correctly rounded float r/den of a residue
     0 <= r < den: the one root of unity at a rational.
 
-    An int r gives a complex, by cmath.exp of the Python int/int quotient.
-    An array of r gives the array, by np.exp (equal to cmath.exp), each
-    entry with the bits of the scalar call: up to den = 2**53 the residues
-    and den are exact floats, so one float64 division rounds once; past
-    it the residues are divided as Python ints, since converting r to a
-    float first would round twice.
+    An int r gives a complex, e() of the Python int/int quotient.  An
+    array of r gives the array, e() of the quotients, each entry with the
+    bits of the scalar call: up to den = ``EXACT_FLOAT_LIMIT`` the
+    residues and den are exact floats, so one float64 division rounds
+    once; past it the residues are divided as Python ints, since
+    converting r to a float first would round twice.
     """
     if isinstance(r, int):
-        return cmath.exp(2j * math.pi * (r / den))
-    # a copy of r, divided and raised in place: the engine's twiddles are
-    # a block of points per call
-    phase = np.array(r, dtype=object if den > 1 << 53 else np.float64)
+        return e(r / den)
+    # a copy of r, divided in place: the engine's twiddles are a block of
+    # points per call
+    phase = np.array(r, np.float64 if den <= EXACT_FLOAT_LIMIT else object)
     phase /= den
-    z = 2j * np.pi * phase.astype(np.float64, copy=False)
-    return np.exp(z, out=z)
+    return e(phase.astype(np.float64, copy=False))
 
 
 def _position_residues(q: int, k: int, num: int, den: int) -> list:
@@ -123,7 +143,12 @@ def _position_residues(q: int, k: int, num: int, den: int) -> list:
 
 
 def _roots(ds: DigitSet, p: int, den: int) -> list:
-    """e(d*p/den) over the allowed digits d: unit(d*p mod den, den)."""
+    """e(d*p/den) over the allowed digits d: unit(d*p mod den, den).
+
+    Scalar calls, so the roots and the product are Python complex: numpy
+    divides a complex128 by a real through its reciprocal, so a caller's
+    eval_product(...) / Q would round otherwise.
+    """
     return [unit(d * p % den, den) for d in ds.allowed]
 
 
@@ -144,19 +169,16 @@ def eval_product(ctx: FourierContext, a: int) -> complex:
 def digit_factor(ds: DigitSet, theta):
     """The single-digit factor: sum of e(d*theta) over allowed digits d.
 
-    A float64 array of theta gives the array of factors.  Each allowed
-    digit then gives one column np.exp(2j*pi*((d*theta) % 1.0)), and
+    It keeps the float phase (d*theta) % 1.0 of its input and takes e()
+    of it.  A float64 array of theta gives the array of factors.  Each
+    allowed digit then gives one column e((d*theta) % 1.0), and
     ``pairwise_sum`` adds the columns with the tree the scalar call uses
-    for its terms; the product, the floor mod, the complex np.exp (equal
-    to cmath.exp) and each addition are the same IEEE operations, so each
-    entry has the bits of the scalar call at its theta.
+    for its terms; the product, the floor mod, e() and each addition are
+    the same IEEE operations, so each entry has the bits of the scalar
+    call at its theta.
     """
-    if np.ndim(theta):
-        theta, exp = np.asarray(theta, dtype=np.float64), np.exp
-    else:
-        theta, exp = float(theta), cmath.exp
-    return pairwise_sum(
-        [exp(2j * math.pi * ((d * theta) % 1.0)) for d in ds.allowed])
+    theta = np.asarray(theta, np.float64) if np.ndim(theta) else float(theta)
+    return pairwise_sum([e((d * theta) % 1.0) for d in ds.allowed])
 
 
 def eval_product_real(ctx: FourierContext, theta) -> complex:

@@ -12,7 +12,9 @@ from scalar_oracles import bits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from digitlab import expsums as exp_mod
 from digitlab import fourier as fou_mod
+from digitlab import verify as verify_mod
 from digitlab.digits import DigitSet, enumerate_members
 from digitlab.errors import CapExceededError, DomainError
 from digitlab.fourier import (
@@ -24,6 +26,7 @@ from digitlab.fourier import (
     digit_factor,
     digit_factor_bound,
     distance_to_integer,
+    e,
     empirical_Cq,
     eval_direct,
     eval_product,
@@ -352,6 +355,82 @@ class TestResiduesAndUnit:
         assert bits([unit(r, den) for r in rs]) == bits(want)
         dtype = np.int64 if den < INT64_LIMIT else object
         assert bits(unit(np.array(rs, dtype=dtype), den)) == bits(want)
+
+
+def check_kernel(phases):
+    """e() of a float64 array of phases is a new complex128 array with the
+    bits of the literal cmath.exp(2j*pi*f) at each entry f and leaves the
+    phases unchanged; e() of each f, a Python float or an np.float64, is
+    that complex."""
+    before = phases.copy()
+    want = [cmath.exp(2j * math.pi * f) for f in phases.tolist()]
+    got = e(phases)
+    assert got.dtype == np.complex128 and got.shape == phases.shape
+    assert bits(phases) == bits(before)
+    assert bits(got) == bits(want)
+    for scalars in (phases.tolist(), list(phases)):
+        roots = [e(f) for f in scalars]
+        assert all(type(z) is complex for z in roots)
+        assert bits(roots) == bits(want)
+
+
+def recorded_phases(monkeypatch, run):
+    """Every phase ``run()`` passes to fourier.e, from fourier and from
+    expsums, as one float64 array."""
+    kernel, seen = fou_mod.e, []
+
+    def spy(phase):
+        seen.append(np.array(phase, dtype=np.float64).ravel())
+        return kernel(phase)
+
+    monkeypatch.setattr(fou_mod, "e", spy)
+    monkeypatch.setattr(exp_mod, "e", spy)
+    run()
+    return np.concatenate(seen)
+
+
+# the grids of the goldens under tests/data: arcs_q10_k4, scan_q7_k4,
+# count_q50_k3_poly and constants_q31_k4
+GOLDEN_GRIDS = [10 ** 4, 7 ** 4, 50 ** 3, 31 ** 4]
+# the residues per denominator the kernel test takes, evenly spaced
+KERNEL_SAMPLE = 2 ** 17
+
+
+class TestKernel:
+    """``e`` is the one complex exponential outside the oracle: the
+    phases the package passes it give the literal cmath.exp, bit for bit,
+    in either form."""
+
+    @pytest.mark.parametrize("den", GOLDEN_GRIDS + [3 * Q for Q in
+                                                   GOLDEN_GRIDS])
+    def test_grid_quotients(self, den):
+        r = np.arange(0, den, -(-den // KERNEL_SAMPLE))
+        check_kernel(np.append(r, den - 1) / den)
+
+    def test_edges(self):
+        check_kernel(np.array([0.0, 0.25, 0.5, 0.75,
+                               np.nextafter(1.0, 0.0), 5e-324]))
+        check_kernel(np.zeros(0))
+
+    @pytest.mark.parametrize("seed", [exp_mod.CALIBRATION_SEED, 1])
+    def test_verify_phases(self, monkeypatch, seed):
+        # the (d*theta) mod 1 of digit_factor at verify's theta grids, and
+        # the quotients r/den of unit in the product formula and the engine
+        phases = recorded_phases(
+            monkeypatch, lambda: verify_mod.report("fourier", seed))
+        assert phases.size > 2 * 10 ** 5
+        check_kernel(phases)
+
+    @pytest.mark.parametrize("seed", [exp_mod.CALIBRATION_SEED, 1])
+    def test_polynomial_sweep_phases(self, monkeypatch, seed):
+        # np.mod(n*alpha, 1) of expsum at a float alpha, at the values
+        # n = m**2 < x of the sweep's polynomial
+        phases = recorded_phases(
+            monkeypatch,
+            lambda: exp_mod.bound_ratio_report("polynomial", seed))
+        assert phases.size == exp_mod.POLYNOMIAL_DRAWS * (
+            math.isqrt(exp_mod.POLYNOMIAL_X - 1) + 1)
+        check_kernel(phases)
 
 
 class TestGridValues:

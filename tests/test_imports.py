@@ -5,11 +5,11 @@ some package or test module, every parameter of a package function is
 read in its function, the package's ``__all__`` lists exactly the names
 its ``__init__`` loads lazily, each from its home module, ``import
 digitlab`` loads no numpy, the CLI sets its BLAS thread default before
-numpy loads, the package makes no BLAS call, only ``fourier.unit``
-takes a root of unity at a rational (beside the float-phase entry points
-and the oracle), only the transform engine's functions reference
-``numpy.fft``, only the loop of ``arcs._classification`` over the
-neighbourhoods names the functions that make class codes, every call of
+numpy loads, the package makes no BLAS call, only the kernel
+``fourier.e`` and the oracle take a complex exponential, only the
+transform engine's functions reference ``numpy.fft``, only the loop of
+``arcs._classification`` over the neighbourhoods names the functions
+that make class codes, every call of
 ``arcs._weight_vector`` is the direct argument of an engine pass that
 reduces the weight's spectrum as it makes it, no two module-level
 functions of the package share a name, and every function the benchmark
@@ -335,34 +335,44 @@ def test_scan_sees_a_blas_call():
         (7, "dot"), (7, "linalg"), (8, "einsum")]
 
 
-# (module, function) that may take a complex exponential: fourier.unit is
-# the one root of unity at a rational; digit_factor and expsum's float
-# branch take the float phase of a float input; eval_direct is the oracle
-EXP_HOMES = {("fourier.py", "unit"), ("fourier.py", "digit_factor"),
-             ("fourier.py", "eval_direct"), ("expsums.py", "expsum")}
+# (module, function) that may take a complex exponential: fourier.e is
+# the one kernel, and eval_direct the oracle that checks it
+EXP_HOMES = {("fourier.py", "e"), ("fourier.py", "eval_direct")}
+# (module, function, name) that the scan reports and that makes no root:
+# the lemma's left side 2 + 2 cos(2 pi t) is real
+NOT_ROOTS = {("verify.py", "lemma_inequality", "math.cos")}
+# the attributes of each module that make a root of unity: exp of a
+# complex, cos and sin of its parts, or rect of its polar form
+ROOT_ATTRS = {"numpy": {"exp", "cos", "sin"},
+              "cmath": {"exp", "cos", "sin", "rect"},
+              "math": {"cos", "sin"}}
 
 
 def exp_references(tree: ast.Module) -> list:
-    """(line, function, name) for each reference to ``exp`` of numpy or
-    cmath (as np, numpy, cmath or an alias a module imports them under),
-    and each ``from numpy import exp`` or ``from cmath import exp``;
-    function is the innermost enclosing def, None at module level."""
-    modules = {"np", "numpy", "cmath"} | {
-        alias.asname or alias.name for node in ast.walk(tree)
+    """(line, function, name) for each reference to an attribute in
+    ``ROOT_ATTRS`` of numpy, cmath or math (as np, or the module's name,
+    or an alias a module imports it under), and each ``from`` import of
+    one; function is the innermost enclosing def, None at module level."""
+    modules = {"np": "numpy", **{name: name for name in ROOT_ATTRS}} | {
+        alias.asname or alias.name: alias.name for node in ast.walk(tree)
         if isinstance(node, ast.Import) for alias in node.names
-        if alias.name in ("numpy", "cmath")}
+        if alias.name in ROOT_ATTRS}
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == "exp"
+            if (isinstance(child, ast.Attribute)
                     and isinstance(child.value, ast.Name)
-                    and child.value.id in modules):
-                found.append((child.lineno, func, f"{child.value.id}.exp"))
+                    and child.attr in ROOT_ATTRS.get(
+                        modules.get(child.value.id), ())):
+                found.append((child.lineno, func,
+                              f"{child.value.id}.{child.attr}"))
             elif (isinstance(child, ast.ImportFrom)
-                  and child.module in ("numpy", "cmath")
-                  and any(alias.name == "exp" for alias in child.names)):
-                found.append((child.lineno, func, f"{child.module}.exp"))
+                  and child.module in ROOT_ATTRS):
+                found.extend((child.lineno, func,
+                              f"{child.module}.{alias.name}")
+                             for alias in child.names
+                             if alias.name in ROOT_ATTRS[child.module])
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else func)
 
@@ -371,28 +381,37 @@ def exp_references(tree: ast.Module) -> list:
 
 
 def test_one_root_rule():
-    # a root of unity at a rational comes from fourier.unit alone, so no
-    # second phase rule can come back beside it
+    # every complex exponential comes from fourier.e, so no second rule
+    # for a root (cos + i sin, say) can come back beside it
     found = {(path.name, func)
              for path in sorted(PACKAGE.glob("*.py"))
-             for _, func, _ in exp_references(ast.parse(path.read_text()))}
+             for _, func, name in exp_references(ast.parse(path.read_text()))
+             if (path.name, func, name) not in NOT_ROOTS}
     assert found == EXP_HOMES
 
 
 def test_scan_sees_an_exp_reference():
     tree = ast.parse("import cmath\n"
                      "import numpy as xp\n"
+                     "import math as mt\n"
                      "from numpy import exp\n"
+                     "from cmath import rect, phase\n"
                      "def unit(r):\n"
                      "    return xp.exp(r) + cmath.exp(r)\n"
                      "def twiddle(m):\n"
                      "    def inner(t):\n"
                      "        return numpy.exp(t)\n"
-                     "    return exp(m) + math.exp(m) + np.exp(m)\n")
+                     "    return exp(m) + math.exp(m) + np.exp(m)\n"
+                     "def polar(t):\n"
+                     "    z = np.cos(t) + 1j * xp.sin(t) + cmath.rect(1, t)\n"
+                     "    return z + mt.cos(t) + 1j * math.sin(t) + mt.tan(t)\n")
     assert exp_references(tree) == [
-        (3, None, "numpy.exp"), (5, "unit", "xp.exp"),
-        (5, "unit", "cmath.exp"), (8, "inner", "numpy.exp"),
-        (9, "twiddle", "np.exp")]
+        (4, None, "numpy.exp"), (5, None, "cmath.rect"),
+        (7, "unit", "xp.exp"), (7, "unit", "cmath.exp"),
+        (10, "inner", "numpy.exp"), (11, "twiddle", "np.exp"),
+        (13, "polar", "np.cos"), (13, "polar", "xp.sin"),
+        (13, "polar", "cmath.rect"), (14, "polar", "mt.cos"),
+        (14, "polar", "math.sin")]
 
 
 # (module, function) that may reference numpy.fft: the transform engine's
