@@ -1,6 +1,7 @@
 """Command-line surface: count, verify, scan, constants, arcs.
 
-Exit codes: 0 success, 1 assertion failure, 2 config error, 3 resource cap.
+Exit codes: 0 success, 1 assertion failure, 2 config error, 3 resource cap,
+141 (128 + SIGPIPE) stdout closed by its reader, with no traceback.
 Reports are JSON (schema 1) with the generating config inline; grids are
 CSV with a fixed header, so every number is reproducible from its file.
 
@@ -18,8 +19,10 @@ power, so a k of ten million is rejected at once.  The directory of
 
 ``arcs`` reduces the circle pipeline to its ledger in one pass
 (``arcs.circle_pipeline``); ``scan`` writes the per-point stages
-(``arcs.pipeline_stages``), which hold a <= Q//2 only.  ``scan`` formats
-each pair of rows a and Q - a once, in blocks of ``CSV_BLOCK`` rows: it
+(``arcs.pipeline_stages``), which hold a <= Q//2 only.  ``scan`` writes
+each stored float through ``repr`` once, in blocks of ``CSV_BLOCK`` rows:
+row Q - a reuses the strings of row a, with the sign of fhat_im flipped
+on its string, and each block's rows are joined into one string.  It
 streams the rows a <= Q//2 to the output and spills their mirror rows to
 an anonymous temporary file, read back after them (``_scan_csv_blocks``).
 It creates the spill file, and then opens the output, only once every
@@ -183,6 +186,7 @@ def _emit(blocks: Iterable[str], out: Optional[str]) -> None:
             fh.writelines(blocks)
     else:
         sys.stdout.writelines(blocks)
+        sys.stdout.flush()  # a closed pipe raises here, inside ``main``
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -247,10 +251,11 @@ def _make_weight(cfg: ExperimentConfig):
 # ----------------------------------------------------------------------
 
 # Rows per block of the scan writer.  Its transient strings and lists
-# (a few per row of one block) set ``scan``'s peak RSS: at q = 10, k = 5,
-# a run peaked at 45 MB with blocks of 2^14 rows (``arcs.BLOCK``), 36 MB
-# with 2^12 and 35 MB with 2^10.
-CSV_BLOCK = 1 << 12
+# (about 740 B per row of one block) set ``scan``'s peak RSS: at q = 10,
+# k = 5, A = 2, a run peaked at 46.2 MiB with blocks of 2^14 rows
+# (``arcs.BLOCK``), 37.3 with 2^12, 35.1 with 2^10 and 34.6 with 2^8,
+# with the same CPU time from 2^8 to 2^12.
+CSV_BLOCK = 1 << 10
 
 
 def cmd_scan(cfg: ExperimentConfig) -> int:
@@ -276,6 +281,17 @@ def _spill_file() -> BinaryIO:
                           f"directory {tmp!r}: {exc}") from exc
 
 
+def _negated_reprs(strs: Iterable[str]) -> List[str]:
+    """``repr(-x)`` for each ``repr(x)`` in ``strs``, for every float x."""
+    return [s[1:] if s[0] == "-" else s if s == "nan" else "-" + s
+            for s in strs]
+
+
+def _csv_rows(a: range, *columns: Iterable[str]) -> str:
+    """The rows (a, *columns) as one string, each row joined in C."""
+    return "\n".join(map(",".join, zip(map(str, a), *columns))) + "\n"
+
+
 def _scan_csv_blocks(st: PipelineStages,
                      spill: BinaryIO) -> Iterator[str]:
     """The scan CSV: its header, then at most ``CSV_BLOCK`` rows per
@@ -283,16 +299,21 @@ def _scan_csv_blocks(st: PipelineStages,
 
     The pair rule: row Q - m (m in ``mirror_paired(Q)``) repeats row m but for
     the sign of fhat_im, as F and S_w are conjugate-symmetric (see
-    ``arcs.PipelineStages``).  So the rows a <= Q//2 are formatted block
-    by block, and each block's mirror rows are built from the same
-    strings, with fhat_im written as ``repr(-im)``: that is exactly the
-    conjugate's imaginary part (-0.0 for 0.0, nan for nan), so no sign
-    case needs proof.  The mirror rows of a block (a = Q - m ascending)
-    are appended to ``spill``, an empty binary file, and read back in
-    reverse block order after the last lower block, so memory stays
-    O(``CSV_BLOCK``) and the spill grows to about half the CSV in the
-    temp directory.  A failed spill write raises ``OSError`` as a
-    failed ``--out`` write does; either leaves a partial ``--out``.
+    ``arcs.PipelineStages``).  So each block of rows a <= Q//2 puts its
+    four float columns through ``repr`` once, and its mirror rows reuse
+    those strings, with fhat_im from ``_negated_reprs``.  That equals
+    ``repr(-im)``: Python's float repr writes "-" when the sign bit is
+    set, then the shortest digits of |x| ("0.0", "inf", ...), and every
+    nan, of either sign and any payload, as "nan".  Negation flips only
+    the sign bit, so it adds or strips the "-" and leaves "nan" alone.
+    The mirror rows of a block (a = Q - m ascending) are formatted first
+    and appended to ``spill``, an empty binary file, then the block's own
+    rows; each is one string whose rows are joined in C (``_csv_rows``).
+    The spill is read back in reverse block order after the last lower
+    block, so memory stays O(``CSV_BLOCK``) and the spill grows to about
+    half the CSV in the temp directory.  A failed spill write raises
+    ``OSError`` as a failed ``--out`` write does; either leaves a
+    partial ``--out``.
     """
     from .arcs import ARC_CLASSES as names
 
@@ -305,21 +326,17 @@ def _scan_csv_blocks(st: PipelineStages,
         f = st.fhat[start:stop]
         # np.hypot equals abs() of a Python complex bit for bit; the
         # complex np.abs differs from it in the last bit on many points.
-        heads = [f",{re!r}," for re in f.real.tolist()]
-        ims = f.imag.tolist()
-        tails = [f",{fa!r},{names[c]},{sa!r}\n" for fa, c, sa in zip(
-            np.hypot(f.real, f.imag).tolist(), st.codes[start:stop].tolist(),
-            st.s_abs[start:stop].tolist())]
-        yield "".join(f"{a}{h}{im!r}{t}" for a, h, im, t in zip(
-            range(start, stop), heads, ims, tails))
+        re, im, fa, sa = (list(map(repr, x.tolist())) for x in (
+            f.real, f.imag, np.hypot(f.real, f.imag), st.s_abs[start:stop]))
+        cls = [names[c] for c in st.codes[start:stop].tolist()]
         lo, hi = max(start, paired.start), min(stop, paired.stop)
-        if lo < hi:
+        if lo < hi:  # the rows a = Q - m, m from hi - 1 down to lo
             i, j = lo - start, hi - start
-            data = "".join(f"{a}{h}{-im!r}{t}" for a, h, im, t in zip(
-                range(Q - hi + 1, Q - lo + 1), reversed(heads[i:j]),
-                reversed(ims[i:j]), reversed(tails[i:j]))).encode()
-            spill.write(data)
-            sizes.append(len(data))
+            sizes.append(spill.write(_csv_rows(
+                range(Q - hi + 1, Q - lo + 1), reversed(re[i:j]),
+                _negated_reprs(reversed(im[i:j])), reversed(fa[i:j]),
+                reversed(cls[i:j]), reversed(sa[i:j])).encode()))
+        yield _csv_rows(range(start, stop), re, im, fa, cls, sa)
     end = sum(sizes)
     for size in reversed(sizes):
         end -= size
@@ -524,6 +541,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send what is left to
+        # devnull, so the interpreter's last flush cannot raise again, and
+        # exit as a shell reports a death by SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from digitlab import arcs as arcs_mod
 from digitlab import cli
@@ -197,8 +200,10 @@ def scan_oracle(q, excluded, k, weight, A_major=3.0):
 class TestScanWriter:
     """The block-wise writer against the per-row csv.writer loop."""
 
-    # 11^3 // 2 + 1 = 666 = 18 * 37: the last lower block is full
-    @pytest.mark.parametrize("block", [37, cli.CSV_BLOCK])
+    # 11^3 // 2 + 1 = 666 = 18 * 37: the last lower block is full.  Blocks
+    # of 1 and 2 rows start at 0 and at mirror_paired(Q).start = 1, the
+    # edges of the reversed slice of mirror rows.
+    @pytest.mark.parametrize("block", [1, 2, 37, cli.CSV_BLOCK])
     @pytest.mark.parametrize("weight", ["mangoldt", "poly"])
     @pytest.mark.parametrize("q, excluded, k", [
         (7, (3,), 4), (10, (3, 7), 4), (11, (5,), 3), (10, (7,), 1),
@@ -241,9 +246,30 @@ class TestScanWriter:
         assert got == "".join(expected)
         assert ",-0.0," in got and ",0.0," in got and ",nan," in got
 
+    @pytest.mark.parametrize("q, excluded, k", [(7, (3,), 4), (10, (7,), 3)])
+    def test_one_repr_per_stored_value(self, q, excluded, k, tmp_path,
+                                       monkeypatch):
+        # four float columns of the rows a <= Q//2, none for a mirror row
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return repr(x)
+
+        monkeypatch.setattr(cli, "CSV_BLOCK", 37)
+        st = arcs_mod.pipeline_stages(DigitSet(q, excluded), k,
+                                      build_mangoldt(q ** k - 1))
+        monkeypatch.setattr(cli, "repr", counted, raising=False)
+        with open(tmp_path / "spill", "w+b") as spill:
+            got = "".join(cli._scan_csv_blocks(st, spill))
+        monkeypatch.undo()
+        assert len(calls) == 4 * (q ** k // 2 + 1)
+        assert got == scan_oracle(q, excluded, k, "mangoldt")
+
     def test_memory_is_bounded_by_the_block(self, tmp_path):
-        # about 2.7 MB; a writer that holds the mirror half (4.7 MB of
-        # rows) in memory, or formats 2^14 rows per string, tops 6 MB
+        # about 0.76 MB at 2^10 rows; a writer that holds the mirror half
+        # (4.7 MB of rows) in memory, or formats 2^14 rows per string,
+        # tops 6 MB
         st = arcs_mod.pipeline_stages(DigitSet(10, (7,)), 5,
                                       build_mangoldt(10 ** 5 - 1))
         with open(tmp_path / "spill", "w+b") as spill:
@@ -256,6 +282,59 @@ class TestScanWriter:
                 tracemalloc.stop()
         assert rows == 10 ** 5 + 1
         assert peak <= 1000 * cli.CSV_BLOCK
+
+
+def float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class TestNegatedRepr:
+    """The mirror rows' fhat_im: repr(-x) from the string repr(x)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(hs.floats() | hs.integers(0, 2 ** 64 - 1).map(float_from_bits))
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(-math.nan)
+    @example(float_from_bits(0x7FF0_0000_0000_0001))  # signalling nan
+    @example(float_from_bits(0xFFF8_DEAD_BEEF_0001))  # negative, payload
+    @example(5e-324)
+    @example(-5e-324)
+    @example(-2.2250738585072009e-308)  # largest subnormal, negated
+    def test_equals_repr_of_the_negation(self, x):
+        assert cli._negated_reprs([repr(x)]) == [repr(-x)]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("flags, lines", [
+        # 10^4 rows, far past a pipe's buffer: a write meets the closed pipe
+        (["scan", "--q", "10", "--exclude", "7", "--k", "4"], 1),
+        # a report within the stdout buffer: the flush meets it
+        (["constants", "--q", "5", "--exclude", "2", "--k", "2"], 0),
+    ])
+    def test_exits_141_without_a_traceback(self, flags, lines, tmp_path,
+                                           capsys):
+        argv = [sys.executable, "-m", "digitlab.cli", *flags]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as child:
+            for _ in range(lines):
+                child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert err == b""  # no traceback
+        assert code == 141
+        # --out is a file, which no reader closes
+        assert run(flags) == 0
+        out = tmp_path / "report"
+        done = subprocess.run([*argv, "--out", str(out)], env=env,
+                              capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert out.read_text() == capsys.readouterr().out
 
 
 class TestScanFailureLeavesOut:
