@@ -2,8 +2,20 @@
 
 Exit codes: 0 success, 1 assertion failure, 2 config error, 3 resource cap,
 141 (128 + SIGPIPE) stdout closed by its reader, with no traceback.
-Reports are JSON (schema 1) with the generating config inline; grids are
-CSV with a fixed header, so every number is reproducible from its file.
+Reports are JSON (schema 1, which ``_emit_json`` adds to each) with the
+generating config inline; grids are CSV with a fixed header, so every
+number is reproducible from its file.
+
+``CONFIG_KEYS`` is the one table of config keys: each entry names the
+flag's dest, which is also the key of a ``--config`` file, the
+``ExperimentConfig`` field and the parser of the value's text.  Every
+flag takes text; ``build_config`` lays the flags over the file's values
+and parses each text once, so a malformed value gives one error from
+either source, ``config error: <field>: '<text>'`` (exit 2).  A write
+that fails (a full disk, on ``--out``, stdout or scan's spill file) is a
+config error too, exit 2 with one line naming what failed; a failed
+stdout is pointed at devnull first, as a closed one is, so the
+interpreter's last flush cannot raise again.
 
 ``main`` validates the config once, before any command runs.  ``--cap``
 limits q^k and is checked once, by ``_make_weight`` (and by
@@ -33,8 +45,7 @@ k; at k = 0 the set is {0} and the direct count is the weight at 0.
 ``verify`` emits the payload of the check catalogue in ``verify.py``.
 Each command imports the modules it needs when it runs: only ``verify``
 imports the catalogue, and ``constants`` imports neither ``arcs`` nor
-``expsums``.  A ``--config`` file takes only the keys
-of the config flags (``exclude``, ``poly_coeffs``, ``d0``, ...); any
+``expsums``.  A ``--config`` file takes only the keys of the table; any
 other key is a config error, and so is a polynomial given, by flag or
 file, with the von Mangoldt weight.  Messages name Q as q^k by q and k,
 since Python will not write an int of more than 4,300 digits.
@@ -77,7 +88,7 @@ SCHEMA = 1
 @dataclass
 class ExperimentConfig:
     q: int = 10
-    excluded: tuple = (7,)
+    excluded: tuple = ()  # required: validate rejects the empty set
     k: int = 3
     weight: str = "mangoldt"
     poly_coeffs: tuple = (0, 0, 1)
@@ -176,22 +187,32 @@ def _jsonify(obj):
 
 
 def _emit(blocks: Iterable[str], out: Optional[str]) -> None:
-    """Write the strings in order to the file ``out``, or to stdout."""
-    if out:
-        try:
-            fh = open(out, "w")
-        except OSError as exc:
-            raise ConfigError(f"out: {exc}") from exc
-        with fh:
-            fh.writelines(blocks)
-    else:
-        sys.stdout.writelines(blocks)
-        sys.stdout.flush()  # a closed pipe raises here, inside ``main``
+    """Write the strings in order to the file ``out``, or to stdout.
+
+    A failed open or write (a full disk) is a config error naming ``out``
+    or stdout; a closed pipe stays a ``BrokenPipeError`` for ``main``.
+    """
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.writelines(blocks)
+        else:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()  # so that a failed write raises here
+    except OSError as exc:
+        if not out:
+            # send what is left to devnull, so that the interpreter's last
+            # flush cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise  # the reader closed stdout: ``main`` exits 141
+        raise ConfigError(f"{'out' if out else 'stdout'}: {exc}") from exc
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _emit([json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
-                      default=_jsonify) + "\n"], out)
+    """Emit the report ``payload`` as JSON, with ``SCHEMA`` added."""
+    _emit([json.dumps(dict(payload, schema=SCHEMA), sort_keys=True, indent=2,
+                      allow_nan=False, default=_jsonify) + "\n"], out)
 
 
 def _deviation_fields(report: MainTermReport) -> dict:
@@ -214,7 +235,6 @@ def cmd_count(cfg: ExperimentConfig) -> int:
     weight = _make_weight(cfg)
     report = arcs_mod.theorem_comparison(ds, cfg.k, weight)
     payload = {
-        "schema": SCHEMA,
         "config": cfg.public(),
         "members": count_below(ds, cfg.q ** cfg.k, cfg.k),
         "direct": report.direct,
@@ -311,9 +331,10 @@ def _scan_csv_blocks(st: PipelineStages,
     rows; each is one string whose rows are joined in C (``_csv_rows``).
     The spill is read back in reverse block order after the last lower
     block, so memory stays O(``CSV_BLOCK``) and the spill grows to about
-    half the CSV in the temp directory.  A failed spill write raises
-    ``OSError`` as a failed ``--out`` write does; either leaves a
-    partial ``--out``.
+    half the CSV in the temp directory.  A failed spill write (a full
+    temp directory) is a config error that names the spill file, as a
+    failed ``--out`` write names ``out``; either leaves a partial
+    ``--out``.
     """
     from .arcs import ARC_CLASSES as names
 
@@ -332,10 +353,13 @@ def _scan_csv_blocks(st: PipelineStages,
         lo, hi = max(start, paired.start), min(stop, paired.stop)
         if lo < hi:  # the rows a = Q - m, m from hi - 1 down to lo
             i, j = lo - start, hi - start
-            sizes.append(spill.write(_csv_rows(
-                range(Q - hi + 1, Q - lo + 1), reversed(re[i:j]),
-                _negated_reprs(reversed(im[i:j])), reversed(fa[i:j]),
-                reversed(cls[i:j]), reversed(sa[i:j])).encode()))
+            try:
+                sizes.append(spill.write(_csv_rows(
+                    range(Q - hi + 1, Q - lo + 1), reversed(re[i:j]),
+                    _negated_reprs(reversed(im[i:j])), reversed(fa[i:j]),
+                    reversed(cls[i:j]), reversed(sa[i:j])).encode()))
+            except OSError as exc:
+                raise ConfigError(f"scan: spill file: {exc}") from exc
         yield _csv_rows(range(start, stop), re, im, fa, cls, sa)
     end = sum(sizes)
     for size in reversed(sizes):
@@ -360,7 +384,6 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
         ds, cfg.k, weight, D0=cfg.D0, A_major=cfg.A_major
     )
     payload = {
-        "schema": SCHEMA,
         "config": cfg.public(),
         "total": ledger.total.real,
         "imag": ledger.total.imag,
@@ -391,7 +414,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
     q, s, run = cfg.q, ds.s, ds.consecutive_flag
     skipped = bounded_power(q, cfg.k, cfg.cap) > cfg.cap
     payload = {
-        "schema": SCHEMA, "config": cfg.public(),
+        "config": cfg.public(),
         "q": q, "s": s, "consecutive": run,
         "Cq_analytic": fou_mod.analytic_Cq(q, s, run),
         "alpha": fou_mod.alpha(q, s, run),
@@ -424,7 +447,7 @@ def cmd_verify(suite: str, seed: Optional[int], out: Optional[str]) -> int:
     _check_out_dir(out)
     payload = verify_mod.report(suite,
                                 CALIBRATION_SEED if seed is None else seed)
-    _emit_json({"schema": SCHEMA, **payload}, out)
+    _emit_json(payload, out)
     return 0 if payload["passed"] else 1
 
 
@@ -432,19 +455,29 @@ def cmd_verify(suite: str, seed: Optional[int], out: Optional[str]) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+def _parse_int_list(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+# The config keys, one entry each: the flag's argparse dest, which is also
+# the key of a --config file, the ExperimentConfig field, the parser of
+# the value's text, and the flag's help.
+CONFIG_KEYS = (
+    ("q", "q", int, None),
+    ("exclude", "excluded", _parse_int_list,
+     "comma-separated excluded digits"),
+    ("k", "k", int, None), ("weight", "weight", str, None),
+    ("poly_coeffs", "poly_coeffs", _parse_int_list,
+     "comma-separated, constant term first"),
+    ("d0", "D0", int, None), ("a_major", "A_major", float, None),
+    ("cap", "cap", int, None), ("out", "out", str, None),
+)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int)
-    p.add_argument("--exclude", type=str,
-                   help="comma-separated excluded digits")
-    p.add_argument("--k", type=int)
-    p.add_argument("--weight", choices=["mangoldt", "poly"])
-    p.add_argument("--poly-coeffs", type=str,
-                   help="comma-separated, constant term first")
-    p.add_argument("--d0", type=int)
-    p.add_argument("--a-major", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str, help="key=value config file")
+    for key, _, _, text in CONFIG_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), help=text)
+    p.add_argument("--config", help="key=value config file")
 
 
 def _read_config_file(path: str) -> dict:
@@ -464,56 +497,41 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers: {text!r}") \
-            from exc
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    file_vals = _read_config_file(args.config) if args.config else {}
-    mapping = [
-        ("q", "q", int), ("exclude", "excluded", _parse_int_list),
-        ("k", "k", int), ("weight", "weight", str),
-        ("poly_coeffs", "poly_coeffs", _parse_int_list),
-        ("d0", "D0", int), ("a_major", "A_major", float),
-        ("cap", "cap", int), ("out", "out", str),
-    ]
-    unknown = sorted(set(file_vals) - {key for key, _, _ in mapping})
+    """The config of the flags laid over the ``--config`` file's values,
+    each text parsed once, by its key's parser."""
+    texts = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(texts) - {key for key, *_ in CONFIG_KEYS})
     if unknown:
         raise ConfigError(f"config: unknown key {unknown[0]!r}")
-    for key, attr, conv in mapping:
-        if key in file_vals:
+    texts.update((key, getattr(args, key)) for key, *_ in CONFIG_KEYS
+                 if getattr(args, key) is not None)
+    cfg = ExperimentConfig()
+    for key, field, parse, _ in CONFIG_KEYS:
+        if key in texts:
             try:
-                setattr(cfg, attr, conv(file_vals[key]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{attr}: {file_vals[key]!r}") from exc
-    for key, attr, conv in mapping:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, attr, conv(val))
-    if args.exclude is None and "exclude" not in file_vals:
-        raise ConfigError("excluded: required")
-    if cfg.weight == "mangoldt" and (args.poly_coeffs is not None
-                                     or "poly_coeffs" in file_vals):
+                setattr(cfg, field, parse(texts[key]))
+            except ValueError as exc:
+                raise ConfigError(f"{field}: {texts[key]!r}") from exc
+    if cfg.weight == "mangoldt" and "poly_coeffs" in texts:
         raise ConfigError("poly-coeffs: given with weight 'mangoldt', "
                           "which takes no polynomial")
     return cfg
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # looked up at each call, so that a cmd_* replaced on this module, as
+    # perfbench/inproc.py wraps them to time them, is the one that runs
+    commands = {"count": cmd_count, "scan": cmd_scan, "arcs": cmd_arcs,
+                "constants": cmd_constants}
     parser = argparse.ArgumentParser(
         prog="digitlab",
         description="Circle-method lab for digit-restricted primes and "
                     "polynomial values",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("count", "scan", "arcs", "constants"):
-        p = sub.add_parser(name)
-        _add_config_flags(p)
+    for name in commands:
+        _add_config_flags(sub.add_parser(name))
     pv = sub.add_parser("verify")
     suites = [*VERIFY_SUITES, "all"]
     pv.add_argument("suite", choices=suites, metavar="suite",
@@ -527,11 +545,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.suite, args.seed, args.out)
-        command = {"count": cmd_count, "scan": cmd_scan, "arcs": cmd_arcs,
-                   "constants": cmd_constants}[args.command]
         cfg = build_config(args)
         cfg.validate()
-        return command(cfg)
+        return commands[args.command](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
@@ -542,10 +558,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"domain error: {exc}\n")
         return 2
     except BrokenPipeError:
-        # the reader closed stdout (``| head``): send what is left to
-        # devnull, so the interpreter's last flush cannot raise again, and
-        # exit as a shell reports a death by SIGPIPE (128 + 13)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout (``| head``; ``_emit`` sent what is left
+        # to devnull): exit as a shell reports a death by SIGPIPE (128 + 13)
         return 141
 
 

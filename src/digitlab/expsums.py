@@ -294,19 +294,15 @@ def poly_rhs(x: int, r: int, d: int, beta: float) -> float:
 def bound_ratio_report(kind: str, seed: int) -> List[dict]:
     """Run one calibrated sweep, recording lhs, rhs and their ratio.
 
-    ``kind`` is a key of ``CALIBRATED_MAX_RATIO``, and the sweep runs at
-    the fixed configuration its ceiling was calibrated at (the constants
-    beside it).  ``seed`` draws the points of the equidistribution and
-    polynomial sweeps; the prime sweep draws none.  No implied constant is
-    asserted here.
+    ``kind`` is a key of ``SWEEPS``, keyed as ``CALIBRATED_MAX_RATIO``,
+    and the sweep runs at the fixed configuration its ceiling was
+    calibrated at (the constants beside it).  ``seed`` draws the points of
+    the equidistribution and polynomial sweeps; the prime sweep draws
+    none.  No implied constant is asserted here.
     """
-    if kind == "equidistribution":
-        return _equidistribution_sweep(random.Random(seed))
-    if kind == "prime":
-        return _prime_sweep()
-    if kind == "polynomial":
-        return _polynomial_sweep(random.Random(seed))
-    raise DomainError(f"unknown sweep kind: {kind}")
+    if kind not in SWEEPS:
+        raise DomainError(f"unknown sweep kind: {kind}")
+    return SWEEPS[kind](random.Random(seed))
 
 
 def _draw_near_rational(rng: random.Random, dmax: int):
@@ -332,7 +328,7 @@ def _equidistribution_sweep(rng: random.Random) -> List[dict]:
     return rows
 
 
-def _prime_sweep() -> List[dict]:
+def _prime_sweep(rng: random.Random) -> List[dict]:
     x = PRIME_X
     table = build_mangoldt(x)
     rows = []
@@ -364,6 +360,11 @@ def _polynomial_sweep(rng: random.Random) -> List[dict]:
             "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
         })
     return rows
+
+
+# The sweep of each kind, keyed as CALIBRATED_MAX_RATIO; each takes an rng.
+SWEEPS = {"equidistribution": _equidistribution_sweep,
+          "prime": _prime_sweep, "polynomial": _polynomial_sweep}
 
 
 def max_sweep_ratio(rows: Sequence[dict]) -> float:

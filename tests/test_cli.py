@@ -337,6 +337,45 @@ class TestClosedStdout:
         assert out.read_text() == capsys.readouterr().out
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, whose every write fails")
+class TestFailedWrite:
+    """A write that fails (a full disk) is a config error: exit 2 and one
+    stderr line, no traceback, where a traceback once exited 1."""
+
+    COUNT = ["count", "--q", "10", "--exclude", "7", "--k", "3"]
+    SCAN = ["scan", "--q", "10", "--exclude", "7", "--k", "3"]
+
+    @pytest.mark.parametrize("flags, to_stdout, target", [
+        (COUNT + ["--out", "/dev/full"], False, "out"),
+        (COUNT, True, "stdout"),
+        (SCAN + ["--out", "/dev/full"], False, "out"),
+    ], ids=["count-out", "count-stdout", "scan-out"])
+    def test_exits_2_without_a_traceback(self, flags, to_stdout, target):
+        argv = [sys.executable, "-m", "digitlab.cli", *flags]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                argv, env=env, timeout=60, stderr=subprocess.PIPE,
+                stdout=full if to_stdout else subprocess.DEVNULL)
+        assert done.returncode == 2
+        assert done.stderr == (f"config error: {target}: [Errno 28] No "
+                               "space left on device\n").encode()
+
+    def test_failed_spill_write_names_the_spill_file(self, tmp_path,
+                                                     monkeypatch, capsys):
+        class FullFile(io.BytesIO):
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda *args, **kwargs: FullFile())
+        assert run([*self.SCAN, "--out", str(tmp_path / "scan.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scan: spill file: [Errno 28] No space left on "
+            "device\n")
+
+
 class TestScanFailureLeavesOut:
     @pytest.mark.parametrize("flags, code", [
         (["--k", "9"], 3),
@@ -831,6 +870,76 @@ class TestConfigFile:
         assert code == 2
         key = line.split("=")[0]
         assert f"config: unknown key {key!r}" in capsys.readouterr().err
+
+
+# The nine config keys, listed here and not read from ``cli.CONFIG_KEYS``,
+# so that a key dropped from the table fails: a valid text, the field and
+# value the report echoes for it, a malformed text and its stderr line.
+CONFIG_TEXTS = [
+    ("q", "11", "q", 11, "ab", "config error: q: 'ab'"),
+    ("exclude", "7,3", "excluded", [3, 7], "7,x",
+     "config error: excluded: '7,x'"),
+    ("k", "1", "k", 1, "two", "config error: k: 'two'"),
+    ("weight", "poly", "weight", "poly", "foo",
+     "config error: weight: must be 'mangoldt' or 'poly'"),
+    ("poly_coeffs", "1,0,1", "poly_coeffs", [1, 0, 1], "0,x",
+     "config error: poly_coeffs: '0,x'"),
+    ("d0", "5", "D0", 5, "1.5", "config error: D0: '1.5'"),
+    ("a_major", "2.5", "A_major", 2.5, "big",
+     "config error: A_major: 'big'"),
+    ("cap", "5000", "cap", 5000, "1e4", "config error: cap: '1e4'"),
+    ("out", "report.json", None, None, "missing/x.json",
+     "config error: out: directory 'missing' does not exist"),
+]
+
+
+class TestOneParse:
+    """A value given by flag or by ``--config`` line goes through one
+    parse, to the same report or the same error."""
+
+    BASE = {"q": "10", "exclude": "7", "k": "2", "weight": "poly",
+            "poly_coeffs": "0,0,1"}
+
+    def run_both(self, key, text, tmp_path, capsys):
+        """(exit, stdout, stderr) with ``key`` given by flag, then by file;
+        the other keys come as flags.  A report written to ``--out`` is
+        read back as its stdout."""
+        results = []
+        others = [f for k, v in self.BASE.items() if k != key
+                  for f in ("--" + k.replace("_", "-"), v)]
+        flag = ["--" + key.replace("_", "-"), text]
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"{key}={text}\n")
+        for extra in (flag, ["--config", str(cfgfile)]):
+            code = run(["count", *others, *extra])
+            out, err = capsys.readouterr()
+            if key == "out" and code == 0:
+                out = Path(text).read_text()
+                os.remove(text)
+            results.append((code, out, err))
+        return results
+
+    @pytest.mark.parametrize("key, text, field, value, bad, message",
+                             CONFIG_TEXTS, ids=[c[0] for c in CONFIG_TEXTS])
+    def test_flag_and_file_give_one_report(self, key, text, field, value,
+                                           bad, message, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        by_flag, by_file = self.run_both(key, text, tmp_path, capsys)
+        assert by_flag == by_file
+        code, out, err = by_flag
+        assert (code, err) == (0, "")
+        if field is not None:
+            assert strict_json(out)["config"][field] == value
+
+    @pytest.mark.parametrize("key, text, field, value, bad, message",
+                             CONFIG_TEXTS, ids=[c[0] for c in CONFIG_TEXTS])
+    def test_flag_and_file_give_one_error(self, key, text, field, value,
+                                          bad, message, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        by_flag, by_file = self.run_both(key, bad, tmp_path, capsys)
+        assert by_flag == by_file == (2, "", message + "\n")
 
 
 class TestHugeQ:

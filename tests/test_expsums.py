@@ -510,3 +510,6 @@ class TestBoundRatios:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             bound_ratio_report("nonsense", CALIBRATION_SEED)
+
+    def test_one_sweep_per_calibrated_kind(self):
+        assert set(exp_mod.SWEEPS) == set(CALIBRATED_MAX_RATIO)

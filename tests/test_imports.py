@@ -33,8 +33,11 @@ PACKAGE = Path(digitlab.__file__).parent
 MODULES = (sorted(PACKAGE.glob("*.py"))
            + sorted(Path(__file__).parent.glob("*.py")))
 # (module, function, parameter) left unread on purpose: every suite in
-# verify.SUITES takes the seed, and the constants suite draws nothing.
-UNREAD_PARAMETERS = {("verify.py", "_suite_constants", "seed")}
+# verify.SUITES takes the seed, and the constants suite draws nothing;
+# every sweep in expsums.SWEEPS takes the rng, and the prime sweep draws
+# nothing.
+UNREAD_PARAMETERS = {("verify.py", "_suite_constants", "seed"),
+                     ("expsums.py", "_prime_sweep", "rng")}
 # (module, name) defined and left unread on purpose: the import system
 # reads __all__ and calls __getattr__ (PEP 562), and __version__ is for
 # the package's users.
