@@ -417,7 +417,8 @@ class PipelineStages:
 def _grid(ds: DigitSet, k: int, D0: Optional[int], A_major: float) -> tuple:
     """(Q, D0, threshold) of the pipeline, D0 defaulting to isqrt(Q), once
     the grid size and the arguments of ``_classification`` are checked
-    (``_threshold``): before any stage allocates."""
+    (``_threshold``): before any stage allocates.  ``arcs`` and ``scan``
+    run it before they build the weight, so a bad D0 costs no sieve."""
     check_grid_size(ds.q, k)
     Q = ds.q ** k
     D0 = max(1, math.isqrt(Q)) if D0 is None else D0
@@ -594,8 +595,11 @@ def singular_series(P: IntPolynomial, ds: DigitSet, J: int) -> Fraction:
 
 @dataclass
 class MainTermReport:
-    """``deviation`` is |direct - main| / main, or None when main is 0."""
+    """``members`` is (q - s)**k, the size of the set below q**k, which
+    both main terms scale; ``deviation`` is |direct - main| / main, or
+    None when main is 0."""
 
+    members: int
     main_term: float
     direct: float
     deviation: Optional[float]
@@ -638,5 +642,5 @@ def theorem_comparison(ds: DigitSet, k: int, weight: Weight) -> MainTermReport:
                           "coefficient is too large")
     direct = direct_count(ds, k, weight)
     dev = abs(direct - main) / main if main else None
-    return MainTermReport(main_term=main, direct=direct, deviation=dev,
-                          **extra)
+    return MainTermReport(members=members, main_term=main, direct=direct,
+                          deviation=dev, **extra)

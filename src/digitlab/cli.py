@@ -19,7 +19,13 @@ interpreter's last flush cannot raise again.
 
 ``main`` validates the config once, before any command runs.  ``--cap``
 limits q^k and is checked once, by ``_make_weight`` (and by
-``cmd_constants``), before any stage allocates.  The library checks only
+``cmd_constants``), before any stage allocates.  ``_make_weight`` makes a
+polynomial weight before that check, so the polynomial's own rule
+(degree >= 1, positive lead) rejects a bad one ahead of the cap; for
+``arcs`` and ``scan`` it then runs the pipeline's own argument check,
+``arcs._grid`` (D0 >= 1, Q*D0 < 2^53, a finite threshold), before the
+sieve is built.  ``count`` reads no D0 and does not run it; ``validate``
+rejects a D0 below 1 for every command.  The library checks only
 its fixed caps: ``fourier.GRID_CAP``, ``expsums.MANGOLDT_CAP``,
 ``expsums.POLY_SCAN_CAP``, ``digits.ENUMERATION_CAP``, ``digits.BASE_CAP``
 (when the ``DigitSet`` is made) and ``arcs.PAIR_COUNT_CAP``.  Every cap on
@@ -41,7 +47,12 @@ It creates the spill file, and then opens the output, only once every
 stage has succeeded, so a failed run leaves an existing file untouched.
 
 ``count`` and ``arcs`` both report ``arcs.theorem_comparison`` at every
-k; at k = 0 the set is {0} and the direct count is the weight at 0.
+k, through one block of fields (``_comparison_fields``): the member count
+(q - s)^k, the direct count, the main term, the relative deviation (null,
+with its reason, when the main term is 0), kappa and the singular series
+with its level J (each null where its weight has none).  So an ``arcs``
+main term can be checked from its report alone.  At k = 0 the set is {0}
+and the direct count is the weight at 0.
 ``verify`` emits the payload of the check catalogue in ``verify.py``.
 Each command imports the modules it needs when it runs: only ``verify``
 imports the catalogue, and ``constants`` imports neither ``arcs`` nor
@@ -75,7 +86,7 @@ from typing import (TYPE_CHECKING, BinaryIO, Iterable, Iterator, List,
 import numpy as np
 
 from . import fourier as fou_mod
-from .digits import DigitSet, bounded_power, count_below
+from .digits import DigitSet, bounded_power
 from .errors import CapExceededError, ConfigError, DomainError
 from .fourier import FourierContext
 
@@ -108,8 +119,6 @@ class ExperimentConfig:
             raise ConfigError("k: must be nonnegative")
         if self.weight not in ("mangoldt", "poly"):
             raise ConfigError("weight: must be 'mangoldt' or 'poly'")
-        if self.weight == "poly" and len(self.poly_coeffs) < 2:
-            raise ConfigError("poly-coeffs: need degree >= 1")
         if self.D0 is not None and self.D0 < 1:
             raise ConfigError("d0: must be positive")
         if not 0 < self.A_major < math.inf:
@@ -181,8 +190,6 @@ def _jsonify(obj):
                 "value": float(obj)}
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -215,13 +222,18 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
                       allow_nan=False, default=_jsonify) + "\n"], out)
 
 
-def _deviation_fields(report: MainTermReport) -> dict:
-    """The relative deviation, or null and why when it is undefined."""
+def _comparison_fields(report: MainTermReport) -> dict:
+    """The theorem comparison that ``count`` and ``arcs`` both report; a
+    null deviation comes with why it is undefined."""
+    fields = {"members": report.members, "direct": report.direct,
+              "main_term": report.main_term, "deviation": report.deviation,
+              "kappa": report.kappa,
+              "singular_series_J": report.singular_series_J,
+              "singular_series": report.singular_series_value}
     if report.deviation is None:
-        return {"deviation": None,
-                "deviation_reason": "main term is 0, so the relative "
-                                    "deviation is undefined"}
-    return {"deviation": report.deviation}
+        fields["deviation_reason"] = ("main term is 0, so the relative "
+                                      "deviation is undefined")
+    return fields
 
 
 # ----------------------------------------------------------------------
@@ -231,20 +243,10 @@ def _deviation_fields(report: MainTermReport) -> dict:
 def cmd_count(cfg: ExperimentConfig) -> int:
     from . import arcs as arcs_mod
 
-    ds = cfg.digit_set()
-    weight = _make_weight(cfg)
-    report = arcs_mod.theorem_comparison(ds, cfg.k, weight)
-    payload = {
-        "config": cfg.public(),
-        "members": count_below(ds, cfg.q ** cfg.k, cfg.k),
-        "direct": report.direct,
-        "main_term": report.main_term,
-        **_deviation_fields(report),
-        "kappa": report.kappa,
-        "singular_series_J": report.singular_series_J,
-        "singular_series": report.singular_series_value,
-    }
-    _emit_json(payload, cfg.out)
+    report = arcs_mod.theorem_comparison(cfg.digit_set(), cfg.k,
+                                         _make_weight(cfg))
+    _emit_json({"config": cfg.public(), **_comparison_fields(report)},
+               cfg.out)
     return 0
 
 
@@ -254,16 +256,22 @@ def _q_to_the_k(cfg: ExperimentConfig) -> str:
     return f"q^k = {cfg.q}^{cfg.k}"
 
 
-def _make_weight(cfg: ExperimentConfig):
-    """The weight on [0, Q), built only once Q = q^k is within the cap."""
+def _make_weight(cfg: ExperimentConfig, pipeline: bool = False):
+    """The weight on [0, Q).  A polynomial is made first, so that its own
+    rule (degree >= 1, positive lead) is the one error for a bad one,
+    ahead of the cap.  The sieve is built only once Q = q^k is within the
+    cap and, for the ``pipeline`` commands, once ``arcs._grid`` accepts
+    D0 and A."""
+    from . import arcs as arcs_mod
     from .expsums import IntPolynomial, build_mangoldt
 
+    poly = IntPolynomial(cfg.poly_coeffs) if cfg.weight == "poly" else None
     Q = bounded_power(cfg.q, cfg.k, cfg.cap)
     if Q > cfg.cap:
         raise CapExceededError(f"{_q_to_the_k(cfg)} exceeds cap {cfg.cap}")
-    if cfg.weight == "mangoldt":
-        return build_mangoldt(max(Q - 1, 1))
-    return IntPolynomial(cfg.poly_coeffs)
+    if pipeline:
+        arcs_mod._grid(cfg.digit_set(), cfg.k, cfg.D0, cfg.A_major)
+    return build_mangoldt(max(Q - 1, 1)) if poly is None else poly
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +290,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     from . import arcs as arcs_mod
 
     st = arcs_mod.pipeline_stages(
-        cfg.digit_set(), cfg.k, _make_weight(cfg),
+        cfg.digit_set(), cfg.k, _make_weight(cfg, pipeline=True),
         D0=cfg.D0, A_major=cfg.A_major
     )
     with _spill_file() as spill:
@@ -376,7 +384,7 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
     from . import arcs as arcs_mod
 
     ds = cfg.digit_set()
-    weight = _make_weight(cfg)
+    weight = _make_weight(cfg, pipeline=True)
     # first, so that a main term that is not finite exits before any
     # pipeline stage allocates
     comparison = arcs_mod.theorem_comparison(ds, cfg.k, weight)
@@ -396,10 +404,7 @@ def cmd_arcs(cfg: ExperimentConfig) -> int:
             "A_major": ledger.A_major,
             "threshold": ledger.threshold,
         },
-        "main_term": comparison.main_term,
-        "direct": comparison.direct,
-        **_deviation_fields(comparison),
-        "kappa": comparison.kappa,
+        **_comparison_fields(comparison),
     }
     _emit_json(payload, cfg.out)
     return 0

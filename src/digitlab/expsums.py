@@ -238,7 +238,7 @@ def expsum(weight: Weight, x: int, alpha: float | Fraction) -> complex:
     else:
         units = e(np.mod(ns.astype(np.float64) * alpha, 1.0))
     terms = ws * units
-    return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
+    return complex(np.add.reduce(terms))
 
 
 def minsum(N: int, M: float, alpha) -> float:

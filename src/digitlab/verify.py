@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -81,29 +81,31 @@ def _scalar_terms(ds: DigitSet, k: int, weight) -> list:
 
 
 def ledger_vs_scalar(cases: Iterable[tuple],
-                     A_values: Iterable[Optional[float]] = (None,)
+                     settings: Iterable[tuple] = ((None, None),)
                      ) -> List[dict]:
     """Ledger class counts and per-class sums against a scalar oracle.
 
     Cases are those of ``pipeline_vs_direct``; the pipeline runs at each
-    A in ``A_values`` (None is its default).  The checks are named by q,
-    k, the case's weight label and any given A.  One scalar pass
-    classifies every a < Q (``dirichlet_approx`` and ``classify``); the
-    counts must match exactly, and each class sum of the scalar terms
-    (``_scalar_terms``, added by ``pairwise_sum``) must match the
-    ledger's within 1e-9 of the class's sum of |term|.
+    (D0, A) in ``settings``, None being its default.  The checks are
+    named by q, k, the case's weight label and any given D0 and A.  One
+    scalar pass per setting classifies every a < Q (``dirichlet_approx``
+    and ``classify``); the counts must match exactly, and each class sum
+    of the scalar terms (``_scalar_terms``, computed once per case and
+    added by ``pairwise_sum``) must match the ledger's within 1e-9 of the
+    class's sum of |term|.
     """
     checks = []
     for ds, k, weight, label in cases:
         Q = ds.q ** k
-        D0 = max(1, math.isqrt(Q))
-        approx = [arcs_mod.dirichlet_approx(a, Q, D0) for a in range(Q)]
         terms = _scalar_terms(ds, k, weight)
-        for A in A_values:
-            at = "" if A is None else f", A={A}"
+        for D0, A in settings:
+            at = "".join(f", {name}={value}" for name, value
+                         in (("D0", D0), ("A", A)) if value is not None)
             kw = {} if A is None else {"A_major": A}
             led = arcs_mod.circle_pipeline(ds, k, weight, D0=D0, **kw)
-            codes = [arcs_mod.classify(ap, led.A_major) for ap in approx]
+            codes = [arcs_mod.classify(
+                arcs_mod.dirichlet_approx(a, Q, led.D0), led.A_major)
+                for a in range(Q)]
             counts = led.counts
             checks.append(_check(
                 f"ledger class counts vs scalar classify "
@@ -428,12 +430,18 @@ def _suite_expsums(seed: int) -> List[dict]:
 
 def _suite_arcs(seed: int) -> List[dict]:
     checks = []
-    for q, excl, k in [(6, (3,), 3), (10, (7,), 3)]:
+    # A = 1 fills all three classes; the default A = 3 is all major.  At
+    # q = 6 two more settings run the other two regimes of
+    # ``_classification``: D0 = 2 is below the threshold 5.375, so the
+    # codes start major and the minor_offset points are visited, and at
+    # D0 = 100 the fractions outnumber the points, so the whole half is
+    # the neighbourhood of 0/1.
+    for q, excl, k, more in [(6, (3,), 3, ((2, 1.0), (100, 2.0))),
+                             (10, (7,), 3, ())]:
         case = (DigitSet(q, excl), k, exp_mod.build_mangoldt(q ** k),
                 "mangoldt")
-        # A = 1 fills all three classes; the default A = 3 is all major
         checks += pipeline_vs_direct([case]) + ledger_vs_scalar(
-            [case], (None, 1.0))
+            [case], ((None, None), (None, 1.0)) + more)
     P = IntPolynomial((0, 0, 1))
     ds = DigitSet(10, (7,))
     checks += pipeline_vs_direct([(ds, 3, P, "n^2")])

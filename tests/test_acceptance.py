@@ -135,7 +135,7 @@ def test_criterion_11_ledger_class_sums():
     cases = [(ds, 4, build_mangoldt(10 ** 4), "mangoldt"),
              (ds, 4, SQUARE, "n^2")]
     A_values = (0.5, 1.0, 1.5)
-    checks = verify.ledger_vs_scalar(cases, A_values)
+    checks = verify.ledger_vs_scalar(cases, [(None, A) for A in A_values])
     assert_passed(checks, [(label, A, kind) for _, _, _, label in cases
                            for A in A_values for kind in ("counts", "sums")])
     assert len({c["check"] for c in checks}) == len(checks)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import inspect
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,10 @@ from digitlab.errors import DomainError
 from digitlab.expsums import IntPolynomial, build_mangoldt
 
 DATA = Path(__file__).parent / "data"
+_spec = importlib.util.spec_from_file_location(
+    "reports", Path(__file__).parents[1] / "tools" / "reports.py")
+REPORTS_TOOL = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(REPORTS_TOOL)
 
 
 def run(argv):
@@ -137,6 +143,39 @@ class TestCount:
                     "--weight", "poly", "--poly-coeffs", "0,0,1",
                     "--cap", "1000000"])
         assert code == 3
+
+
+class TestOneComparison:
+    """``count`` and ``arcs`` print the one theorem comparison."""
+
+    KEYS = ("members", "direct", "main_term", "deviation", "deviation_reason",
+            "kappa", "singular_series_J", "singular_series")
+
+    @pytest.mark.parametrize("flags", [
+        ["--q", "10", "--exclude", "7", "--k", "3"],
+        ["--q", "10", "--exclude", "7", "--k", "3", "--weight", "poly"],
+        ["--q", "10", "--exclude", "7", "--k", "0"],
+        ["--q", "10", "--exclude", "7", "--k", "0", "--weight", "poly"],
+        # kappa = 0: the deviation is null, with its reason
+        ["--q", "6", "--exclude", "1,5", "--k", "3"],
+    ], ids=["mangoldt", "n^2", "mangoldt-k0", "n^2-k0", "kappa-0"])
+    def test_same_fields(self, flags, capsys):
+        fields = []
+        for command in ("count", "arcs"):
+            assert run([command, *flags]) == 0
+            payload = strict_json(capsys.readouterr().out)
+            assert set(self.KEYS) - {"deviation_reason"} <= set(payload)
+            fields.append([payload.get(key) for key in self.KEYS])
+        assert fields[0] == fields[1]
+
+    def test_poly_main_term_from_the_report(self):
+        # (7442/6561) * 10^(4/2) * 6561/10^4 = 74.42
+        rep = strict_json((DATA / "arcs_q10_k4_poly.json").read_text())
+        ss = Fraction(rep["singular_series"]["num"],
+                      rep["singular_series"]["den"])
+        assert (rep["singular_series_J"], rep["members"]) == (4, 9 ** 4)
+        assert rep["main_term"] == pytest.approx(
+            float(ss) * 10 ** (4 / 2) * rep["members"] / 10 ** 4, rel=1e-15)
 
 
 class TestScan:
@@ -663,7 +702,6 @@ class TestUnwritableOut:
         # checked before any stage runs
         monkeypatch.setattr(expsums_mod, "build_mangoldt",
                             refuse("build_mangoldt"))
-        monkeypatch.setattr(cli, "count_below", refuse("count_below"))
         for name in ("pipeline_stages", "circle_pipeline",
                      "theorem_comparison"):
             monkeypatch.setattr(arcs_mod, name, refuse(name))
@@ -705,28 +743,23 @@ class TestBaseCap:
         assert DigitSet(digits_mod.BASE_CAP, (7,)).q == digits_mod.BASE_CAP
 
 
-# Golden reports, generated by the commands below; each report command is
-# gated on byte identity, as ``verify all`` is by verify_all.json.
-GOLDEN = [
-    (["arcs", "--q", "10", "--exclude", "7", "--k", "4", "--a-major", "1.0"],
-     "arcs_q10_k4.json"),
-    (["scan", "--q", "7", "--exclude", "3", "--k", "4"], "scan_q7_k4.csv"),
-    (["count", "--q", "50", "--exclude", "7", "--k", "3", "--weight", "poly",
-      "--poly-coeffs", "0,0,1"], "count_q50_k3_poly.json"),
-    (["constants", "--q", "31", "--exclude", "7", "--k", "4"],
-     "constants_q31_k4.json"),
-    (["arcs", "--q", "10", "--exclude", "7", "--k", "4", "--weight", "poly",
-      "--poly-coeffs", "1,-3,1", "--a-major", "1.0"], "arcs_q10_k4_poly.json"),
-]
-
-
 class TestGoldenReports:
+    """The committed reports, from the commands of ``tools/reports.py``,
+    which also writes them for the byte gate between two commits.  Each
+    is gated on byte identity, so a change to one must update its file."""
+
+    GOLDEN = REPORTS_TOOL.GOLDEN
+
     @pytest.mark.parametrize("argv, name", GOLDEN,
                              ids=[name for _, name in GOLDEN])
     def test_matches_committed_report(self, argv, name, tmp_path):
         out = tmp_path / name
         assert run([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / name).read_bytes()
+
+    def test_one_command_per_committed_report(self):
+        assert sorted(name for _, name in self.GOLDEN) == sorted(
+            p.name for p in DATA.iterdir())
 
 
 class TestOneReportPerDigitSet:
@@ -755,6 +788,29 @@ class TestD0BelowOne:
                     "--d0", d0])
         assert code == 2
         assert "d0: must be positive" in capsys.readouterr().err
+
+
+class TestExactBetaBeforeTheWeight:
+    """``arcs`` and ``scan`` run the pipeline's argument check
+    (``arcs._grid``) after the cap and before the weight is built."""
+
+    ARGV = ["--q", "10", "--exclude", "7", "--k", "8", "--d0", "100000000",
+            "--a-major", "2.0"]
+
+    @pytest.mark.parametrize("command", ["arcs", "scan"])
+    def test_q_d0_past_2_53(self, command, monkeypatch, capsys):
+        monkeypatch.setattr(expsums_mod, "build_mangoldt",
+                            refuse("build_mangoldt"))
+        monkeypatch.setattr(arcs_mod, "theorem_comparison",
+                            refuse("theorem_comparison"))
+        assert run([command, *self.ARGV]) == 2
+        assert capsys.readouterr().err == (
+            "domain error: Q*D0 = 10000000000000000 not below 2^53: "
+            "beta would not be exact\n")
+        # the cap is checked first
+        assert run([command, *self.ARGV, "--cap", "1000"]) == 3
+        assert capsys.readouterr().err == (
+            "resource cap: q^k = 10^8 exceeds cap 1000\n")
 
 
 class TestVerify:
@@ -815,12 +871,6 @@ class TestVerify:
         assert run(["verify", "all", "--out", str(a)]) == 0
         assert run(["verify", "all", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_matches_committed_report(self, tmp_path):
-        # the refactor gate: a change to this report must update the file
-        out = tmp_path / "verify.json"
-        assert run(["verify", "all", "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / "verify_all.json").read_bytes()
 
     def test_unknown_suite(self, capsys):
         code = run(["verify", "bogus"])
@@ -987,6 +1037,25 @@ class TestPolyCoeffsNeedPolyWeight:
         # a flag that makes the weight poly takes the file's polynomial
         assert run(["count", "--config", str(cfgfile), "--weight", "poly",
                     "--out", str(tmp_path / "o.json")]) == 0
+
+
+class TestPolyDegree:
+    """The polynomial's own rule is the one check of its degree, ahead of
+    the cap."""
+
+    @pytest.mark.parametrize("k", ["2", "9"])  # 10^9 is past the cap
+    @pytest.mark.parametrize("coeffs", ["7", "5,0"])
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
+    def test_one_error_by_flag_or_file(self, command, coeffs, k, tmp_path,
+                                       capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"poly_coeffs={coeffs}\n")
+        flags = [command, "--q", "10", "--exclude", "7", "--k", k,
+                 "--weight", "poly"]
+        for source in (["--poly-coeffs", coeffs], ["--config", str(cfgfile)]):
+            assert run([*flags, *source]) == 2
+            assert capsys.readouterr() == (
+                "", "domain error: polynomial must have degree >= 1\n")
 
 
 class TestRemovedFlags:

@@ -44,7 +44,7 @@ def test_pipeline_vs_direct(monkeypatch):
 
 def test_ledger_class_counts_sees_minor_arcs(monkeypatch):
     cases = [(DigitSet(6, (3,)), 3, build_mangoldt(216), "mangoldt")]
-    checks = verify.ledger_vs_scalar(cases, (None, 1.0))
+    checks = verify.ledger_vs_scalar(cases, ((None, None), (None, 1.0)))
     assert verdicts(checks) == [True] * 4
     assert [c["check"] for c in checks] == [
         "ledger class counts vs scalar classify (q=6, k=3, mangoldt)",
@@ -58,7 +58,27 @@ def test_ledger_class_counts_sees_minor_arcs(monkeypatch):
     monkeypatch.setattr(arcs_mod, "_classification",
                         lambda *args: swap[real(*args)])
     assert verdicts(verify.ledger_vs_scalar(cases)) == [True] * 2
-    assert verdicts(verify.ledger_vs_scalar(cases, (1.0,))) == [False] * 2
+    assert verdicts(verify.ledger_vs_scalar(
+        cases, ((None, 1.0),))) == [False] * 2
+
+
+@pytest.mark.parametrize("D0, A, perm", [(2, 1.0, (2, 1, 0)),
+                                         (100, 2.0, (1, 0, 2))],
+                         ids=["offset-regime", "whole-half"])
+def test_each_classification_regime_is_checked(D0, A, perm, monkeypatch):
+    # codes swapped only at one D0: only that setting's two checks fail
+    real = arcs_mod._classification
+    swap = np.array(perm, dtype=np.int8)
+    monkeypatch.setattr(
+        arcs_mod, "_classification",
+        lambda Q, d0, A_major: (swap[real(Q, d0, A_major)] if d0 == D0
+                                else real(Q, d0, A_major)))
+    rep = verify.report("all", 1)
+    at = f"(q=6, k=3, mangoldt, D0={D0}, A={A})"
+    assert len(rep["checks"]) == 48
+    assert rep["failures"] == [
+        f"ledger class counts vs scalar classify {at}",
+        f"ledger class sums vs scalar oracle {at}"]
 
 
 LEDGER_CASES = [(DigitSet(6, (3,)), 3, build_mangoldt(216), "mangoldt"),
@@ -92,7 +112,7 @@ def plant_ledger(monkeypatch, roll=0, paired=fou_mod.mirror_paired):
 
 
 def sum_verdicts(A):
-    checks = verify.ledger_vs_scalar(LEDGER_CASES, (A,))
+    checks = verify.ledger_vs_scalar(LEDGER_CASES, ((None, A),))
     return verdicts(checks[0::2]), verdicts(checks[1::2])
 
 
