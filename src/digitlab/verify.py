@@ -71,13 +71,36 @@ def pipeline_vs_direct(cases: Iterable[tuple]) -> List[dict]:
 
 
 def _scalar_terms(ds: DigitSet, k: int, weight) -> list:
-    """F(a/Q) S_w(-a/Q) / Q for every a < Q from the scalar oracles:
-    ``eval_product`` at a/Q, and ``expsum`` at the exact frequency -a/Q."""
+    """F(a/Q) S_w(-a/Q) / Q for every a < Q as Python complex, with the
+    bits of ``eval_product`` at a/Q times ``expsum`` at the exact frequency
+    -a/Q, over Q.
+
+    One table of the Q roots unit(r, Q) serves both sides: each reduced
+    phase r/den of theirs is the same correctly rounded float as some
+    r'/Q.  F(a/Q) multiplies, in ``fourier._product``'s order, the digit
+    sums at p_i = a*q**i mod Q, taken for every p at once as the pairwise
+    sum over the allowed d of the roots at d*p mod Q.  S_w(-a/Q) gathers
+    the roots at n*(Q - a) mod Q over the weight's support, one 1-D array
+    per a, so that memory stays linear in Q, and adds the terms by
+    ``np.add.reduce`` as expsum does; it is a Python complex before the
+    / Q, since numpy divides a complex by a real through its reciprocal.
+    n < Q, so n*(Q - a) < Q**2 is exact in int64 at any Q a loop over the
+    grid can reach.
+    """
     Q = ds.q ** k
-    ctx = fou_mod.FourierContext(ds, k)
-    return [fou_mod.eval_product(ctx, a)
-            * exp_mod.expsum(weight, Q, Fraction(-a, Q)) / Q
-            for a in range(Q)]
+    ns, ws = exp_mod.weight_support(weight, Q)
+    points = np.arange(Q)
+    roots = fou_mod.unit(points, Q)
+    sums = pairwise_sum([roots[d * points % Q] for d in ds.allowed]).tolist()
+    terms = []
+    for a in range(Q):
+        f, p = complex(1.0), a
+        for _ in range(k):
+            f *= sums[p]
+            p = p * ds.q % Q
+        s = complex(np.add.reduce(ws * roots[ns * (Q - a) % Q]))
+        terms.append(f * s / Q)
+    return terms
 
 
 def ledger_vs_scalar(cases: Iterable[tuple],
@@ -173,12 +196,17 @@ def lemma_inequality(thetas: Iterable[float]) -> List[dict]:
     """2 + 2 cos(2 pi t) <= 4 exp(-2 ||t||^2) at every t; the detail is the
     worst margin, right side minus left.
 
-    A scalar loop: float64 np.exp may be vectorised and differ from
-    math.exp in the last bit, and the report is fixed to the bit."""
+    The distances come from one array call of ``distance_to_integer``,
+    which gives the scalar call's bits; the rest is a scalar loop over
+    Python floats read one at a time from the two arrays (lists of them
+    would raise the peak RSS of ``verify``), since float64 np.exp may be
+    vectorised and differ from math.exp in the last bit, and the report
+    is fixed to the bit."""
+    ts = np.fromiter(thetas, dtype=np.float64)
+    dists = fou_mod.distance_to_integer(ts)
     margin = _min_margin([
-        4 * math.exp(-2 * fou_mod.distance_to_integer(t) ** 2)
-        - (2 + 2 * math.cos(2 * math.pi * t))
-        for t in thetas])
+        4 * math.exp(-2 * dist ** 2) - (2 + 2 * math.cos(2 * math.pi * t))
+        for t, dist in zip(map(float, ts), map(float, dists))])
     return [_check("2+2cos(2 pi t) <= 4 exp(-2 ||t||^2)", margin >= -1e-12,
                    f"min margin {margin:.3e}")]
 

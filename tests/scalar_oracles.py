@@ -156,10 +156,32 @@ def prime_expsum(weight, x, alpha):
     return complex(np.add.reduce(terms)) if terms.size else complex(0.0)
 
 
+def scalar_terms(ds, k, weight):
+    """``verify._scalar_terms`` per point: F(a/Q) S_w(-a/Q) / Q for every
+    a < Q as ``eval_product`` at a/Q times ``expsum`` at the exact
+    frequency -a/Q, divided by Q."""
+    Q = ds.q ** k
+    ctx = fou_mod.FourierContext(ds, k)
+    return [fou_mod.eval_product(ctx, a)
+            * exp_mod.expsum(weight, Q, Fraction(-a, Q)) / Q
+            for a in range(Q)]
+
+
 def digit_factor(ds, theta):
     """sum of e(d*theta) over the allowed digits, at one theta."""
     return pairwise_sum([cmath.exp(2j * math.pi * ((d * float(theta)) % 1.0))
                          for d in ds.allowed])
+
+
+def lemma_inequality(thetas):
+    """The family ``verify.lemma_inequality`` with one scalar
+    ``distance_to_integer`` call per t."""
+    margin = verify._min_margin([
+        4 * math.exp(-2 * fou_mod.distance_to_integer(t) ** 2)
+        - (2 + 2 * math.cos(2 * math.pi * t))
+        for t in thetas])
+    return [verify._check("2+2cos(2 pi t) <= 4 exp(-2 ||t||^2)",
+                          margin >= -1e-12, f"min margin {margin:.3e}")]
 
 
 def digit_factor_bound(ds, theta):

@@ -394,6 +394,28 @@ def recorded_phases(monkeypatch, run):
 GOLDEN_GRIDS = [10 ** 4, 7 ** 4, 50 ** 3, 31 ** 4]
 # the residues per denominator the kernel test takes, evenly spaced
 KERNEL_SAMPLE = 2 ** 17
+# (j, N, real, imag): e(j/N) as computed by this package on an x86-64
+# host with AVX-512 and FMA, Python 3.11.7, numpy 2.4.6, glibc 2.36, in
+# float.hex form; N runs over GOLDEN_GRIDS and verify's ledger grids Q = 216
+# and 1000
+KERNEL_BITS = [
+    (1, 10000, "0x1.fffff9606a38ep-1", "0x1.496b7ae82073dp-11"),
+    (1234, 10000, "0x1.6da8f0e67232bp-1", "0x1.66617e033dc15p-1"),
+    (9999, 10000, "0x1.fffff9606a38ep-1", "-0x1.496b7ae82150ep-11"),
+    (1, 2401, "0x1.ffff8d1b4a6e1p-1", "0x1.57009c414743dp-9"),
+    (600, 2401, "0x1.5700b44ee6121p-11", "0x1.fffff8d1b4667p-1"),
+    (2400, 2401, "0x1.ffff8d1b4a6e1p-1", "-0x1.57009c414799ep-9"),
+    (1, 125000, "0x1.fffffff525f41p-1", "0x1.a5a84d350ca92p-15"),
+    (31249, 125000, "0x1.a5a84d350f962p-15", "0x1.fffffff525f41p-1"),
+    (77777, 125000, "-0x1.7050ddaa72d26p-1", "-0x1.63a69363f1eb1p-1"),
+    (1, 923521, "0x1.ffffffffcd1b2p-1", "0x1.c8936def759eap-18"),
+    (461760, 923521, "-0x1.fffffffff346dp-1", "0x1.c8936def42d06p-19"),
+    (923520, 923521, "0x1.ffffffffcd1b2p-1", "-0x1.c8936def3777cp-18"),
+    (1, 216, "0x1.ffc88ccce07ffp-1", "0x1.dc8626f42950cp-6"),
+    (215, 216, "0x1.ffc88ccce07ffp-1", "-0x1.dc8626f4295f5p-6"),
+    (7, 1000, "0x1.ff813eac238efp-1", "0x1.682fd3c7bd8c8p-5"),
+    (999, 1000, "0x1.fffd69aa0b99dp-1", "-0x1.9bc5a9d91f5d1p-8"),
+]
 
 
 class TestKernel:
@@ -406,6 +428,15 @@ class TestKernel:
     def test_grid_quotients(self, den):
         r = np.arange(0, den, -(-den // KERNEL_SAMPLE))
         check_kernel(np.append(r, den - 1) / den)
+
+    def test_committed_bits(self):
+        # a golden, not a same-process cmath.exp: a host whose libm or
+        # numpy rounds these roots otherwise fails here
+        want = [complex(float.fromhex(re), float.fromhex(im))
+                for _, _, re, im in KERNEL_BITS]
+        phases = np.array([j / N for j, N, _, _ in KERNEL_BITS])
+        assert bits(e(phases)) == bits(want)
+        assert bits([e(f) for f in phases.tolist()]) == bits(want)
 
     def test_edges(self):
         check_kernel(np.array([0.0, 0.25, 0.5, 0.75,

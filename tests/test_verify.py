@@ -1,6 +1,7 @@
 """Each shared check family of the verify catalogue can fail."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,68 @@ def test_class_sums_see_a_self_mirror_doubled(paired, sums, A, monkeypatch):
     assert sum_verdicts(A) == ([True] * 4, sums)
 
 
+# verify's two cases, other bases and exclusions at k = 2, 3 and 4, each
+# with three weights; then criterion 11's Q = 10^4 with its two weights
+SQUARE, CUBIC = IntPolynomial((0, 0, 1)), IntPolynomial((5, -4, 0, 1))
+WEIGHTS = {"mangoldt": build_mangoldt, "n^2": lambda Q: SQUARE,
+           "n^3-4n+5": lambda Q: CUBIC}
+SCALAR_TERMS_CASES = [
+    (ds, k, label)
+    for ds, k in [(DigitSet(6, (3,)), 3), (DS, 3), (DigitSet(12, (5,)), 2),
+                  (DigitSet(10, (0, 7)), 3), (DigitSet(7, (2,)), 4)]
+    for label in WEIGHTS
+] + [(DS, 4, "mangoldt"), (DS, 4, "n^2")]
+
+
+@pytest.mark.parametrize(
+    "ds, k, label", SCALAR_TERMS_CASES,
+    ids=[f"{verify._set_label(ds)}, k={k}, {label}"
+         for ds, k, label in SCALAR_TERMS_CASES])
+def test_scalar_terms_match_the_per_point_oracle(ds, k, label):
+    weight = WEIGHTS[label](ds.q ** k)
+    got = verify._scalar_terms(ds, k, weight)
+    assert all(type(t) is complex for t in got)
+    assert oracle.bits(got) == oracle.bits(oracle.scalar_terms(ds, k, weight))
+
+
+@pytest.mark.parametrize("case", LEDGER_CASES[:2], ids=["q6", "q10"])
+def test_class_sums_see_a_scaled_root_table(case, monkeypatch):
+    # the roots of the scalar oracle alone off by a part in 10^6: the
+    # ledger is unchanged, so the counts pass and both sums fail
+    real_terms, real_unit = verify._scalar_terms, fou_mod.unit
+
+    def planted(*args):
+        with monkeypatch.context() as m:
+            m.setattr(fou_mod, "unit",
+                      lambda r, den: real_unit(r, den) * (1 + 1e-6))
+            return real_terms(*args)
+
+    monkeypatch.setattr(verify, "_scalar_terms", planted)
+    checks = verify.ledger_vs_scalar([case], ((None, None), (None, 1.0)))
+    assert verdicts(checks) == [True, False, True, False]
+
+
+# The bytes per grid point that _scalar_terms may trace: its root table,
+# the q - s gathers summed into the digit sums, and the digit sums and
+# terms as Python complex take about 220 per point at q = 10.  A
+# (Q x support) array of the weight's roots in place of one gather per a
+# would add 16 bytes per point for each point of the support: 1,600 for
+# n^2 and 20,000 for Lambda at Q = 10^4.
+SCALAR_TERMS_BYTES_PER_POINT = 400
+
+
+@pytest.mark.parametrize("label", ["mangoldt", "n^2"])
+def test_scalar_terms_memory_is_linear_in_Q(label):
+    weight = WEIGHTS[label](10 ** 4)
+    tracemalloc.start()
+    try:
+        verify._scalar_terms(DS, 4, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SCALAR_TERMS_BYTES_PER_POINT * 10 ** 4
+
+
 def test_pair_count_vs_looped(monkeypatch):
     cases = [(DS, IntPolynomial((0, 0, 1)), "n^2", J) for J in (1, 2)]
     checks = verify.pair_count_vs_looped(cases)
@@ -190,7 +253,8 @@ def test_lemma_inequality(monkeypatch):
     [check] = verify.lemma_inequality(thetas)
     # equality at t = 0
     assert check["passed"] and check["detail"] == "min margin 0.000e+00"
-    monkeypatch.setattr(fou_mod, "distance_to_integer", lambda t: 0.5)
+    monkeypatch.setattr(fou_mod, "distance_to_integer",
+                        lambda t: np.full(np.shape(t), 0.5))
     assert verdicts(verify.lemma_inequality(thetas)) == [False]
 
 
@@ -386,6 +450,8 @@ def test_catalogue_matches_scalar_oracles(seed, monkeypatch):
                 (exp_mod.MangoldtTable, "support_below",
                  oracle.support_below),
                 (fou_mod, "enumerate_members", oracle.enumerate_members),
+                (verify, "_scalar_terms", oracle.scalar_terms),
+                (verify, "lemma_inequality", oracle.lemma_inequality),
                 (arcs_mod, "dirichlet_approx", oracle.dirichlet_approx)]
     for owner, name, fn in replaced:
         def counted(*args, fn=fn, name=name):
