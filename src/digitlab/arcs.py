@@ -63,6 +63,7 @@ digits t < q in closed form from gcd(P'(r), q).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -142,14 +143,43 @@ def dirichlet_approx(a: int, Q: int, D0: int) -> RationalApprox:
 ARC_CLASSES = ("major", "minor_denominator", "minor_offset")
 
 
+def max_a_major(lg: float) -> float:
+    """The largest float A for which ``lg**A`` is finite, lg = log Q.
+
+    With lg = math.log(Q) that is the largest A at which
+    ``arc_threshold(Q, A)`` is finite.  lg**A overflows once
+    A*log(lg) passes the log of the largest float; that quotient lies
+    within a few ulps of the boundary, and the steps below find it
+    exactly.  lg <= 1 (Q <= e) never overflows.
+    """
+    if lg <= 1.0:
+        return math.inf
+
+    def finite(a: float) -> bool:
+        try:
+            return math.isfinite(lg ** a)
+        except OverflowError:
+            return False
+
+    a = math.log(sys.float_info.max) / math.log(lg)
+    while not finite(a):
+        a = math.nextafter(a, 0.0)
+    while finite(math.nextafter(a, math.inf)):
+        a = math.nextafter(a, math.inf)
+    return a
+
+
 def arc_threshold(Q: int, A_major: float) -> float:
-    """(log Q)**A; a NaN or overflowing threshold is a ``DomainError``."""
+    """(log Q)**A; a NaN or overflowing threshold is a ``DomainError``
+    that names the largest A accepted at Q (``max_a_major``)."""
     try:
         thr = math.log(Q) ** A_major
     except OverflowError:
         thr = math.inf
     if not math.isfinite(thr):
-        raise DomainError(f"A = {A_major!r}: (log Q)**A is {thr} at Q = {Q}")
+        raise DomainError(
+            f"A = {A_major!r}: (log Q)**A is {thr} at Q = {Q}; the largest "
+            f"A accepted is {max_a_major(math.log(Q))!r}")
     return thr
 
 

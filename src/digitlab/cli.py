@@ -17,23 +17,34 @@ config error too, exit 2 with one line naming what failed; a failed
 stdout is pointed at devnull first, as a closed one is, so the
 interpreter's last flush cannot raise again.
 
-``main`` validates the config once, before any command runs.  ``--cap``
-limits q^k and is checked once, by ``_make_weight`` (and by
-``cmd_constants``), before any stage allocates.  ``_make_weight`` makes a
-polynomial weight before that check, so the polynomial's own rule
-(degree >= 1, positive lead) rejects a bad one ahead of the cap; for
-``arcs`` and ``scan`` it then runs the pipeline's own argument check,
-``arcs._grid`` (D0 >= 1, Q*D0 < 2^53, a finite threshold), before the
-sieve is built.  ``count`` reads no D0 and does not run it; ``validate``
-rejects a D0 below 1 for every command.  The library checks only
-its fixed caps: ``fourier.GRID_CAP``, ``expsums.MANGOLDT_CAP``,
-``expsums.POLY_SCAN_CAP``, ``digits.ENUMERATION_CAP``, ``digits.BASE_CAP``
-(when the ``DigitSet`` is made) and ``arcs.PAIR_COUNT_CAP``.  Every cap on
-a power is checked by ``digits.bounded_power``, without building the
-power, so a k of ten million is rejected at once.  The directory of
-``--out`` must exist before any stage runs (``validate`` and
-``cmd_verify``), and ``validate`` rejects an ``--a-major`` whose threshold
-(log Q)^A would overflow, naming the largest A it accepts.
+``main`` validates the config once, before any command runs.
+``validate`` states only the rules that no library check states for
+every command: k >= 0, the weight's name, D0 >= 1 and 0 < A < inf (for
+``count`` and ``constants`` too, which read neither), the range of
+``--cap``, and an ``--out`` that is not empty and whose directory exists
+(``cmd_verify`` checks its ``--out`` the same way).  The digit set's
+rules (q >= 3, a nonempty set of digits in [0, q), at most q - 2 of them,
+two consecutive digits left) are ``DigitSet``'s alone; every command
+builds its ``DigitSet`` before any other work, so a bad one is a domain
+error, exit 2, whatever the command or the source.  The threshold's rule,
+a finite (log Q)^A, is ``arcs.arc_threshold``'s alone, and its error
+names the largest A accepted at that Q (``arcs.max_a_major``); only
+``arcs`` and ``scan`` read a threshold, so ``count`` and ``constants``
+take any positive finite A.  ``--cap`` limits q^k and is checked once, by
+``_make_weight`` (and by ``cmd_constants``), before any stage allocates.
+``_make_weight`` makes a polynomial weight before that check, so the
+polynomial's own rule (degree >= 1, positive lead) rejects a bad one
+ahead of the cap; for ``arcs`` and ``scan`` it then runs the pipeline's
+own argument check, ``arcs._grid`` (D0 >= 1, Q*D0 < 2^53, a finite
+threshold), before the sieve is built.  ``count`` reads no D0 and does
+not run it.  The library checks only its fixed caps:
+``fourier.GRID_CAP``, ``expsums.MANGOLDT_CAP``, ``expsums.POLY_SCAN_CAP``,
+``digits.ENUMERATION_CAP``, ``digits.BASE_CAP`` (when the ``DigitSet`` is
+made) and ``arcs.PAIR_COUNT_CAP``.  Every cap on a power is checked by
+``digits.bounded_power``, without building the power, so a k of ten
+million is rejected at once.  Every option is stored by ``_Text``, so
+``--d0=--`` gives D0 the text "--", which Python 3.11's argparse would
+turn into an empty list.
 
 ``arcs`` reduces the circle pipeline to its ledger in one pass
 (``arcs.circle_pipeline``); ``scan`` writes the per-point stages
@@ -99,7 +110,7 @@ SCHEMA = 1
 @dataclass
 class ExperimentConfig:
     q: int = 10
-    excluded: tuple = ()  # required: validate rejects the empty set
+    excluded: tuple = ()  # required: DigitSet rejects the empty set
     k: int = 3
     weight: str = "mangoldt"
     poly_coeffs: tuple = (0, 0, 1)
@@ -109,12 +120,9 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
-        if self.q < 3:
-            raise ConfigError("q: must be an integer >= 3")
-        if not self.excluded:
-            raise ConfigError("excluded: required")
-        if any(not 0 <= d < self.q for d in self.excluded):
-            raise ConfigError("excluded: digits must lie in [0, q)")
+        """The rules that no library check states for every command; the
+        digit set's are ``DigitSet``'s, the threshold's
+        ``arcs.arc_threshold``'s."""
         if self.k < 0:
             raise ConfigError("k: must be nonnegative")
         if self.weight not in ("mangoldt", "poly"):
@@ -123,24 +131,12 @@ class ExperimentConfig:
             raise ConfigError("d0: must be positive")
         if not 0 < self.A_major < math.inf:
             raise ConfigError("a-major: must be positive and finite")
-        # log Q as arc_threshold takes it, where a command evaluates it
-        Q = bounded_power(self.q, self.k, fou_mod.GRID_CAP)
-        lg = (math.log(Q) if Q <= fou_mod.GRID_CAP
-              else self.k * math.log(self.q))
-        limit = max_a_major(lg)
-        if self.A_major > limit:
-            raise ConfigError(
-                f"a-major: (log Q)^A overflows at Q = {self.q}^{self.k}; "
-                f"the largest A accepted is {limit!r}")
         if not 1 <= self.cap <= fou_mod.GRID_CAP:
             raise ConfigError(f"cap: must lie in [1, {fou_mod.GRID_CAP}]")
         _check_out_dir(self.out)
 
     def digit_set(self) -> DigitSet:
-        try:
-            return DigitSet(self.q, tuple(self.excluded))
-        except DomainError as exc:
-            raise ConfigError(f"excluded: {exc}") from exc
+        return DigitSet(self.q, self.excluded)
 
     def public(self) -> dict:
         """The config echoed in reports; ``excluded`` is the digit set's,
@@ -151,34 +147,11 @@ class ExperimentConfig:
         return d
 
 
-def max_a_major(lg: float) -> float:
-    """The largest float A for which ``lg**A`` is finite, lg = log Q.
-
-    With lg = math.log(Q) that is the largest A at which
-    ``arcs.arc_threshold(Q, A)`` is finite.  lg**A overflows once
-    A*log(lg) passes the log of the largest float; that quotient lies
-    within a few ulps of the boundary, and the steps below find it
-    exactly.  lg <= 1 (Q <= e) never overflows.
-    """
-    if lg <= 1.0:
-        return math.inf
-
-    def finite(a: float) -> bool:
-        try:
-            return math.isfinite(lg ** a)
-        except OverflowError:
-            return False
-
-    a = math.log(sys.float_info.max) / math.log(lg)
-    while not finite(a):
-        a = math.nextafter(a, 0.0)
-    while finite(math.nextafter(a, math.inf)):
-        a = math.nextafter(a, math.inf)
-    return a
-
-
 def _check_out_dir(out: Optional[str]) -> None:
-    """Reject an output path whose directory does not exist."""
+    """Reject an empty output path, or one whose directory does not
+    exist."""
+    if out == "":
+        raise ConfigError("out: empty path")
     parent = os.path.dirname(out or "") or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"out: directory {parent!r} does not exist")
@@ -479,10 +452,22 @@ CONFIG_KEYS = (
 )
 
 
+class _Text(argparse.Action):
+    """Store an option's value.  Python 3.11's argparse turns the value
+    "--" of ``--d0=--`` into an empty list; this stores the text "--", and
+    refuses it for a typed option as argparse refuses any bad value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == [] and self.type is not None:
+            parser.error(f"argument {option_string}: invalid "
+                         f"{self.type.__name__} value: '--'")
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for key, _, _, text in CONFIG_KEYS:
-        p.add_argument("--" + key.replace("_", "-"), help=text)
-    p.add_argument("--config", help="key=value config file")
+        p.add_argument("--" + key.replace("_", "-"), help=text, action=_Text)
+    p.add_argument("--config", help="key=value config file", action=_Text)
 
 
 def _read_config_file(path: str) -> dict:
@@ -541,8 +526,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     suites = [*VERIFY_SUITES, "all"]
     pv.add_argument("suite", choices=suites, metavar="suite",
                     help=" | ".join(suites))
-    pv.add_argument("--seed", type=int)
-    pv.add_argument("--out", type=str)
+    pv.add_argument("--seed", type=int, action=_Text)
+    pv.add_argument("--out", action=_Text)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -656,13 +656,17 @@ class TestNonFiniteAMajor:
 
 
 class TestAMajorOverflow:
-    """(log Q)^A must be a float: the threshold is printed as strict JSON."""
+    """(log Q)^A must be a float: the threshold is printed as strict JSON.
+    ``arcs.arc_threshold`` is the one statement of that rule, and its error
+    names the largest A accepted (``arcs.max_a_major``)."""
 
     @pytest.mark.parametrize("k, limit", [(3, "367.2597971253467"),
                                           (6, "270.3118662908308")])
     @pytest.mark.parametrize("command", ["arcs", "scan"])
     def test_rejected_with_the_largest_a(self, command, k, limit, capsys,
                                          monkeypatch):
+        monkeypatch.setattr(expsums_mod, "build_mangoldt",
+                            refuse("build_mangoldt"))
         monkeypatch.setattr(arcs_mod, "pipeline_stages",
                             refuse("pipeline_stages"))
         code = run([command, "--q", "10", "--exclude", "7", "--k", str(k),
@@ -670,13 +674,13 @@ class TestAMajorOverflow:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"config error: a-major: (log Q)^A overflows at Q = 10^{k}; "
+            f"domain error: A = 400.0: (log Q)**A is inf at Q = {10 ** k}; "
             f"the largest A accepted is {limit}\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["arcs", "scan"])
     def test_the_largest_a_runs(self, command, tmp_path):
-        limit = cli.max_a_major(math.log(10 ** 3))
+        limit = arcs_mod.max_a_major(math.log(10 ** 3))
         assert arcs_mod.arc_threshold(10 ** 3, limit) < math.inf
         with pytest.raises(DomainError, match="A = "):
             arcs_mod.arc_threshold(10 ** 3, math.nextafter(limit, math.inf))
@@ -686,6 +690,42 @@ class TestAMajorOverflow:
         assert run(argv) == 0
         assert run([*argv[:-2], "--a-major",
                     repr(math.nextafter(limit, math.inf))]) == 2
+
+    @pytest.mark.parametrize("command", ["count", "constants"])
+    def test_commands_without_a_threshold_accept_any_a(self, command,
+                                                       capsys):
+        reports = []
+        for a in ("3.0", "400"):
+            assert run([command, "--q", "10", "--exclude", "7", "--k", "3",
+                        "--a-major", a]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert reports[1].count('"A_major": 400.0') == 1
+        assert reports[1].replace('"A_major": 400.0',
+                                  '"A_major": 3.0') == reports[0]
+
+    @pytest.mark.parametrize("command", ["arcs", "scan"])
+    def test_cap_checked_first(self, command, capsys):
+        assert run([command, "--q", "10", "--exclude", "7", "--k", "9",
+                    "--cap", "1000", "--a-major", "400"]) == 3
+        assert capsys.readouterr() == (
+            "", "resource cap: q^k = 10^9 exceeds cap 1000\n")
+
+    @pytest.mark.parametrize("Q", [2, 3, 10 ** 3, 10 ** 8])
+    def test_largest_a_is_the_boundary(self, Q):
+        limit = arcs_mod.max_a_major(math.log(Q))
+        assert math.isfinite(arcs_mod.arc_threshold(Q, limit))
+        if Q < math.e:  # log Q < 1: (log Q)**A never overflows for A > 0
+            assert limit == math.inf
+            assert arcs_mod.arc_threshold(Q, sys.float_info.max) < 1
+            return
+        above = math.nextafter(limit, math.inf)
+        with pytest.raises(DomainError) as excinfo:
+            arcs_mod.arc_threshold(Q, above)
+        assert str(excinfo.value) == (
+            f"A = {above!r}: (log Q)**A is inf at Q = {Q}; the largest A "
+            f"accepted is {limit!r}")
 
 
 class TestUnwritableOut:
@@ -719,6 +759,63 @@ class TestUnwritableOut:
         assert run(["constants", "--q", "10", "--exclude", "7", "--k", "1",
                     "--out", "x.json"]) == 0
         assert strict_json((tmp_path / "x.json").read_text())["k"] == 1
+
+
+class TestEmptyOut:
+    """An empty ``--out`` is rejected, not read as "no --out"."""
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--q", "10", "--exclude", "7", "--k", "2", "--out="],
+        ["arcs", "--q", "10", "--exclude", "7", "--k", "2", "--out="],
+        ["scan", "--q", "10", "--exclude", "7", "--k", "2", "--out="],
+        ["constants", "--q", "10", "--exclude", "7", "--k", "2", "--out="],
+        ["verify", "constants", "--out", ""],
+        ["count", "--config", "CFG"],
+    ], ids=["count", "arcs", "scan", "constants", "verify", "config-file"])
+    def test_rejected_as_config_error(self, argv, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.setattr(expsums_mod, "build_mangoldt",
+                            refuse("build_mangoldt"))
+        monkeypatch.setattr(verify, "report", refuse("verify.report"))
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("q=10\nexclude=7\nk=2\nout=\n")
+        argv = [str(cfgfile) if a == "CFG" else a for a in argv]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "config error: out: empty path\n")
+
+
+# (q, excluded) breaking each rule of ``DigitSet``: q < 3, no excluded
+# digit, a digit outside [0, q), s > q - 2, no two consecutive digits
+BAD_DIGIT_SETS = [("2", "1"), ("10", ""), ("10", "7,12"), ("5", "0,1,2,3"),
+                  ("6", "1,3,5")]
+
+
+class TestDigitSetRules:
+    """``DigitSet`` is the one statement of the digit-set rules: every
+    command reports its error, from a flag or a file, before any stage."""
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("q, excluded", BAD_DIGIT_SETS)
+    @pytest.mark.parametrize("command", ["count", "arcs", "scan",
+                                         "constants"])
+    def test_domain_error_before_any_stage(self, command, q, excluded,
+                                           source, tmp_path, capsys,
+                                           monkeypatch):
+        with pytest.raises(DomainError) as excinfo:
+            DigitSet(int(q), cli._parse_int_list(excluded))
+        monkeypatch.setattr(expsums_mod, "build_mangoldt",
+                            refuse("build_mangoldt"))
+        monkeypatch.setattr(fourier_mod, "empirical_Cq",
+                            refuse("empirical_Cq"))
+        if source == "flag":
+            argv = [command, f"--q={q}", f"--exclude={excluded}", "--k=2"]
+        else:
+            cfgfile = tmp_path / "exp.cfg"
+            cfgfile.write_text(f"q={q}\nexclude={excluded}\nk=2\n")
+            argv = [command, "--config", str(cfgfile)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"domain error: {excinfo.value}\n")
 
 
 class TestBaseCap:
@@ -760,6 +857,16 @@ class TestGoldenReports:
     def test_one_command_per_committed_report(self):
         assert sorted(name for _, name in self.GOLDEN) == sorted(
             p.name for p in DATA.iterdir())
+
+
+class TestErrorPaths:
+    """The rejected configs of ``tools/reports.py``'s ``errors.txt``."""
+
+    @pytest.mark.parametrize("argv", REPORTS_TOOL.ERRORS,
+                             ids=[" ".join(a) for a in REPORTS_TOOL.ERRORS])
+    def test_one_line_and_a_known_code(self, argv, capsys):
+        assert run(argv) in (0, 2, 3)
+        assert len(capsys.readouterr().err.splitlines()) <= 1
 
 
 class TestOneReportPerDigitSet:
@@ -1056,6 +1163,39 @@ class TestPolyDegree:
             assert run([*flags, *source]) == 2
             assert capsys.readouterr() == (
                 "", "domain error: polynomial must have degree >= 1\n")
+
+
+class TestDoubleDashValue:
+    """``--key=--`` gives the key the text "--", which Python 3.11's
+    argparse would turn into an empty list."""
+
+    @pytest.mark.parametrize("flag, err", [
+        ("--q", "q: '--'"), ("--exclude", "excluded: '--'"),
+        ("--k", "k: '--'"), ("--weight", "weight: must be 'mangoldt' or "
+                                         "'poly'"),
+        ("--poly-coeffs", "poly_coeffs: '--'"), ("--d0", "D0: '--'"),
+        ("--a-major", "A_major: '--'"), ("--cap", "cap: '--'"),
+        ("--config", "config: [Errno 2] No such file or directory: '--'")])
+    @pytest.mark.parametrize("command", ["count", "constants"])
+    def test_one_config_error(self, command, flag, err, tmp_path, capsys,
+                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--q", "10", "--exclude", "7", "--k", "2",
+                    f"{flag}=--"]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--q", "10", "--exclude", "7", "--k", "2"],
+        ["verify", "constants"]], ids=["count", "verify"])
+    def test_out_is_a_file_named_dashes(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--out=--"]) == 0
+        strict_json((tmp_path / "--").read_text())
+
+    def test_verify_seed_refused(self, capsys):
+        assert run(["verify", "constants", "--seed=--"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: invalid int value: '--'\n")
 
 
 class TestRemovedFlags:

@@ -1,0 +1,87 @@
+"""The CLI's contract on its config rules, as a property of drawn configs.
+
+``count`` and ``constants`` run in process on drawn text for every config
+key they read: q from -1 to 20 or junk, ``--exclude`` lists that may be
+empty or hold repeats, negatives or digits >= q, k from 0 to 3, ``--a-major``
+on a log scale up to 10^3 or nan, inf, 0 and negatives, ``--d0`` from -2
+to 50, and ``--cap``.  Whatever the config, the exit code is 0, 2 or 3,
+stderr holds at most one line and no traceback, and a run that exits 0
+prints strict JSON, byte-identical on a rerun.  Each value goes in as
+``--key=text``, so a text that starts with "-" stays the flag's value.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as hs
+
+from digitlab import cli
+from digitlab import fourier as fourier_mod
+
+JUNK = hs.text(max_size=6)
+SPECIAL_A = ["nan", "inf", "-inf", "0", "0.0", "-1", "-2.5"]
+CAPS = [str(fourier_mod.GRID_CAP), str(fourier_mod.GRID_CAP + 1)]
+
+
+def _sometimes(draw, text, junk):
+    """``text``, or one time in five the text ``junk`` draws (the junk
+    branch is not the simplest draw, which hypothesis favours)."""
+    return draw(junk) if draw(hs.integers(0, 4)) == 3 else text
+
+
+@hs.composite
+def config_texts(draw):
+    """The text of each key, or None to leave the key out; each is valid
+    more often than not, so that most examples run."""
+    q = draw(hs.integers(-1, 20))
+    digits = draw(hs.lists(hs.integers(0, max(q - 1, 0)), max_size=4))
+    bad = hs.lists(hs.integers(-3, 24), min_size=1, max_size=5)
+    exclude = ",".join(map(str, _sometimes(draw, digits, bad)))
+    a_major = repr(10.0 ** draw(hs.floats(-3.0, 3.0)))
+    return {
+        "q": _sometimes(draw, str(q), JUNK),
+        "exclude": _sometimes(draw, exclude, hs.none() | JUNK),
+        "k": str(draw(hs.integers(0, 3))),
+        "a-major": _sometimes(draw, a_major,
+                              hs.none() | hs.sampled_from(SPECIAL_A)),
+        "d0": _sometimes(draw, draw(hs.none() | hs.integers(-2, 50).map(str)),
+                         JUNK),
+        "cap": _sometimes(draw, draw(hs.none() | hs.sampled_from(CAPS)
+                                     | hs.integers(-1, 10 ** 4).map(str)),
+                          JUNK),
+    }
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=500)
+@given(command=hs.sampled_from(["count", "constants"]),
+       texts=config_texts())
+@example(command="count", texts={"q": "10", "exclude": "7", "k": "2",
+                                 "a-major": None, "d0": "--", "cap": None})
+def test_config_rules(command, texts):
+    argv = [command] + [f"--{key}={text}" for key, text in texts.items()
+                        if text is not None]
+    code, out, err = run(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (code, err)
+    assert len(err.splitlines()) <= 1, err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
+        assert run(argv) == (code, out, err)
+    else:
+        assert out == ""

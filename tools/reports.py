@@ -14,10 +14,17 @@ which ``tests/test_cli.py`` compares byte for byte; ``REPORTS`` adds
 ``verify all`` at seed 1 and the benchmark's ``arcs`` and ``scan``
 configs (``perfbench/run.py``) with digit 7 excluded.  Exit 0 when every
 command exits 0, else 1, with one stderr line per failed command.
+
+``ERRORS`` lists rejected configs, one per rule of the digit set, the
+threshold and ``--out``, plus configs once rejected that now run.  Each
+gives one line of ``errors.txt``: the JSON list of its argv, its exit
+code and its stderr, so that ``diff -r`` shows every change to an error
+path.  The exit status covers ``REPORTS`` only.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +51,27 @@ REPORTS = GOLDEN + [
       "mangoldt", "--a-major", "2.0"], "scan-csv.csv"),
 ]
 
+A400 = ["--q", "10", "--exclude", "7", "--k", "3", "--a-major", "400"]
+ERRORS = [
+    ["count", "--q", "2", "--exclude", "1", "--k", "2"],
+    ["count", "--q", "10", "--k", "2"],
+    ["count", "--q", "10", "--exclude", "7,12", "--k", "2"],
+    ["count", "--q", "5", "--exclude", "0,1,2,3", "--k", "2"],
+    ["count", "--q", "6", "--exclude", "1,3,5", "--k", "2"],
+    ["count", "--q", "2000000", "--k", "1"],
+    ["arcs", *A400],
+    ["scan", *A400],
+    ["count", *A400],
+    ["constants", *A400],
+    ["arcs", "--q", "10", "--exclude", "7", "--k", "9", "--cap", "1000",
+     "--a-major", "400"],
+    ["count", "--q", "10", "--exclude", "7", "--k", "2", "--out="],
+    ["verify", "constants", "--out", ""],
+    ["count", "--q", "10", "--exclude", "7", "--k", "2", "--d0=--"],
+    ["count", "--q", "10", "--exclude", "7", "--k", "2", "--d0", "0"],
+    ["arcs", "--q", "10", "--exclude", "7", "--k", "2", "--a-major", "nan"],
+]
+
 
 def main(argv: list) -> int:
     if len(argv) != 1:
@@ -60,6 +88,11 @@ def main(argv: list) -> int:
         if code:
             sys.stderr.write(f"{name}: exit {code}\n")
             failed += 1
+    with open(out / "errors.txt", "w") as fh:
+        for args in ERRORS:
+            run = subprocess.run([sys.executable, "-m", "digitlab.cli", *args],
+                                 env=env, capture_output=True, text=True)
+            fh.write(json.dumps([args, run.returncode, run.stderr]) + "\n")
     return 1 if failed else 0
 
 
