@@ -1,7 +1,12 @@
 """Command-line surface: count, verify, scan, constants, arcs.
 
-Exit codes: 0 success, 1 assertion failure, 2 config error, 3 resource cap,
-141 (128 + SIGPIPE) stdout closed by its reader, with no traceback.
+Exit codes: 0 success (``--help`` too), 1 assertion failure, 2 config or
+domain error, 3 resource cap, 141 (128 + SIGPIPE) stdout closed by its
+reader, with no traceback.  Every exit 2 or 3 prints one stderr line: the
+parser (``_Parser``) raises its own rejections (an unknown flag or
+command, a flag with no value, ``--poly-coeffs -2000,0,1`` without ``=``,
+a bad ``verify`` suite or seed) as config errors, in ``main``'s one
+``try``, in place of argparse's usage and exit.
 Reports are JSON (schema 1, which ``_emit_json`` adds to each) with the
 generating config inline; grids are CSV with a fixed header, so every
 number is reproducible from its file.
@@ -452,6 +457,16 @@ CONFIG_KEYS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and the class of its subparsers, whose rejections are
+    config errors, one stderr line each, in place of argparse's usage and
+    exit."""
+
+    @staticmethod
+    def error(message):
+        raise ConfigError(message)
+
+
 class _Text(argparse.Action):
     """Store an option's value.  Python 3.11's argparse turns the value
     "--" of ``--d0=--`` into an empty list; this stores the text "--", and
@@ -514,7 +529,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # perfbench/inproc.py wraps them to time them, is the one that runs
     commands = {"count": cmd_count, "scan": cmd_scan, "arcs": cmd_arcs,
                 "constants": cmd_constants}
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="digitlab",
         description="Circle-method lab for digit-restricted primes and "
                     "polynomial values",
@@ -530,9 +545,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pv.add_argument("--out", action=_Text)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         if args.command == "verify":
             return cmd_verify(args.suite, args.seed, args.out)
         cfg = build_config(args)
@@ -551,6 +563,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the reader closed stdout (``| head``; ``_emit`` sent what is left
         # to devnull): exit as a shell reports a death by SIGPIPE (128 + 13)
         return 141
+    except SystemExit:
+        return 0  # --help, once it has printed the usage
 
 
 if __name__ == "__main__":

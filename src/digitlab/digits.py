@@ -152,7 +152,13 @@ def count_below(ds: DigitSet, x: int, k: int) -> int:
 def count_in_ap(ds: DigitSet, x: int, k: int, modulus: int, residue: int) -> int:
     """#{n < x : contains(ds, n, k), n == residue (mod modulus)}.
 
-    Digit DP carrying a residue state, O(k*q*modulus).
+    One pass over the k digits of x, most significant first.  ``counts[r]``
+    is the number of allowed-digit prefixes already below x's prefix of the
+    same length whose value is r (mod modulus); each next digit d sends
+    residue r to r*q + d.  While x's own prefix has only allowed digits,
+    its residue ``tight`` adds the prefixes that leave it at a smaller
+    allowed digit.  For x = q**k every prefix is below x, so the empty one
+    starts in ``counts``.  O(k*q*modulus) time and O(modulus) memory.
     """
     q = ds.q
     if modulus <= 0:
@@ -163,38 +169,26 @@ def count_in_ap(ds: DigitSet, x: int, k: int, modulus: int, residue: int) -> int
         raise DomainError(f"modulus={modulus} exceeds q^k")
     if x < 0 or x > q ** k:
         raise DomainError(f"x={x} not in [0, {q}^{k}]")
-    exc = ds._excluded_set
-    allowed = ds.allowed
-    # free[j][r] = #length-j allowed-digit strings (positions 0..j-1, lsb)
-    #              whose value is == r (mod modulus)
-    free = [[0] * modulus for _ in range(k + 1)]
-    free[0][0] = 1
-    place = 1  # q**(j-1) mod modulus
-    for j in range(1, k + 1):
-        prev, cur = free[j - 1], free[j]
-        shifts = [(d * place) % modulus for d in allowed]
-        for r in range(modulus):
-            c = prev[r]
-            if c:
-                for sh in shifts:
-                    cur[(r + sh) % modulus] += c
-        place = (place * q) % modulus
+    exc, allowed = ds._excluded_set, ds.allowed
+    counts = [0] * modulus
+    tight = 0  # x's prefix mod modulus; None once it holds an excluded digit
     if x == q ** k:
-        return free[k][residue]
-    total = 0
-    prefix = 0  # residue of the fixed high digits
-    places = [pow(q, i, modulus) for i in range(k)]
-    for i, xd in enumerate(_msb_digits(x, q, k)):
-        pos = k - i - 1  # place value q**pos
-        for d in allowed:
-            if d >= xd:
-                break
-            need = (residue - prefix - d * places[pos]) % modulus
-            total += free[pos][need]
-        if xd in exc:
-            break
-        prefix = (prefix + xd * places[pos]) % modulus
-    return total
+        counts[0], tight = 1, None
+    for xd in _msb_digits(x, q, k):
+        nxt = [0] * modulus
+        for r, c in enumerate(counts):
+            if c:
+                shift = r * q % modulus
+                for d in allowed:
+                    nxt[(shift + d) % modulus] += c
+        if tight is not None:
+            for d in allowed:
+                if d >= xd:
+                    break
+                nxt[(tight * q + d) % modulus] += 1
+            tight = None if xd in exc else (tight * q + xd) % modulus
+        counts = nxt
+    return counts[residue]
 
 
 def enumerate_members(ds: DigitSet, k: int) -> Iterator[int]:

@@ -110,25 +110,29 @@ def ledger_vs_scalar(cases: Iterable[tuple],
 
     Cases are those of ``pipeline_vs_direct``; the pipeline runs at each
     (D0, A) in ``settings``, None being its default.  The checks are
-    named by q, k, the case's weight label and any given D0 and A.  One
-    scalar pass per setting classifies every a < Q (``dirichlet_approx``
-    and ``classify``); the counts must match exactly, and each class sum
-    of the scalar terms (``_scalar_terms``, computed once per case and
-    added by ``pairwise_sum``) must match the ledger's within 1e-9 of the
-    class's sum of |term|.
+    named by q, k, the case's weight label and any given D0 and A.  A
+    scalar pass per setting classifies (``classify``) the
+    ``dirichlet_approx`` of every a < Q, made once per case and resolved
+    D0; the counts must match exactly, and each class sum of the scalar
+    terms (``_scalar_terms``, computed once per case and added by
+    ``pairwise_sum``) must match the ledger's within 1e-9 of the class's
+    sum of |term|.
     """
     checks = []
     for ds, k, weight, label in cases:
         Q = ds.q ** k
         terms = _scalar_terms(ds, k, weight)
+        approx = {}  # resolved D0 -> dirichlet_approx of every a < Q
         for D0, A in settings:
             at = "".join(f", {name}={value}" for name, value
                          in (("D0", D0), ("A", A)) if value is not None)
             kw = {} if A is None else {"A_major": A}
             led = arcs_mod.circle_pipeline(ds, k, weight, D0=D0, **kw)
-            codes = [arcs_mod.classify(
-                arcs_mod.dirichlet_approx(a, Q, led.D0), led.A_major)
-                for a in range(Q)]
+            if led.D0 not in approx:
+                approx[led.D0] = [arcs_mod.dirichlet_approx(a, Q, led.D0)
+                                  for a in range(Q)]
+            codes = [arcs_mod.classify(ap, led.A_major)
+                     for ap in approx[led.D0]]
             counts = led.counts
             checks.append(_check(
                 f"ledger class counts vs scalar classify "
@@ -497,9 +501,9 @@ def _suite_arcs(seed: int) -> List[dict]:
     checks.append(_check("kappa(q=10, ex 7) = 5/6", kap == Fraction(5, 6),
                          f"got {kap}"))
     checks += residue_counts([(ds, 4), (DigitSet(10, (0, 7)), 3)])
+    sieve = exp_mod.build_mangoldt(50 ** 3)
     checks += main_term_deviation([
-        (DigitSet(50, (b,)), 3, exp_mod.build_mangoldt(50 ** 3), "mangoldt")
-        for b in (7, 10)])
+        (DigitSet(50, (b,)), 3, sieve, "mangoldt") for b in (7, 10)])
     return checks
 
 

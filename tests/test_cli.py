@@ -132,11 +132,12 @@ class TestCount:
         assert 0 < payload["deviation"] < 0.25
         assert "deviation_reason" not in payload
 
-    def test_missing_excluded_is_config_error(self, capsys):
+    def test_missing_excluded_is_domain_error(self, capsys):
         code = run(["count", "--q", "10", "--k", "3",
                     "--weight", "mangoldt"])
         assert code == 2
-        assert "excluded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and "excluded" in err
 
     def test_cap_exceeded(self, tmp_path):
         code = run(["count", "--q", "10", "--exclude", "7", "--k", "9",
@@ -855,18 +856,29 @@ class TestGoldenReports:
         assert out.read_bytes() == (DATA / name).read_bytes()
 
     def test_one_command_per_committed_report(self):
-        assert sorted(name for _, name in self.GOLDEN) == sorted(
-            p.name for p in DATA.iterdir())
+        # errors.txt is TestErrorPaths' golden
+        assert sorted([name for _, name in self.GOLDEN] + ["errors.txt"]) \
+            == sorted(p.name for p in DATA.iterdir())
 
 
 class TestErrorPaths:
-    """The rejected configs of ``tools/reports.py``'s ``errors.txt``."""
+    """The rejected configs of ``tools/reports.py``'s ``errors.txt``, each
+    line of the committed ``tests/data/errors.txt`` byte for byte."""
 
-    @pytest.mark.parametrize("argv", REPORTS_TOOL.ERRORS,
-                             ids=[" ".join(a) for a in REPORTS_TOOL.ERRORS])
-    def test_one_line_and_a_known_code(self, argv, capsys):
-        assert run(argv) in (0, 2, 3)
-        assert len(capsys.readouterr().err.splitlines()) <= 1
+    LINES = (DATA / "errors.txt").read_text().splitlines(keepends=True)
+
+    def test_one_line_per_config(self):
+        assert len(self.LINES) == len(REPORTS_TOOL.ERRORS)
+
+    @pytest.mark.parametrize("i, argv", enumerate(REPORTS_TOOL.ERRORS),
+                             ids=[" ".join(a) or "(no argv)"
+                                  for a in REPORTS_TOOL.ERRORS])
+    def test_matches_committed_line(self, i, argv, capsys):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert len(err.splitlines()) == (code != 0)
+        assert json.dumps([argv, code, err]) + "\n" == self.LINES[i]
 
 
 class TestOneReportPerDigitSet:
@@ -1204,3 +1216,11 @@ class TestRemovedFlags:
     def test_rejected(self, command, flag):
         assert run([command, "--q", "10", "--exclude", "7", "--k", "2",
                     *flag]) == 2
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]])
+    def test_usage_on_stdout(self, argv, capsys):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: digitlab") and err == ""

@@ -8,6 +8,12 @@ to 50, and ``--cap``.  Whatever the config, the exit code is 0, 2 or 3,
 stderr holds at most one line and no traceback, and a run that exits 0
 prints strict JSON, byte-identical on a rerun.  Each value goes in as
 ``--key=text``, so a text that starts with "-" stays the flag's value.
+
+``test_parser_rejections`` adds to such a config one argv shape that the
+parser rejects itself: an unknown flag, a flag with no value, or a
+negative value without ``=`` that is not a plain number (``--exclude
+-1,3``; argparse reads a plain negative number such as ``-5`` as a
+value).  Each exits 2 with one ``config error:`` line and no stdout.
 """
 
 import contextlib
@@ -23,6 +29,16 @@ from digitlab import fourier as fourier_mod
 JUNK = hs.text(max_size=6)
 SPECIAL_A = ["nan", "inf", "-inf", "0", "0.0", "-1", "-2.5"]
 CAPS = [str(fourier_mod.GRID_CAP), str(fourier_mod.GRID_CAP + 1)]
+FLAGS = ["--" + key.replace("_", "-") for key, *_ in cli.CONFIG_KEYS] + [
+    "--config"]
+# not a prefix of any option, which argparse would take as its abbreviation
+UNKNOWN = hs.from_regex(r"--[a-z][a-z0-9-]{0,7}(=[0-9a-z]{0,3})?",
+                        fullmatch=True).filter(
+    lambda arg: not any(flag.startswith(arg.split("=")[0])
+                        for flag in FLAGS + ["--help"]))
+NEGATIVE = hs.sampled_from(["-inf", "-nan", "-1e3", "-2000,0,1"]) | hs.lists(
+    hs.integers(0, 10 ** 4), min_size=2, max_size=4).map(
+    lambda ns: "-" + ",".join(map(str, ns)))
 
 
 def _sometimes(draw, text, junk):
@@ -85,3 +101,28 @@ def test_config_rules(command, texts):
         assert run(argv) == (code, out, err)
     else:
         assert out == ""
+
+
+@hs.composite
+def rejected_shapes(draw):
+    """One token or flag-value pair that argparse rejects."""
+    shape = draw(hs.sampled_from(["unknown", "no value", "negative"]))
+    if shape == "unknown":
+        return [draw(UNKNOWN)]
+    flag = draw(hs.sampled_from(FLAGS))
+    return [flag] if shape == "no value" else [flag, draw(NEGATIVE)]
+
+
+@settings(max_examples=150, deadline=500)
+@given(command=hs.sampled_from(["count", "constants"]),
+       texts=config_texts(), shape=rejected_shapes(), data=hs.data())
+def test_parser_rejections(command, texts, shape, data):
+    pairs = [f"--{key}={text}" for key, text in texts.items()
+             if text is not None]
+    # anywhere after the command; a flag with no value at the end, or
+    # before another flag
+    at = data.draw(hs.integers(0, len(pairs)))
+    code, out, err = run([command, *pairs[:at], *shape, *pairs[at:]])
+    assert code == 2, err
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")

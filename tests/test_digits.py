@@ -259,7 +259,7 @@ class TestCountInAp:
     def test_matches_enumerated_members(self, data, ds, k):
         Q = ds.q ** k
         x = data.draw(st.integers(0, Q))
-        m = data.draw(st.integers(1, min(Q, 60)))
+        m = data.draw(st.integers(1, Q))
         r = data.draw(st.integers(0, m - 1))
         expect = sum(1 for n in enumerate_members(ds, k)
                      if n < x and n % m == r)

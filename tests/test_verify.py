@@ -425,6 +425,22 @@ def test_main_term_deviation(monkeypatch):
     assert not check["passed"] and check["detail"] == "main term is 0"
 
 
+def test_arcs_suite_does_each_fixed_job_once(monkeypatch):
+    # one dirichlet_approx list per case and resolved D0: at q = 6 the
+    # defaults D0, 2 and 100 (3 x 216), at q = 10 the default (1,000),
+    # beside the 2,000 random draws of the postcondition check; and one
+    # 50^3 sieve for both main_term_deviation cases
+    approx, sieve = arcs_mod.dirichlet_approx, exp_mod.build_mangoldt
+    calls, sieves = [], []
+    monkeypatch.setattr(arcs_mod, "dirichlet_approx",
+                        lambda *args: calls.append(args) or approx(*args))
+    monkeypatch.setattr(exp_mod, "build_mangoldt",
+                        lambda n: sieves.append(n) or sieve(n))
+    assert verify.report("arcs", exp_mod.CALIBRATION_SEED)["passed"]
+    assert len(calls) == 3 * 216 + 1000 + 2000
+    assert sieves.count(50 ** 3) == 1
+
+
 @pytest.mark.parametrize("seed", [1, exp_mod.CALIBRATION_SEED])
 def test_catalogue_matches_scalar_oracles(seed, monkeypatch):
     # the whole catalogue with the numpy measured sides, then with the

@@ -16,10 +16,13 @@ configs (``perfbench/run.py``) with digit 7 excluded.  Exit 0 when every
 command exits 0, else 1, with one stderr line per failed command.
 
 ``ERRORS`` lists rejected configs, one per rule of the digit set, the
-threshold and ``--out``, plus configs once rejected that now run.  Each
-gives one line of ``errors.txt``: the JSON list of its argv, its exit
-code and its stderr, so that ``diff -r`` shows every change to an error
-path.  The exit status covers ``REPORTS`` only.
+threshold and ``--out``, one per shape of argv that the parser itself
+rejects, plus configs once rejected that now run.  Each gives one line
+of ``errors.txt``: the JSON list of its argv, its exit code and its
+stderr, so that ``diff -r`` shows every change to an error path.
+``tests/data/errors.txt`` is the committed file, which
+``tests/test_cli.py`` compares byte for byte.  The exit status covers
+``REPORTS`` only.
 """
 
 from __future__ import annotations
@@ -70,6 +73,14 @@ ERRORS = [
     ["count", "--q", "10", "--exclude", "7", "--k", "2", "--d0=--"],
     ["count", "--q", "10", "--exclude", "7", "--k", "2", "--d0", "0"],
     ["arcs", "--q", "10", "--exclude", "7", "--k", "2", "--a-major", "nan"],
+    ["count", "--q", "10", "--exclude", "7", "--k", "2", "--bogus"],
+    ["count", "--q", "10", "--exclude", "7", "--k", "2", "--d0"],
+    ["count", "--q", "10", "--exclude", "7", "--k", "2", "--weight", "poly",
+     "--poly-coeffs", "-2000,0,1"],
+    ["verify", "bogus"],
+    ["verify", "constants", "--seed=abc"],
+    ["verify", "constants", "--seed=--"],
+    [],
 ]
 
 
