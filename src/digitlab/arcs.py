@@ -70,8 +70,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .digits import DigitSet, bounded_power, contains_mask
-from .errors import CapExceededError, DomainError
+from .digits import DigitSet, bounded_power, check_cap, contains_mask
+from .errors import DomainError
 from .expsums import IntPolynomial, MangoldtTable, Weight, weight_support
 from .fourier import (EXACT_FLOAT_LIMIT, FourierContext, check_grid_size,
                       column_spectrum, engine_shape, half_grid_values,
@@ -575,10 +575,8 @@ def singular_series_pair_count(P: IntPolynomial, ds: DigitSet,
     not hold, so the count is direct over n < q**J.
     """
     q = ds.q
-    QJ = bounded_power(q, J, PAIR_COUNT_CAP)
-    if QJ > PAIR_COUNT_CAP:
-        raise CapExceededError(
-            f"pair counting over q^J = {q}^{J} exceeds cap {PAIR_COUNT_CAP}")
+    QJ = check_cap(bounded_power(q, J, PAIR_COUNT_CAP), PAIR_COUNT_CAP,
+                   f"pair counting over q^J = {q}^{J}")
     if J < 2:
         m = _horner_mod(P.coeffs, np.arange(QJ, dtype=np.int64), QJ)
         return int(np.count_nonzero(contains_mask(ds, m, J)))

@@ -6,7 +6,9 @@ reader, with no traceback.  Every exit 2 or 3 prints one stderr line: the
 parser (``_Parser``) raises its own rejections (an unknown flag or
 command, a flag with no value, ``--poly-coeffs -2000,0,1`` without ``=``,
 a bad ``verify`` suite or seed) as config errors, in ``main``'s one
-``try``, in place of argparse's usage and exit.
+``try``, in place of argparse's usage and exit.  ``main`` checks for a
+missing command after the parse, so an unknown flag with no command
+(``digitlab --bogus``) is named as the flag.
 Reports are JSON (schema 1, which ``_emit_json`` adds to each) with the
 generating config inline; grids are CSV with a fixed header, so every
 number is reproducible from its file.
@@ -45,11 +47,12 @@ threshold), before the sieve is built.  ``count`` reads no D0 and does
 not run it.  The library checks only its fixed caps:
 ``fourier.GRID_CAP``, ``expsums.MANGOLDT_CAP``, ``expsums.POLY_SCAN_CAP``,
 ``digits.ENUMERATION_CAP``, ``digits.BASE_CAP`` (when the ``DigitSet`` is
-made) and ``arcs.PAIR_COUNT_CAP``.  Every cap on a power is checked by
-``digits.bounded_power``, without building the power, so a k of ten
-million is rejected at once.  Every option is stored by ``_Text``, so
-``--d0=--`` gives D0 the text "--", which Python 3.11's argparse would
-turn into an empty list.
+made) and ``arcs.PAIR_COUNT_CAP``.  Each cap, ``--cap`` too, is checked
+by ``digits.check_cap``, the one source of "<what> exceeds cap <bound>";
+a power comes to it from ``digits.bounded_power``, without being built,
+so a k of ten million is rejected at once.  Every option is stored by
+``_Text``, so ``--d0=--`` gives D0 the text "--", which Python 3.11's
+argparse would turn into an empty list.
 
 ``arcs`` reduces the circle pipeline to its ledger in one pass
 (``arcs.circle_pipeline``); ``scan`` writes the per-point stages
@@ -102,7 +105,7 @@ from typing import (TYPE_CHECKING, BinaryIO, Iterable, Iterator, List,
 import numpy as np
 
 from . import fourier as fou_mod
-from .digits import DigitSet, bounded_power
+from .digits import DigitSet, bounded_power, check_cap
 from .errors import CapExceededError, ConfigError, DomainError
 from .fourier import FourierContext
 
@@ -228,12 +231,6 @@ def cmd_count(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _q_to_the_k(cfg: ExperimentConfig) -> str:
-    """"q^k = 10^5000": Q named by q and k, as a str of Q itself fails
-    past 4,300 digits."""
-    return f"q^k = {cfg.q}^{cfg.k}"
-
-
 def _make_weight(cfg: ExperimentConfig, pipeline: bool = False):
     """The weight on [0, Q).  A polynomial is made first, so that its own
     rule (degree >= 1, positive lead) is the one error for a bad one,
@@ -244,9 +241,8 @@ def _make_weight(cfg: ExperimentConfig, pipeline: bool = False):
     from .expsums import IntPolynomial, build_mangoldt
 
     poly = IntPolynomial(cfg.poly_coeffs) if cfg.weight == "poly" else None
-    Q = bounded_power(cfg.q, cfg.k, cfg.cap)
-    if Q > cfg.cap:
-        raise CapExceededError(f"{_q_to_the_k(cfg)} exceeds cap {cfg.cap}")
+    Q = check_cap(bounded_power(cfg.q, cfg.k, cfg.cap), cfg.cap,
+                  f"q^k = {cfg.q}^{cfg.k}")
     if pipeline:
         arcs_mod._grid(cfg.digit_set(), cfg.k, cfg.D0, cfg.A_major)
     return build_mangoldt(max(Q - 1, 1)) if poly is None else poly
@@ -407,7 +403,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
     }
     if skipped:
         payload["Cq_empirical_reason"] = (
-            f"{_q_to_the_k(cfg)} exceeds cap {cfg.cap}, so the L1 grid sum "
+            f"q^k = {q}^{cfg.k} exceeds cap {cfg.cap}, so the L1 grid sum "
             "is skipped")
     _emit_json(payload, cfg.out)
     return 0
@@ -534,7 +530,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Circle-method lab for digit-restricted primes and "
                     "polynomial values",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
     for name in commands:
         _add_config_flags(sub.add_parser(name))
     pv = sub.add_parser("verify")
@@ -545,6 +541,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     pv.add_argument("--out", action=_Text)
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            raise ConfigError("the following arguments are required: command")
         if args.command == "verify":
             return cmd_verify(args.suite, args.seed, args.out)
         cfg = build_config(args)

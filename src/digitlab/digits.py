@@ -35,9 +35,7 @@ class DigitSet:
     def __post_init__(self):
         if self.q < 3:
             raise DomainError(f"base must be >= 3, got q={self.q}")
-        if self.q > BASE_CAP:
-            raise CapExceededError(
-                f"base q={self.q} exceeds cap {BASE_CAP}")
+        check_cap(self.q, BASE_CAP, f"base q={self.q}")
         exc = tuple(sorted(set(int(d) for d in self.excluded)))
         object.__setattr__(self, "excluded", exc)
         if not exc:
@@ -89,6 +87,18 @@ def bounded_power(base: int, exp: int, bound: int) -> int:
     base 0 or 1 every positive exponent gives the same power.
     """
     return base ** min(exp, bound.bit_length() + 1)
+
+
+def check_cap(value: int, bound: int, what: str) -> int:
+    """value if it is at most bound, else a ``CapExceededError`` "{what}
+    exceeds cap {bound}": the one statement of every resource cap.  A
+    power comes in as ``bounded_power(base, exp, bound)`` and is named
+    in ``what`` by its base and exponent ("q^k = 10^5000"), as a str of
+    the power itself fails past 4,300 digits.
+    """
+    if value > bound:
+        raise CapExceededError(f"{what} exceeds cap {bound}")
+    return value
 
 
 def contains(ds: DigitSet, n: int, k: int) -> bool:
@@ -201,10 +211,8 @@ def enumerate_members(ds: DigitSet, k: int) -> Iterator[int]:
     O((q - s)**ceil(k/2)).  The cap is checked before the first item.
     """
     full = ds.q - ds.s
-    if bounded_power(full, k, ENUMERATION_CAP) > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"enumeration of {full}^{k} members exceeds cap {ENUMERATION_CAP}"
-        )
+    check_cap(bounded_power(full, k, ENUMERATION_CAP), ENUMERATION_CAP,
+              f"enumeration of {full}^{k} members")
     q, allowed, half = ds.q, ds.allowed, k // 2
 
     def block(width: int) -> list:

@@ -34,7 +34,8 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .errors import CapExceededError, DomainError
+from .digits import check_cap
+from .errors import DomainError
 from .fourier import INT64_LIMIT, distance_to_integer, e, residues, unit
 from .summation import pairwise_sum
 
@@ -107,8 +108,7 @@ def build_mangoldt(X: int) -> MangoldtTable:
     """
     if X < 1:
         raise DomainError("X must be positive")
-    if X > MANGOLDT_CAP:
-        raise CapExceededError(f"sieve limit {X} exceeds cap {MANGOLDT_CAP}")
+    check_cap(X, MANGOLDT_CAP, f"sieve limit {X}")
     is_prime = np.ones(X + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(X) + 1):
@@ -194,10 +194,9 @@ class IntPolynomial:
         hi = start + 1
         while hi < stop and self(hi) < x:
             hi = min(2 * hi, stop)
-        end = bisect.bisect_left(range(hi + 1), x, lo=start + 1, key=self)
-        if end > POLY_SCAN_CAP:
-            raise CapExceededError(
-                f"polynomial scan exceeds cap of {POLY_SCAN_CAP} values")
+        end = check_cap(
+            bisect.bisect_left(range(hi + 1), x, lo=start + 1, key=self),
+            POLY_SCAN_CAP, "polynomial scan")
         m = max(end - 1, 1)
         bound = sum(abs(c) * m ** i for i, c in enumerate(self.coeffs))
         values = self(np.arange(

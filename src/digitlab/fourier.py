@@ -52,8 +52,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digits import DigitSet, bounded_power, enumerate_members
-from .errors import CapExceededError, DomainError
+from .digits import DigitSet, bounded_power, check_cap, enumerate_members
+from .errors import DomainError
 from .summation import pairwise_sum
 
 GRID_CAP = 10 ** 8
@@ -373,11 +373,9 @@ def _half_grid(Q: int, sources: list, combine, dtype) -> np.ndarray:
 
 
 def check_grid_size(q: int, k: int) -> None:
-    """Reject q**k > ``GRID_CAP`` without building q**k, naming Q as
-    ``q^k = {q}^{k}``: a str of Q itself fails past 4,300 digits."""
-    if bounded_power(q, k, GRID_CAP) > GRID_CAP:
-        raise CapExceededError(
-            f"grid of q^k = {q}^{k} points exceeds cap {GRID_CAP}")
+    """Reject q**k > ``GRID_CAP`` without building q**k."""
+    check_cap(bounded_power(q, k, GRID_CAP), GRID_CAP,
+              f"grid of q^k = {q}^{k} points")
 
 
 def grid_values(ctx: FourierContext, theta0=0.0) -> np.ndarray:

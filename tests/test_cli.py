@@ -612,7 +612,7 @@ class TestPolyScanCap:
                     "--weight", "poly", "--poly-coeffs=-2000,1"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "resource cap: polynomial scan exceeds cap of 1000 values\n")
+            "resource cap: polynomial scan exceeds cap 1000\n")
 
     @pytest.mark.parametrize("command", ["count", "arcs", "scan"])
     def test_scan_past_ssize_t_exits_3(self, command, capsys):
@@ -622,7 +622,7 @@ class TestPolyScanCap:
                     "--poly-coeffs=0,-10000000000000000000000,1"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "resource cap: polynomial scan exceeds cap of 100000000 values\n")
+            "resource cap: polynomial scan exceeds cap 100000000\n")
 
 
 class TestCapBelowOne:

@@ -4,9 +4,11 @@
 key they read: q from -1 to 20 or junk, ``--exclude`` lists that may be
 empty or hold repeats, negatives or digits >= q, k from 0 to 3, ``--a-major``
 on a log scale up to 10^3 or nan, inf, 0 and negatives, ``--d0`` from -2
-to 50, and ``--cap``.  Whatever the config, the exit code is 0, 2 or 3,
-stderr holds at most one line and no traceback, and a run that exits 0
-prints strict JSON, byte-identical on a rerun.  Each value goes in as
+to 50, and ``--cap``, often below q^k.  Whatever the config, the exit
+code is 0, 2 or 3, stderr holds at most one line and no traceback, an
+exit 3 prints ``resource cap: <what> exceeds cap <cap>`` (the one shape
+of ``digits.check_cap``), and a run that exits 0 prints strict JSON,
+byte-identical on a rerun.  Each value goes in as
 ``--key=text``, so a text that starts with "-" stays the flag's value.
 
 ``test_parser_rejections`` adds to such a config one argv shape that the
@@ -19,6 +21,7 @@ value).  Each exits 2 with one ``config error:`` line and no stdout.
 import contextlib
 import io
 import json
+import re
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as hs
@@ -29,6 +32,8 @@ from digitlab import fourier as fourier_mod
 JUNK = hs.text(max_size=6)
 SPECIAL_A = ["nan", "inf", "-inf", "0", "0.0", "-1", "-2.5"]
 CAPS = [str(fourier_mod.GRID_CAP), str(fourier_mod.GRID_CAP + 1)]
+# on a log scale from 1 to 10^4, so that many drawn q^k exceed the cap
+SMALL_CAPS = hs.floats(0.0, 4.0).map(lambda t: str(int(10.0 ** t)))
 FLAGS = ["--" + key.replace("_", "-") for key, *_ in cli.CONFIG_KEYS] + [
     "--config"]
 # not a prefix of any option, which argparse would take as its abbreviation
@@ -65,7 +70,8 @@ def config_texts(draw):
         "d0": _sometimes(draw, draw(hs.none() | hs.integers(-2, 50).map(str)),
                          JUNK),
         "cap": _sometimes(draw, draw(hs.none() | hs.sampled_from(CAPS)
-                                     | hs.integers(-1, 10 ** 4).map(str)),
+                                     | hs.integers(-1, 10 ** 4).map(str)
+                                     | SMALL_CAPS),
                           JUNK),
     }
 
@@ -87,6 +93,8 @@ def _reject_constant(name):
        texts=config_texts())
 @example(command="count", texts={"q": "10", "exclude": "7", "k": "2",
                                  "a-major": None, "d0": "--", "cap": None})
+@example(command="count", texts={"q": "10", "exclude": "7", "k": "3",
+                                 "a-major": None, "d0": None, "cap": "999"})
 def test_config_rules(command, texts):
     argv = [command] + [f"--{key}={text}" for key, text in texts.items()
                         if text is not None]
@@ -101,6 +109,8 @@ def test_config_rules(command, texts):
         assert run(argv) == (code, out, err)
     else:
         assert out == ""
+    if code == 3:
+        assert re.fullmatch(r"resource cap: .+ exceeds cap [0-9]+\n", err), err
 
 
 @hs.composite

@@ -10,6 +10,7 @@ import digitlab.digits as digits_mod
 from digitlab.digits import (
     DigitSet,
     bounded_power,
+    check_cap,
     contains,
     contains_mask,
     count_below,
@@ -70,8 +71,9 @@ class TestDigitSet:
         assert DigitSet(5, (2,)).allowed == (0, 1, 3, 4)
 
     def test_base_cap(self):
-        with pytest.raises(CapExceededError, match="base q="):
+        with pytest.raises(CapExceededError) as excinfo:
             DigitSet(digits_mod.BASE_CAP + 1, (7,))
+        assert str(excinfo.value) == "base q=1000001 exceeds cap 1000000"
 
 
 @st.composite
@@ -295,13 +297,37 @@ class TestEnumerate:
 
     def test_cap(self):
         # 9**9 members exceed ENUMERATION_CAP, checked before the first
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as excinfo:
             next(enumerate_members(DigitSet(10, (7,)), 9))
+        assert str(excinfo.value) == (
+            "enumeration of 9^9 members exceeds cap 100000000")
         # without building 9**(10**7), which takes seconds
         start = time.perf_counter()
-        with pytest.raises(CapExceededError, match=r"9\^10000000 "):
+        with pytest.raises(CapExceededError) as excinfo:
             next(enumerate_members(DigitSet(10, (7,)), 10 ** 7))
         assert time.perf_counter() - start < 2.0
+        assert str(excinfo.value) == (
+            "enumeration of 9^10000000 members exceeds cap 100000000")
+
+
+class TestCheckCap:
+    def test_value_at_the_bound_is_returned(self):
+        assert check_cap(1000, 1000, "anything") == 1000
+        assert check_cap(0, 0, "anything") == 0
+
+    def test_one_past_the_bound_names_what_and_the_cap(self):
+        with pytest.raises(CapExceededError) as excinfo:
+            check_cap(1001, 1000, "widgets w=1001")
+        assert str(excinfo.value) == "widgets w=1001 exceeds cap 1000"
+
+    def test_a_huge_power_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as excinfo:
+            check_cap(bounded_power(10, 10 ** 7, 10 ** 8), 10 ** 8,
+                      "q^k = 10^10000000")
+        assert time.perf_counter() - start < 2.0
+        assert str(excinfo.value) == (
+            "q^k = 10^10000000 exceeds cap 100000000")
 
 
 class TestBoundedPower:

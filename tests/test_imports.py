@@ -9,7 +9,8 @@ numpy loads, the package makes no BLAS call, only the kernel
 ``fourier.e`` and the oracle take a complex exponential, only the
 transform engine's functions reference ``numpy.fft``, only the loop of
 ``arcs._classification`` over the neighbourhoods names the functions
-that make class codes, every call of
+that make class codes, only ``digits.check_cap`` builds a
+``CapExceededError``, every call of
 ``arcs._weight_vector`` is the direct argument of an engine pass that
 reduces the weight's spectrum as it makes it, no two module-level
 functions of the package share a name, and every function the benchmark
@@ -635,6 +636,70 @@ def test_scan_sees_a_shared_function_name():
              ast.parse("def _residues(ns):\n    pass\n"
                        "def f():\n    pass\n")]
     assert shared_function_names(trees) == ["_residues"]
+
+
+# (module, function) that may build a CapExceededError: the one
+# statement of every resource cap
+CAP_HOMES = [("digits.py", "check_cap")]
+
+
+def cap_error_builds(tree: ast.Module) -> list:
+    """(line, function) for each call of ``CapExceededError`` (by its name,
+    an alias a module imports it under, or as an attribute) and each
+    ``raise`` of the bare class; function is the innermost enclosing def,
+    None at module level."""
+    names = {"CapExceededError"} | {
+        alias.asname for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+        if alias.name == "CapExceededError" and alias.asname}
+
+    def is_cap_error(node):
+        return (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute)
+                and node.attr == "CapExceededError")
+
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and is_cap_error(child.func)
+                    or isinstance(child, ast.Raise)
+                    and is_cap_error(child.exc)):
+                found.append((child.lineno, func))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_cap_check():
+    # every cap error comes from digits.check_cap, so no site can restate
+    # the compare-raise-and-name rule beside it
+    found = [(path.name, func)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for _, func in cap_error_builds(ast.parse(path.read_text()))]
+    assert found == CAP_HOMES
+
+
+def test_scan_sees_a_cap_error_built():
+    tree = ast.parse("from .errors import CapExceededError as Cap\n"
+                     "from . import errors\n"
+                     "LIMIT = CapExceededError('module level')\n"
+                     "def grid(q, k):\n"
+                     "    if q ** k > 10:\n"
+                     "        raise CapExceededError(f'{q}^{k} too big')\n"
+                     "def sieve(x):\n"
+                     "    def inner(n):\n"
+                     "        raise errors.CapExceededError('sieve')\n"
+                     "    raise Cap\n"
+                     "def caught():\n"
+                     "    try:\n"
+                     "        pass\n"
+                     "    except CapExceededError as exc:\n"
+                     "        raise exc\n")
+    assert cap_error_builds(tree) == [
+        (3, None), (6, "grid"), (9, "inner"), (10, "sieve")]
 
 INPROC = Path(__file__).parents[1] / "perfbench" / "inproc.py"
 

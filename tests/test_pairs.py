@@ -62,7 +62,7 @@ def test_within_bound(worse, within):
     assert pairs.within_bound(row, 0.05) == within
 
 
-def test_compare_reads_every_metric_both_sides_report():
+def test_compare_reads_every_end_to_end_metric_both_sides_report():
     spec = {"end_to_end": [{"name": "wall_s", "better": "lower",
                             "bound": 0.25}],
             "per_layer": [{"name": "arcs.fft_s", "better": "lower"}]}
@@ -72,8 +72,21 @@ def test_compare_reads_every_metric_both_sides_report():
         "verify-all.unknown": {"value": v}}} for side in ("parent", "change")}
         for v in PARENT]
     rows = pairs.compare(runs, spec)
-    assert sorted(rows) == ["arcs-mangoldt.arcs.fft_s", "verify-all.wall_s"]
+    assert sorted(rows) == ["verify-all.wall_s"]
     assert pairs.claim_holds(rows["verify-all.wall_s"])
     assert rows["verify-all.wall_s"]["within_bound"]
-    assert "bound" not in rows["arcs-mangoldt.arcs.fft_s"]
-    assert not pairs.claim_holds(rows["arcs-mangoldt.arcs.fft_s"])
+
+
+@pytest.mark.parametrize("claim", ["arcs.classify_s:arcs-mangoldt",
+                                   "wall_s:no-such-workload", "wall_s"])
+def test_claim_names_an_end_to_end_metric(claim, tmp_path, capsys):
+    # runs at --trace 0 report end-to-end metrics only, so a per-layer
+    # claim is a usage error, found before the parent directory is read
+    with pytest.raises(SystemExit) as excinfo:
+        pairs.main([str(tmp_path), "--claim", claim,
+                    "--out", str(tmp_path / "out.json")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--claim {claim}: no such end-to-end metric " in err
+    assert "perfbench" not in err
+    assert not (tmp_path / "out.json").exists()

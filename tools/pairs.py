@@ -12,13 +12,15 @@ is odd.
 
 FILE (JSON) holds both sides (commit and whether the tree was clean,
 when it is a git checkout, and a digest of ``src/``), the command,
-the seeds, every run's raw result, and for each metric and workload: both
-sides' medians and quartiles, the pairs the change won (ties count for
-neither), the ratio of medians, the gain (the parent's median less the
-change's, signed so that positive is better) and whether it exceeds the
-parent's interquartile range, and for an end-to-end metric whether the
-change stays within its bound.  The claim holds when the change wins at
-least nine tenths of the pairs and its gain exceeds the parent's IQR.
+the seeds, every run's raw result, and for each end-to-end metric and
+workload: both sides' medians and quartiles, the pairs the change won
+(ties count for neither), the ratio of medians, the gain (the parent's
+median less the change's, signed so that positive is better) and whether
+it exceeds the parent's interquartile range, and whether the change stays
+within the metric's bound.  Runs at ``--trace 0`` report no per-layer
+metric, so a claim names an end-to-end one.  The claim holds when the
+change wins at least nine tenths of the pairs and its gain exceeds the
+parent's IQR.
 Exit 0 when every run succeeded with correct outputs and the claim
 holds, 1 when the claim does not hold or a run reported an incorrect
 output, 2 on a usage error or a run that failed.
@@ -107,9 +109,9 @@ def run_once(path: Path, command: list) -> dict:
 
 
 def compare(runs: list, spec: dict) -> dict:
-    """Every metric of every workload that both sides of every pair
-    report, keyed "workload.metric"."""
-    kinds = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    """Every end-to-end metric of every workload that both sides of every
+    pair report, keyed "workload.metric"."""
+    kinds = {m["name"]: m for m in spec["end_to_end"]}
     rows = {}
     for key in runs[0]["parent"]["metrics"]:
         metric = key.split(".", 1)[1]
@@ -121,9 +123,8 @@ def compare(runs: list, spec: dict) -> dict:
             [r["parent"]["metrics"][key]["value"] for r in runs],
             [r["change"]["metrics"][key]["value"] for r in runs],
             kinds[metric]["better"])
-        if "bound" in kinds[metric]:
-            row["bound"] = kinds[metric]["bound"]
-            row["within_bound"] = within_bound(row, row["bound"])
+        row["bound"] = kinds[metric]["bound"]
+        row["within_bound"] = within_bound(row, row["bound"])
         rows[key] = row
     return rows
 
@@ -136,10 +137,11 @@ def main(argv: list) -> int:
     args = ap.parse_args(argv)
     metric, _, workload = args.claim.partition(":")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = {m["name"] for m in spec["end_to_end"] + spec["per_layer"]}
+    names = [m["name"] for m in spec["end_to_end"]]
     if metric not in names or workload not in {
             w["name"] for w in spec["workloads"]}:
-        ap.error(f"--claim {args.claim}: no such metric and workload")
+        ap.error(f"--claim {args.claim}: no such end-to-end metric "
+                 f"({', '.join(names)}) and workload")
     if not (args.parent_dir / "perfbench" / "run.py").is_file():
         ap.error(f"{args.parent_dir} holds no perfbench/run.py")
     sides = {"parent": args.parent_dir.resolve(), "change": ROOT}

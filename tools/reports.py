@@ -16,8 +16,9 @@ configs (``perfbench/run.py``) with digit 7 excluded.  Exit 0 when every
 command exits 0, else 1, with one stderr line per failed command.
 
 ``ERRORS`` lists rejected configs, one per rule of the digit set, the
-threshold and ``--out``, one per shape of argv that the parser itself
-rejects, plus configs once rejected that now run.  Each gives one line
+threshold and ``--out``, one per resource cap a config reaches (the base,
+``--cap`` and the polynomial scan), one per shape of argv that the parser
+itself rejects, plus configs once rejected that now run.  Each gives one line
 of ``errors.txt``: the JSON list of its argv, its exit code and its
 stderr, so that ``diff -r`` shows every change to an error path.
 ``tests/data/errors.txt`` is the committed file, which
@@ -68,6 +69,8 @@ ERRORS = [
     ["constants", *A400],
     ["arcs", "--q", "10", "--exclude", "7", "--k", "9", "--cap", "1000",
      "--a-major", "400"],
+    ["count", "--q", "10", "--exclude", "7", "--k", "3", "--weight", "poly",
+     "--poly-coeffs=0,-10000000000000000000000,1"],
     ["count", "--q", "10", "--exclude", "7", "--k", "2", "--out="],
     ["verify", "constants", "--out", ""],
     ["count", "--q", "10", "--exclude", "7", "--k", "2", "--d0=--"],
@@ -80,6 +83,7 @@ ERRORS = [
     ["verify", "bogus"],
     ["verify", "constants", "--seed=abc"],
     ["verify", "constants", "--seed=--"],
+    ["--bogus"],
     [],
 ]
 
