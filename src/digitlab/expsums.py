@@ -14,8 +14,11 @@ float phases (n*alpha) mod 1 and takes the kernel ``fourier.e`` of them,
 so this module computes no exponential itself.  The
 equidistribution min-sum is a literal summation too, and three
 bound-ratio sweeps compare the sums against their analytic right-hand
-sides.  The implied constants of the bounds carry no numeric content, so
-sweeps only record ratios.  Each sweep's ceiling in
+sides.  Each sweep returns what it measures, its configuration, its
+points (a, d, beta) and each point's (lhs, rhs), and
+``bound_ratio_report`` alone builds the rows from them.  The implied
+constants of the bounds carry no numeric content, so sweeps only record
+ratios.  Each sweep's ceiling in
 ``CALIBRATED_MAX_RATIO`` was fixed by a one-time run with the recorded
 seed and holds only at the configuration it was run at, so those
 configurations are constants beside it, not options; the seed alone
@@ -297,11 +300,18 @@ def bound_ratio_report(kind: str, seed: int) -> List[dict]:
     and the sweep runs at the fixed configuration its ceiling was
     calibrated at (the constants beside it).  ``seed`` draws the points of
     the equidistribution and polynomial sweeps; the prime sweep draws
-    none.  No implied constant is asserted here.
+    none.  A sweep returns ``(config, points, sides)``: its configuration
+    as a dict, its points ``(a, d, beta)`` and each point's ``(lhs, rhs)``.
+    Each row here is ``{**config, "a", "d", "beta", "lhs", "rhs",
+    "ratio"}``, with ratio = lhs / rhs.  No implied constant is asserted
+    here.
     """
     if kind not in SWEEPS:
         raise DomainError(f"unknown sweep kind: {kind}")
-    return SWEEPS[kind](random.Random(seed))
+    config, points, sides = SWEEPS[kind](random.Random(seed))
+    return [{**config, "a": a, "d": d, "beta": beta,
+             "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
+            for (a, d, beta), (lhs, rhs) in zip(points, sides)]
 
 
 def _draw_near_rational(rng: random.Random, dmax: int):
@@ -313,55 +323,41 @@ def _draw_near_rational(rng: random.Random, dmax: int):
     return a, d, rng.uniform(-1.0, 1.0) / (2.0 * d * d)
 
 
-def _equidistribution_sweep(rng: random.Random) -> List[dict]:
+def _equidistribution_sweep(rng: random.Random):
     N, M = EQUIDISTRIBUTION_N, EQUIDISTRIBUTION_M
-    rows = []
-    for _ in range(EQUIDISTRIBUTION_DRAWS):
-        a, d, beta = _draw_near_rational(rng, EQUIDISTRIBUTION_DMAX)
-        lhs = minsum(N, M, a / d + beta)
-        rhs = equidistribution_rhs(N, M, d, beta)
-        rows.append({
-            "N": N, "M": M, "a": a, "d": d, "beta": beta,
-            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
-        })
-    return rows
+    points = [_draw_near_rational(rng, EQUIDISTRIBUTION_DMAX)
+              for _ in range(EQUIDISTRIBUTION_DRAWS)]
+    return {"N": N, "M": M}, points, [
+        (minsum(N, M, a / d + beta), equidistribution_rhs(N, M, d, beta))
+        for a, d, beta in points]
 
 
-def _prime_sweep(rng: random.Random) -> List[dict]:
+def _prime_sweep(rng: random.Random):
     x = PRIME_X
     table = build_mangoldt(x)
-    rows = []
-    for d in PRIME_D_VALUES:
-        a = next(c for c in range(1, d) if math.gcd(c, d) == 1)
-        lhs = abs(expsum(table, x, Fraction(a, d)))
-        rhs = prime_rhs(x, d, 0.0)
-        rows.append({
-            "x": x, "a": a, "d": d, "beta": 0.0,
-            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
-        })
-    return rows
+    # 1/d is reduced, so a = 1 is the least numerator of every d
+    points = [(1, d, 0.0) for d in PRIME_D_VALUES]
+    return {"x": x}, points, [
+        (abs(expsum(table, x, Fraction(a, d))), prime_rhs(x, d, beta))
+        for a, d, beta in points]
 
 
-def _polynomial_sweep(rng: random.Random) -> List[dict]:
+def _polynomial_sweep(rng: random.Random):
     P = IntPolynomial(POLYNOMIAL_COEFFS)
     x = POLYNOMIAL_X
     r = P.degree
     norm = P.lead * math.factorial(r)
-    rows = []
-    for _ in range(POLYNOMIAL_DRAWS):
-        a, d, beta = _draw_near_rational(rng, POLYNOMIAL_DMAX)
-        # frequencies are measured in the lemma's normalization:
-        # lead * r! * alpha = a/d + beta
-        lhs = abs(expsum(P, x, (a / d + beta) / norm))
-        rhs = poly_rhs(x, r, d, beta)
-        rows.append({
-            "coeffs": P.coeffs, "x": x, "a": a, "d": d, "beta": beta,
-            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
-        })
-    return rows
+    points = [_draw_near_rational(rng, POLYNOMIAL_DMAX)
+              for _ in range(POLYNOMIAL_DRAWS)]
+    # frequencies are measured in the lemma's normalization:
+    # lead * r! * alpha = a/d + beta
+    return {"coeffs": P.coeffs, "x": x}, points, [
+        (abs(expsum(P, x, (a / d + beta) / norm)), poly_rhs(x, r, d, beta))
+        for a, d, beta in points]
 
 
-# The sweep of each kind, keyed as CALIBRATED_MAX_RATIO; each takes an rng.
+# The sweep of each kind, keyed as CALIBRATED_MAX_RATIO; each takes an rng
+# and returns (config, points, sides) for bound_ratio_report's rows.
 SWEEPS = {"equidistribution": _equidistribution_sweep,
           "prime": _prime_sweep, "polynomial": _polynomial_sweep}
 

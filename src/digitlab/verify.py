@@ -246,7 +246,7 @@ def sweep_ratios(seed: int) -> List[dict]:
         checks.append(_check(
             f"{kind} sweep max ratio below calibration {ceiling}",
             math.isfinite(ratio) and 0 < ratio <= ceiling,
-            f"max ratio {ratio:.4f}"))
+            f"max ratio {ratio:.3g}"))
     return checks
 
 

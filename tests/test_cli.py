@@ -34,6 +34,7 @@ _spec = importlib.util.spec_from_file_location(
     "reports", Path(__file__).parents[1] / "tools" / "reports.py")
 REPORTS_TOOL = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(REPORTS_TOOL)
+BENCH_RUN = Path(__file__).parents[1] / "perfbench" / "run.py"
 
 
 def run(argv):
@@ -859,6 +860,39 @@ class TestGoldenReports:
         # errors.txt is TestErrorPaths' golden
         assert sorted([name for _, name in self.GOLDEN] + ["errors.txt"]) \
             == sorted(p.name for p in DATA.iterdir())
+
+
+class TestBenchmarkCommandsAreGated:
+    """Each command of the benchmark (``perfbench/run.py``) with digit 7
+    excluded is a ``REPORTS`` entry of ``tools/reports.py``, so the byte
+    gate runs it; ``verify all`` at any seed."""
+
+    @staticmethod
+    def gated(argv) -> bool:
+        reported = [args for args, _ in REPORTS_TOOL.REPORTS]
+        if argv[:3] == ["verify", "all", "--seed"]:
+            return any(args[:3] == argv[:3] and len(args) == 4
+                       for args in reported)
+        return argv in reported
+
+    def test_every_workload_is_reported(self, monkeypatch, tmp_path):
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      BENCH_RUN)
+        bench = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up while building the classes
+        monkeypatch.setitem(sys.modules, spec.name, bench)
+        spec.loader.exec_module(bench)
+
+        def argv(name, digit):
+            inputs = bench.Inputs(seed=1, digit=digit,
+                                  out_path=tmp_path / "scan.csv",
+                                  squares_avoiding=0)
+            args = bench.WORKLOADS[name].argv(inputs)
+            return args[:-2] if args[-2:-1] == ["--out"] else args
+
+        for name in bench.WORKLOADS:
+            assert self.gated(argv(name, 7)), name
+        assert not self.gated(argv("arcs-mangoldt", 3))
 
 
 class TestErrorPaths:

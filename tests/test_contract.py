@@ -16,13 +16,27 @@ parser rejects itself: an unknown flag, a flag with no value, or a
 negative value without ``=`` that is not a plain number (``--exclude
 -1,3``; argparse reads a plain negative number such as ``-5`` as a
 value).  Each exits 2 with one ``config error:`` line and no stdout.
+
+``test_pipeline_commands`` runs ``count``, ``arcs`` and ``scan`` on one
+drawn valid digit set with q from 3 to 16 and q^k <= 10^4, either weight
+(a polynomial of degree 1 to 3 with coefficients such as +-1, +-7 and
++-10^6 and a positive lead), and sometimes ``--d0`` and ``--a-major``.
+``arcs`` and ``scan`` exit alike.  When they run, the class counts sum to
+Q = q^k and are the counts of scan's ``arc_class`` column, ``count`` and
+``arcs`` print the same comparison fields, the pipeline total meets the
+direct count, and ``arcs`` repeats its bytes.  The pipeline total is not
+checked against ``verify.ledger_vs_scalar`` here: its scalar oracle takes
+too long per example at Q = 10^4.
 """
 
+import collections
 import contextlib
+import csv
 import io
 import json
 import re
 
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as hs
 
@@ -136,3 +150,76 @@ def test_parser_rejections(command, texts, shape, data):
     assert code == 2, err
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+COEFFS = hs.sampled_from([0, 1, -1, 7, -7, 10 ** 6, -(10 ** 6)])
+LEADS = hs.sampled_from([1, 7, 10 ** 6])
+# the fields of the theorem comparison that count and arcs both print
+COMPARISON = ("members", "direct", "main_term", "deviation", "kappa",
+              "singular_series", "singular_series_J")
+
+
+@hs.composite
+def pipeline_flags(draw):
+    """The flags of one valid digit set and k, a weight, and sometimes D0
+    and A."""
+    q = draw(hs.integers(3, 16))
+    k = draw(hs.integers(0, max(j for j in range(9) if q ** j <= 10 ** 4)))
+    # the allowed pair (pair, pair + 1) keeps the set valid
+    pair = draw(hs.integers(0, q - 2))
+    others = draw(hs.permutations(
+        [d for d in range(q) if d not in (pair, pair + 1)]))
+    excluded = others[:draw(hs.integers(1, q - 2))]
+    flags = [f"--q={q}", f"--k={k}",
+             "--exclude=" + ",".join(map(str, excluded))]
+    if draw(hs.booleans()):
+        coeffs = draw(hs.lists(COEFFS, max_size=2)) + [draw(LEADS)]
+        flags += ["--weight=poly",
+                  "--poly-coeffs=" + ",".join(map(str, coeffs))]
+    else:
+        flags.append("--weight=mangoldt")
+    if draw(hs.booleans()):
+        flags.append(f"--d0={draw(hs.integers(1, 200))}")
+    if draw(hs.booleans()):
+        flags.append(f"--a-major={draw(hs.floats(0.3, 5.0))!r}")
+    return q ** k, flags
+
+
+@pytest.fixture(scope="module")
+def scan_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("scan") / "scan.csv"
+
+
+@settings(max_examples=100, deadline=500)
+@given(drawn=pipeline_flags())
+def test_pipeline_commands(scan_out, drawn):
+    Q, flags = drawn
+    runs = {command: run([command, *flags])
+            for command in ("count", "arcs")}
+    runs["scan"] = run(["scan", *flags, f"--out={scan_out}"])
+    for code, out, err in runs.values():
+        assert code in (0, 2, 3), (code, err)
+        assert len(err.splitlines()) <= 1, err
+        assert "Traceback" not in err
+    (arcs_code, arcs_out, arcs_err), scan_run = runs["arcs"], runs["scan"]
+    assert (scan_run[0], scan_run[2]) == (arcs_code, arcs_err)
+    event(f"exit {arcs_code}")
+    if arcs_code != 0:
+        return
+    assert runs["count"][0] == 0, runs["count"]
+    count = json.loads(runs["count"][1], parse_constant=_reject_constant)
+    arcs = json.loads(arcs_out, parse_constant=_reject_constant)
+    classes = {c: v["count"] for c, v in arcs["per_class"].items()}
+    assert sum(classes.values()) == Q
+    assert {f: count[f] for f in COMPARISON} == {f: arcs[f]
+                                                 for f in COMPARISON}
+    with open(scan_out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a", "fhat_re", "fhat_im", "fhat_abs", "arc_class",
+                       "s_abs"]
+    assert len(rows) == Q + 1
+    scanned = collections.Counter(row[4] for row in rows[1:])
+    assert {c: scanned[c] for c in classes} == classes
+    direct = arcs["direct"]
+    assert abs(arcs["total"] - direct) <= 1e-6 * max(1.0, abs(direct))
+    assert run(["arcs", *flags]) == runs["arcs"]

@@ -286,6 +286,25 @@ def test_sweep_ratios(ratio, monkeypatch):
     assert verdicts(verify.sweep_ratios(1)) == [False] * 3
 
 
+def test_sweep_details_print_the_measured_ratio():
+    # each detail reads back as its sweep's maximum; at four decimals the
+    # prime sweep's 5.52e-5 read 0.0001
+    seed = exp_mod.CALIBRATION_SEED
+    checks = verify.sweep_ratios(seed)
+    assert len(checks) == len(exp_mod.CALIBRATED_MAX_RATIO)
+    for kind, check in zip(exp_mod.CALIBRATED_MAX_RATIO, checks):
+        assert check["check"].startswith(f"{kind} sweep ")
+        printed = float(check["detail"].removeprefix("max ratio "))
+        ratio = exp_mod.max_sweep_ratio(exp_mod.bound_ratio_report(kind, seed))
+        assert abs(printed - ratio) <= 5e-3 * ratio, (kind, check["detail"])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sweeps_hold_across_seeds(seed):
+    # the calibrated ceilings hold beyond the seeds verify all runs at
+    assert verdicts(verify.sweep_ratios(seed)) == [True] * 3
+
+
 def test_product_vs_direct(monkeypatch):
     cases = [(DigitSet(5, (2,)), 3), (DS, 3)]
     [check] = verify.product_vs_direct(cases, 20, random.Random(1))
